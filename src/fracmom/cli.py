@@ -33,6 +33,7 @@ from .distributions import (
     FAMILIES,
     DistributionSpec,
     exact_cf,
+    exact_pdf,
     sample,
     spec_from_config,
 )
@@ -47,8 +48,8 @@ from .fracops import (
 from .moments import (
     GridParams,
     MomentGrid,
+    half_line_integrals,
     make_grid,
-    moment_quadrature,
     read_grid_csv,
     working_strip,
     write_grid_csv,
@@ -58,6 +59,7 @@ from .reconstruct import (
     sample_curve,
     write_curve_csv,
 )
+from .quadrature import require
 from .special import complex_gamma
 
 log = logging.getLogger("fracmom")
@@ -65,6 +67,8 @@ log = logging.getLogger("fracmom")
 _METHODS = {"closed": "closed_form", "quad": "quadrature", "mc": "monte_carlo"}
 
 _IDENTITY_TOL = 1e-4
+# error target of the density-quadrature oracle, as in moment_quadrature
+_ORACLE_TOL = 1e-9
 
 _FIGURE_TABLE = """\
 figure parameters (all grids rho=0.4, delta=0.4, sign=minus unless noted):
@@ -311,63 +315,48 @@ def _cmd_reconstruct(config: RunConfig, kind: str) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    from .distributions import exact_pdf
-
     spec = _require_spec(config)
     cf = lambda t: exact_cf(spec, t)  # noqa: E731
     pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
 
     osc = spec.params["a"] if spec.family == "uniform" else None
-    support = spec.support
-    nodes = config.grid.nodes()
+    g = config.grid.nodes()
 
-    def oracle(g: complex, sign: str) -> complex:
-        return moment_quadrature(pdf, support, g, sign)
+    # Independent oracle: quadrature of the density.  The half-line
+    # integrals of u^(-g) and u^(+g) give all four signed moments and
+    # both absolute ones; none of their error estimates is dropped.
+    below = half_line_integrals(pdf, spec.support, g)
+    above = half_line_integrals(pdf, spec.support, -g)
 
-    def abs_oracle(g: complex) -> complex:
-        # E|X|^g by direct quadrature, independent of the signed routes.
-        from scipy.integrate import quad
+    def oracle(estimate) -> np.ndarray:
+        require(estimate, _ORACLE_TOL, "moment quadrature", g)
+        return estimate.value
 
-        lo, hi = support
-        total = 0.0 + 0.0j
-        for a, b, orient in ((max(lo, 0.0), hi, 1.0), (max(0.0, -hi), -lo, -1.0)):
-            if b > a:
-                for part, pick in ((1.0, np.real), (1.0j, np.imag)):
-                    val = quad(
-                        lambda u: pick(np.exp(g * np.log(u))) * pdf(orient * u),
-                        a, b, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
-                    total += part * val
-        return total
+    mom = {side: oracle(below.signed(g, side)) for side in ("plus", "minus")}
+    dmom = {side: oracle(above.signed(-g, side)) for side in ("plus", "minus")}
+    abs_plus = oracle(above.absolute())  # E|X|^g
+    abs_minus = oracle(below.absolute())  # E|X|^(-g)
+
+    def dev(got: np.ndarray, want: np.ndarray) -> float:
+        return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
 
     checks: dict[str, float] = {}
-
-    def record(name: str, dev: float) -> None:
-        checks[name] = max(checks.get(name, 0.0), dev)
-
-    for g in nodes:
-        mom_p, mom_m = oracle(g, "plus"), oracle(g, "minus")
-        rl_p = rl_integral_at_zero(cf, g, "plus", oscillation=osc)
-        rl_m = rl_integral_at_zero(cf, g, "minus", oscillation=osc)
-        record("rl_integral_plus", abs(rl_p - mom_p) / (1.0 + abs(mom_p)))
-        record("rl_integral_minus", abs(rl_m - mom_m) / (1.0 + abs(mom_m)))
-
-        dmom_p, dmom_m = oracle(-g, "plus"), oracle(-g, "minus")
-        ma_p = marchaud_derivative_at_zero(cf, g, "plus", oscillation=osc)
-        ma_m = marchaud_derivative_at_zero(cf, g, "minus", oscillation=osc)
-        record("marchaud_plus", abs(ma_p - dmom_p) / (1.0 + abs(dmom_p)))
-        record("marchaud_minus", abs(ma_m - dmom_m) / (1.0 + abs(dmom_m)))
-
-        riesz_d = riesz_derivative_at_zero(cf, g, oscillation=osc)
-        abs_plus = abs_oracle(g)
-        record("riesz_derivative",
-               abs(riesz_d - (-abs_plus)) / (1.0 + abs(abs_plus)))
-        riesz_i = riesz_integral_at_zero(cf, g, oscillation=osc)
-        abs_minus = abs_oracle(-g)
-        record("riesz_integral", abs(riesz_i - abs_minus) / (1.0 + abs(abs_minus)))
-
-        me_m = mellin_forward(cf, g, "minus", oscillation=osc)
-        record("mellin_two_path",
-               abs(me_m - complex_gamma(g) * rl_m) / (1.0 + abs(me_m)))
+    rl = {}
+    for side in ("plus", "minus"):
+        rl[side] = rl_integral_at_zero(cf, g, side, oscillation=osc)
+        checks[f"rl_integral_{side}"] = dev(rl[side], mom[side])
+    for side in ("plus", "minus"):
+        ma = marchaud_derivative_at_zero(cf, g, side, oscillation=osc)
+        checks[f"marchaud_{side}"] = dev(ma, dmom[side])
+    riesz_d = riesz_derivative_at_zero(cf, g, oscillation=osc)
+    checks["riesz_derivative"] = dev(riesz_d, -abs_plus)
+    riesz_i = riesz_integral_at_zero(cf, g, oscillation=osc)
+    checks["riesz_integral"] = dev(riesz_i, abs_minus)
+    me_m = mellin_forward(cf, g, "minus", oscillation=osc)
+    gam = np.array([complex_gamma(v) for v in g])
+    checks["mellin_two_path"] = float(
+        np.max(np.abs(me_m - gam * rl["minus"]) / (1.0 + np.abs(me_m)))
+    )
 
     failed = [n for n, d in checks.items() if d > _IDENTITY_TOL]
     width = max(len(n) for n in checks)

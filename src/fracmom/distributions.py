@@ -213,7 +213,7 @@ def exact_pdf(spec: DistributionSpec, x):
         out = np.exp(-0.5 * ((xv - mu) / sig) ** 2) / (
             sig * math.sqrt(2.0 * math.pi)
         )
-    if np.ndim(x) == 0:
+    if xv.ndim == 0:
         return float(out)
     return out
 
@@ -227,11 +227,16 @@ def exact_cf(spec: DistributionSpec, theta):
     elif spec.family == "rayleigh":
         # 1F1-type closed form written through the Faddeeva function:
         #   phi(t) = 1 - q Im w(q/sqrt(2))*sqrt(pi/2)... folded below.
-        sig = p["sigma"]
-        q = sig * tv
-        w = sp_special.wofz(q / math.sqrt(2.0))
-        amp = q * math.sqrt(math.pi / 2.0)
-        out = 1.0 - amp * np.imag(w) + 1j * amp * np.exp(-0.5 * q * q)
+        # Its real part cancels as q = sigma*t grows (relative error
+        # ~eps q^2), so beyond |q| = 40 the asymptotic series takes
+        # over; there the imaginary part has underflowed to 0 anyway.
+        q = p["sigma"] * tv
+        near = np.abs(q) <= _RAYLEIGH_NEAR
+        qn = np.where(near, q, 0.0)
+        w = sp_special.wofz(qn / math.sqrt(2.0))
+        amp = qn * math.sqrt(math.pi / 2.0)
+        body = 1.0 - amp * np.imag(w) + 1j * amp * np.exp(-0.5 * qn * qn)
+        out = np.where(near, body, _rayleigh_cf_far(np.where(near, 1.0, q)))
     elif spec.family == "cauchy":
         out = np.exp(-np.abs(tv)).astype(complex)
     elif spec.family == "levy":
@@ -240,9 +245,22 @@ def exact_cf(spec: DistributionSpec, theta):
     else:  # gaussian
         mu, sig = p["mu"], p["sigma"]
         out = np.exp(1j * mu * tv - 0.5 * (sig * tv) ** 2)
-    if np.ndim(theta) == 0:
+    if tv.ndim == 0:
         return complex(out)
     return out
+
+
+_RAYLEIGH_NEAR = 40.0
+
+
+def _rayleigh_cf_far(q: np.ndarray) -> np.ndarray:
+    # Re phi ~ -sum_k (2k-1)!! / q^(2k); eight terms reach double
+    # precision for |q| >= 40, and 1/q^2 -> 0 gives phi(+-inf) = 0
+    r = 1.0 / (q * q)
+    acc = np.ones_like(r)
+    for k in range(7, 0, -1):
+        acc = 1.0 + (2 * k + 1) * r * acc
+    return (-r * acc).astype(complex)
 
 
 # ----------------------------------------------------------------------

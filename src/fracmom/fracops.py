@@ -21,109 +21,65 @@ integrates f(+xi) over xi in (0, inf).  With that pairing,
 for s = +1 ("plus") / -1 ("minus"), which is verified numerically in the
 test suite for every catalog family.
 
-Infinite upper limits are folded onto a bounded interval by the rational
-substitution of the adaptive library rule; for CFs with a slowly
-decaying oscillatory tail (the uniform family's sinc) that rule loses
-accuracy, so the ``oscillation`` hint switches the tail to integration
-between consecutive zeros with repeated-averaging (Euler) acceleration,
-accurate to ~1e-11 even at Re(gamma) close to 1.
+Every operator is one or two calls of the vectorised engine in
+:mod:`fracmom.quadrature`: the integrand is formed for all requested
+orders at once on arrays of abscissae, so ``gamma`` may be a scalar
+(complex result) or a 1-D array of orders (array result), and the
+CF is called once per panel sequence rather than once per point.  The
+engine halves its panels toward the xi^(gamma-1) singularity at the
+origin and doubles them toward infinity, with Wynn extrapolation of
+the panel sums.  For CFs with a slowly decaying oscillatory tail (the
+uniform family's sinc) the ``oscillation`` hint switches the part
+beyond xi = 1 to integration between consecutive zeros with
+repeated-averaging (Euler) acceleration, accurate to ~1e-11 even at
+Re(gamma) close to 1.  Whenever any order's error estimate exceeds
+``tol`` a :class:`QuadratureError` naming that order is raised.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
-from .errors import DomainError, PoleError, QuadratureError, StripError
+from .errors import DomainError, PoleError, StripError
+from .quadrature import Estimate, integrate, require
 from .special import complex_gamma, sign_value
 
-_QUAD_LIMIT = 200
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-ComplexFunc = Callable[[float], complex]
+ComplexFunc = Callable[[np.ndarray], np.ndarray]
 
 
 # ----------------------------------------------------------------------
-# quadrature helpers
+# order handling
 # ----------------------------------------------------------------------
 
 
-def _quad_complex(
-    f: ComplexFunc, a: float, b: float, epsabs: float
-) -> tuple[complex, float]:
-    """Adaptive quadrature of a complex integrand, real/imag separately."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        re, e_re = integrate.quad(
-            lambda x: complex(f(x)).real, a, b,
-            epsabs=epsabs, epsrel=1e-12, limit=_QUAD_LIMIT,
-        )
-        im, e_im = integrate.quad(
-            lambda x: complex(f(x)).imag, a, b,
-            epsabs=epsabs, epsrel=1e-12, limit=_QUAD_LIMIT,
-        )
-    return complex(re, im), e_re + e_im
+def _orders(gamma) -> np.ndarray:
+    return np.atleast_1d(np.asarray(gamma, dtype=complex))
 
 
-def _gauss_piece(f: ComplexFunc, lo: float, hi: float) -> complex:
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    acc = 0.0 + 0.0j
-    for xg, wg in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += wg * complex(f(mid + half * xg))
-    return half * acc
+def _shaped(gamma, values: np.ndarray):
+    # a scalar order gives a complex, an array of orders an array
+    return complex(values[0]) if np.ndim(gamma) == 0 else values
 
 
-def _oscillatory_tail(
-    f: ComplexFunc, start: float, freq: float, n_pieces: int = 64
-) -> tuple[complex, float]:
-    """Integrate f over [start, inf) when f oscillates at angular
-    frequency ``freq``.
-
-    The axis is cut at the oscillation's sign-change points (spacing
-    pi/freq); piece integrals form an alternating sequence whose partial
-    sums are accelerated by repeated averaging.  The spread of the last
-    averaging pair serves as the error estimate.
-    """
-    half = math.pi / freq
-    k0 = math.ceil(start * freq / math.pi - 1e-12)
-    z0 = k0 * half
-    head = _gauss_piece(f, start, z0) if z0 > start else 0.0 + 0.0j
-    pieces = np.array(
-        [
-            _gauss_piece(f, z0 + j * half, z0 + (j + 1) * half)
-            for j in range(n_pieces)
-        ],
-        dtype=complex,
-    )
-    s = np.cumsum(pieces)
-    spread = abs(s[-1] - s[0])
-    while s.size > 1:
-        if s.size == 2:
-            spread = abs(s[1] - s[0])
-        s = 0.5 * (s[1:] + s[:-1])
-    return head + complex(s[0]), spread
+def _power(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    # x^p for every exponent (rows) and abscissa (columns), x > 0
+    return np.exp(np.multiply.outer(exponents, np.log(x)))
 
 
-def _tail_integral(
-    f: ComplexFunc, start: float, epsabs: float, oscillation: float | None
-) -> tuple[complex, float]:
-    if oscillation is not None:
-        return _oscillatory_tail(f, start, oscillation)
-    return _quad_complex(f, start, math.inf, epsabs)
+def _gammas(z: np.ndarray) -> np.ndarray:
+    return np.array([complex_gamma(v) for v in z])
 
 
-def _require_unit_strip(gamma: complex, what: str) -> complex:
-    gamma = complex(gamma)
-    if not 0.0 < gamma.real < 1.0:
+def _require_unit_strip(gamma: np.ndarray, what: str) -> None:
+    outside = ~((gamma.real > 0.0) & (gamma.real < 1.0))
+    if outside.any():
         raise DomainError(
-            f"{what} implemented for 0 < Re(gamma) < 1 only, got {gamma}"
+            f"{what} implemented for 0 < Re(gamma) < 1 only, "
+            f"got {complex(gamma[outside][0])}"
         )
-    return gamma
 
 
 # ----------------------------------------------------------------------
@@ -133,53 +89,43 @@ def _require_unit_strip(gamma: complex, what: str) -> complex:
 
 def rl_integral_at_zero(
     cf: ComplexFunc,
-    gamma: complex,
+    gamma,
     side: str,
     *,
     tol: float = 1e-7,
     oscillation: float | None = None,
-) -> complex:
+):
     """Fractional integral of order ``gamma`` of ``cf``, evaluated at 0.
 
         (1 / Gamma(gamma)) * int_0^inf  xi^(gamma-1) cf(-s xi) d xi
 
-    Split at xi = 1: the inner piece handles the xi^(gamma-1) endpoint
-    singularity adaptively, the outer piece the decay of the CF (with
-    the ``oscillation`` hint when the tail rings).  Raises
-    :class:`QuadratureError` when the combined error estimate of the
-    returned value exceeds ``tol``.
+    The engine splits at xi = 1: the inner part handles the
+    xi^(gamma-1) endpoint singularity, the outer part the decay of the
+    CF (with the ``oscillation`` hint when the tail rings).  Raises
+    :class:`QuadratureError` when the error estimate of any returned
+    value exceeds ``tol``.
     """
-    gamma = _require_unit_strip(gamma, "fractional integral")
+    g = _orders(gamma)
+    _require_unit_strip(g, "fractional integral")
     s = sign_value(side)
-
-    def integrand(xi: float) -> complex:
-        return cmath.exp((gamma - 1.0) * math.log(xi)) * complex(cf(-s * xi))
-
-    # the result carries a 1/Gamma(gamma) factor, so the quadrature
-    # targets must absorb that amplification for `achieved` to be an
-    # estimate of the returned value's error
-    gam = complex_gamma(gamma)
-    budget = tol * abs(gam) / 4.0
-    head, e_head = _quad_complex(integrand, 0.0, 1.0, budget)
-    tail, e_tail = _tail_integral(integrand, 1.0, budget, oscillation)
-    achieved = (e_head + e_tail) / abs(gam)
-    if achieved > tol:
-        raise QuadratureError(
-            f"fractional integral estimate {achieved:.3e} exceeds {tol:.3e} "
-            f"at gamma = {gamma}",
-            achieved=achieved,
-        )
-    return (head + tail) / gam
+    raw = integrate(
+        lambda xi: _power(xi, g - 1.0) * cf(-s * xi),
+        0.0, math.inf, oscillation=oscillation,
+    )
+    gam = _gammas(g)
+    result = Estimate(raw.value / gam, raw.error / np.abs(gam))
+    require(result, tol, "fractional integral", g)
+    return _shaped(gamma, result.value)
 
 
 def marchaud_derivative_at_zero(
     cf: ComplexFunc,
-    gamma: complex,
+    gamma,
     side: str,
     *,
     tol: float = 1e-7,
     oscillation: float | None = None,
-) -> complex:
+):
     """Marchaud fractional derivative of ``cf`` at 0, order in (0, 1).
 
         (gamma / Gamma(1 - gamma)) *
@@ -189,92 +135,90 @@ def marchaud_derivative_at_zero(
     the constant part integrates analytically to cf(0)/gamma and only
     the CF term needs quadrature.
     """
-    gamma = _require_unit_strip(gamma, "Marchaud derivative")
+    g = _orders(gamma)
+    _require_unit_strip(g, "Marchaud derivative")
     s = sign_value(side)
     c0 = complex(cf(0.0))
-
-    def head_integrand(xi: float) -> complex:
-        return (c0 - complex(cf(-s * xi))) * cmath.exp(
-            (-1.0 - gamma) * math.log(xi)
-        )
-
-    def tail_integrand(xi: float) -> complex:
-        return complex(cf(-s * xi)) * cmath.exp((-1.0 - gamma) * math.log(xi))
-
-    front = gamma / complex_gamma(1.0 - gamma)
-    budget = tol / (4.0 * max(abs(front), 1.0))
-    head, e_head = _quad_complex(head_integrand, 0.0, 1.0, budget)
-    tail, e_tail = _tail_integral(tail_integrand, 1.0, budget, oscillation)
-    achieved = (e_head + e_tail) * abs(front)
-    if achieved > tol:
-        raise QuadratureError(
-            f"Marchaud derivative estimate {achieved:.3e} exceeds {tol:.3e} "
-            f"at gamma = {gamma}",
-            achieved=achieved,
-        )
-    return front * (head + c0 / gamma - tail)
+    head = integrate(
+        lambda xi: (c0 - cf(-s * xi)) * _power(xi, -1.0 - g), 0.0, 1.0
+    )
+    tail = integrate(
+        lambda xi: cf(-s * xi) * _power(xi, -1.0 - g),
+        1.0, math.inf, oscillation=oscillation,
+    )
+    front = g / _gammas(1.0 - g)
+    result = Estimate(
+        front * (head.value + c0 / g - tail.value),
+        (head.error + tail.error) * np.abs(front),
+    )
+    require(result, tol, "Marchaud derivative", g)
+    return _shaped(gamma, result.value)
 
 
-def _cosine_normaliser(gamma: complex) -> complex:
-    cos_half = cmath.cos(math.pi * gamma / 2.0)
-    if abs(cos_half) <= 1e-12:
+def _cosine_normaliser(gamma: np.ndarray) -> np.ndarray:
+    cos_half = np.cos(math.pi * gamma / 2.0)
+    vanishing = np.abs(cos_half) <= 1e-12
+    if vanishing.any():
         raise PoleError(
-            f"Riesz normaliser 2 cos(pi gamma / 2) vanishes at gamma = {gamma}"
+            "Riesz normaliser 2 cos(pi gamma / 2) vanishes at gamma = "
+            f"{complex(gamma[vanishing][0])}"
         )
     return 2.0 * cos_half
 
 
 def riesz_derivative_at_zero(
     cf: ComplexFunc,
-    gamma: complex,
+    gamma,
     *,
     tol: float = 1e-7,
     oscillation: float | None = None,
-) -> complex:
+):
     """Riesz fractional derivative of ``cf`` at 0: the two Marchaud
     derivatives combined with the -1/(2 cos(pi gamma/2)) normaliser.
 
     The negated return value equals E[|X|^gamma] when ``cf`` is the CF
     of X.
     """
-    norm = _cosine_normaliser(gamma)
+    g = _orders(gamma)
+    norm = _cosine_normaliser(g)
     plus = marchaud_derivative_at_zero(
-        cf, gamma, "plus", tol=tol, oscillation=oscillation
+        cf, g, "plus", tol=tol, oscillation=oscillation
     )
     minus = marchaud_derivative_at_zero(
-        cf, gamma, "minus", tol=tol, oscillation=oscillation
+        cf, g, "minus", tol=tol, oscillation=oscillation
     )
-    return -(plus + minus) / norm
+    return _shaped(gamma, -(plus + minus) / norm)
 
 
 def riesz_integral_at_zero(
     cf: ComplexFunc,
-    gamma: complex,
+    gamma,
     *,
     tol: float = 1e-7,
     oscillation: float | None = None,
-) -> complex:
+):
     """Riesz fractional integral of ``cf`` at 0: both one-sided
     integrals over 2 cos(pi gamma / 2); equals E[|X|^(-gamma)] for a CF.
     """
-    norm = _cosine_normaliser(gamma)
+    g = _orders(gamma)
+    norm = _cosine_normaliser(g)
     plus = rl_integral_at_zero(
-        cf, gamma, "plus", tol=tol, oscillation=oscillation
+        cf, g, "plus", tol=tol, oscillation=oscillation
     )
     minus = rl_integral_at_zero(
-        cf, gamma, "minus", tol=tol, oscillation=oscillation
+        cf, g, "minus", tol=tol, oscillation=oscillation
     )
-    return (plus + minus) / norm
+    return _shaped(gamma, (plus + minus) / norm)
 
 
 def mellin_forward(
     f: ComplexFunc,
-    gamma: complex,
+    gamma,
     side: str,
     *,
     tol: float = 1e-7,
     oscillation: float | None = None,
-) -> complex:
+):
     """Forward Mellin transform int_0^inf xi^(gamma-1) f(-s xi) d xi.
 
     Differs from :func:`rl_integral_at_zero` exactly by the Gamma(gamma)
@@ -283,26 +227,19 @@ def mellin_forward(
     enforced here; convergence at the upper end depends on the decay of
     ``f`` and is reported through the quadrature error estimate instead.
     """
-    gamma = complex(gamma)
-    if not gamma.real > 0.0:
+    g = _orders(gamma)
+    if not (g.real > 0.0).all():
         raise StripError(
-            f"Mellin transform needs Re(gamma) > 0, got {gamma}"
+            f"Mellin transform needs Re(gamma) > 0, "
+            f"got {complex(g[~(g.real > 0.0)][0])}"
         )
     s = sign_value(side)
-
-    def integrand(xi: float) -> complex:
-        return cmath.exp((gamma - 1.0) * math.log(xi)) * complex(f(-s * xi))
-
-    head, e_head = _quad_complex(integrand, 0.0, 1.0, tol / 4.0)
-    tail, e_tail = _tail_integral(integrand, 1.0, tol / 4.0, oscillation)
-    achieved = e_head + e_tail
-    if achieved > tol:
-        raise QuadratureError(
-            f"Mellin transform estimate {achieved:.3e} exceeds {tol:.3e} "
-            f"at gamma = {gamma}",
-            achieved=achieved,
-        )
-    return head + tail
+    result = integrate(
+        lambda xi: _power(xi, g - 1.0) * f(-s * xi),
+        0.0, math.inf, oscillation=oscillation,
+    )
+    require(result, tol, "Mellin transform", g)
+    return _shaped(gamma, result.value)
 
 
 # ----------------------------------------------------------------------
@@ -317,19 +254,22 @@ class CompositionReport(NamedTuple):
     nested: tuple[complex, ...]
 
 
-def _weyl_integral(
-    g: complex, func: ComplexFunc, y: float, s: int, epsabs: float
-) -> complex:
-    # (I^g func)(y) = 1/Gamma(g) int_0^inf u^(g-1) func(y - s u) du
+# evaluation points per engine call on the nested path; bounds the
+# (points x abscissae) integrand block held in memory
+_NESTED_CHUNK = 256
+
+
+def _weyl_integral(g: complex, func: ComplexFunc, y, s: int) -> np.ndarray:
+    # (I^g func)(y) = 1/Gamma(g) int_0^inf u^(g-1) func(y - s u) du,
+    # for every entry of the array y at once
+    y = np.asarray(y, dtype=float)
     if g == 0:
-        return complex(func(y))
-
-    def integrand(u: float) -> complex:
-        return cmath.exp((g - 1.0) * math.log(u)) * complex(func(y - s * u))
-
-    head, _ = _quad_complex(integrand, 0.0, 1.0, epsabs)
-    tail, _ = _quad_complex(integrand, 1.0, math.inf, epsabs)
-    return (head + tail) / complex_gamma(g)
+        return np.asarray(func(y), dtype=complex)
+    raw = integrate(
+        lambda u: _power(u, np.asarray(g - 1.0)) * func(y[..., None] - s * u),
+        0.0, math.inf,
+    )
+    return raw.value / complex_gamma(g)
 
 
 def composition_check(
@@ -345,8 +285,8 @@ def composition_check(
 
     Order zero means the identity operator, so ``gamma2 = 0`` produces a
     deviation of exactly zero by construction (both paths evaluate the
-    same integral).  The nested path re-integrates the inner operator at
-    every outer node, so expect ~seconds per evaluation point.  The
+    same integral).  The nested path re-integrates the inner operator
+    at every outer abscissa, in blocks of evaluation points.  The
     reported deviation includes the quadrature error of both paths.
     """
     gamma1, gamma2 = complex(gamma1), complex(gamma2)
@@ -359,22 +299,19 @@ def composition_check(
         )
     s = sign_value(side)
 
-    direct_vals = []
-    nested_vals = []
-    for y in points:
-        direct_vals.append(_weyl_integral(total, f, y, s, 1e-10))
-        if gamma2 == 0:
-            inner: ComplexFunc = f
-        else:
-            inner = lambda t: _weyl_integral(gamma2, f, t, s, 1e-12)  # noqa: E731
-        nested_vals.append(_weyl_integral(gamma1, inner, y, s, 1e-10))
+    def inner(t: np.ndarray) -> np.ndarray:
+        flat = t.ravel()
+        blocks = np.array_split(flat, -(-flat.size // _NESTED_CHUNK))
+        values = [_weyl_integral(gamma2, f, b, s) for b in blocks]
+        return np.concatenate(values).reshape(t.shape)
 
-    deviation = max(
-        abs(d - n) for d, n in zip(direct_vals, nested_vals)
-    )
+    y = np.asarray(points, dtype=float)
+    direct = _weyl_integral(total, f, y, s)
+    nested = _weyl_integral(gamma1, f if gamma2 == 0 else inner, y, s)
+    deviation = float(np.max(np.abs(direct - nested)))
     return CompositionReport(
         max_deviation=deviation,
         points=tuple(points),
-        direct=tuple(direct_vals),
-        nested=tuple(nested_vals),
+        direct=tuple(complex(v) for v in direct),
+        nested=tuple(complex(v) for v in nested),
     )

@@ -2,8 +2,8 @@
 
 A grid is the family of values E[(s i X)^(-gamma_k)] on the vertical
 line gamma_k = rho + i k delta, k = -m..m.  Three interchangeable
-estimators are provided — catalog closed forms, adaptive quadrature of
-the defining integral, and a Monte Carlo average over samples — plus
+estimators are provided — catalog closed forms, vectorised quadrature
+of the defining integral, and a Monte Carlo average over samples — plus
 conversion between signed / plain / absolute moment flavors, strip
 arithmetic, a truncation heuristic, and a CSV round-trip format.
 """
@@ -13,12 +13,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
     DistributionSpec,
@@ -31,9 +29,9 @@ from .errors import (
     ArgumentError,
     EmptyStripError,
     PoleError,
-    QuadratureError,
     StripError,
 )
+from .quadrature import Estimate, integrate, require
 from .special import sign_value
 
 GRID_METHODS = ("closed_form", "quadrature", "monte_carlo")
@@ -98,72 +96,85 @@ class MomentGrid:
 # estimators
 # ----------------------------------------------------------------------
 
-_QUAD_LIMIT = 200
+class HalfLineIntegrals(NamedTuple):
+    """int_0^inf u^(-gamma) pdf(+/-u) du per order: the x > 0 half
+    (``positive``) and the x < 0 half mapped to u = -x (``negative``).
+
+    Every moment flavor is a combination of the two: the signed moment
+    attaches a constant phase to each half, the absolute moment adds
+    them.
+    """
+
+    positive: Estimate
+    negative: Estimate
+
+    def signed(self, gamma, sign: str) -> Estimate:
+        """E[(s i X)^(-gamma)]: (s i x)^(-g) = |x|^(-g) exp(-/+ s g i pi/2)."""
+        s = sign_value(sign)
+        phase = np.exp(-s * np.asarray(gamma) * 1j * math.pi / 2.0)
+        return Estimate(
+            phase * self.positive.value + self.negative.value / phase,
+            np.abs(phase) * self.positive.error
+            + self.negative.error / np.abs(phase),
+        )
+
+    def absolute(self) -> Estimate:
+        """E[|X|^(-gamma)]."""
+        return Estimate(
+            self.positive.value + self.negative.value,
+            self.positive.error + self.negative.error,
+        )
 
 
-def _quad_real(f: Callable[[float], float], a: float, b: float, epsabs: float):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=1e-12,
-                                  limit=_QUAD_LIMIT)
-    return val, err
+def half_line_integrals(
+    pdf: Callable[[np.ndarray], np.ndarray],
+    support: tuple[float, float],
+    gamma,
+) -> HalfLineIntegrals:
+    """Both half-line integrals of u^(-gamma) pdf(+/-u), one engine call
+    per half of the support that is not empty; ``gamma`` may be a
+    scalar or an array of orders, and ``pdf`` is called on arrays."""
+    g = np.asarray(gamma, dtype=complex)
+    lo, hi = support
+    halves = []
+    for a, b, orient in ((max(lo, 0.0), hi, 1.0), (max(0.0, -hi), -lo, -1.0)):
+        if b > a:
+            halves.append(integrate(
+                lambda u: np.exp(np.multiply.outer(-g, np.log(u)))
+                * pdf(orient * u),
+                a, b,
+            ))
+        else:
+            zero = np.zeros(g.shape)
+            halves.append(Estimate(zero + 0j, zero))
+    return HalfLineIntegrals(*halves)
 
 
 def moment_quadrature(
-    pdf: Callable[[float], float],
+    pdf: Callable[[np.ndarray], np.ndarray],
     support: tuple[float, float],
-    gamma: complex,
+    gamma,
     sign: str,
     *,
     tol: float = 1e-9,
-) -> complex:
-    """E[(s i X)^(-gamma)] by adaptive quadrature of the defining integral.
+):
+    """E[(s i X)^(-gamma)] by quadrature of the defining integral.
 
     The integral is split at the origin.  On each half-line the phase
-    exp(-/+ s gamma i pi/2) is constant and is factored out, leaving the
-    real-axis integrand |x|^(-gamma) pdf(x) whose real and imaginary
-    parts are integrated separately.  The requested absolute accuracy of
-    each piece is pre-scaled by the phase magnitude so the final error
-    estimate is honest; if that estimate still exceeds ``tol`` a
-    :class:`QuadratureError` carrying it is raised.
+    exp(-/+ s gamma i pi/2) is constant and is factored out, leaving
+    u^(-gamma) pdf(+/-u), which the vectorised engine integrates for
+    every order in ``gamma`` at once, calling ``pdf`` on arrays of
+    abscissae.  Each half's error estimate is scaled by its phase
+    magnitude, so the combined estimate is an estimate of the returned
+    value's error; if it exceeds ``tol`` at any order a
+    :class:`QuadratureError` naming that order and carrying its
+    estimate is raised.  A scalar ``gamma`` gives a complex result, an
+    array of orders an array.
     """
-    gamma = complex(gamma)
-    s = sign_value(sign)
-    lo, hi = support
-    total = 0.0 + 0.0j
-    achieved = 0.0
-
-    pieces = []
-    if hi > 0.0:
-        # x > 0 half: (s i x)^(-g) = x^(-g) * exp(-s g i pi/2)
-        phase = cmath.exp(-s * gamma * 1j * math.pi / 2.0)
-        pieces.append((max(lo, 0.0), hi, phase, 1.0))
-    if lo < 0.0:
-        # x < 0 half, mapped to u = -x > 0
-        phase = cmath.exp(+s * gamma * 1j * math.pi / 2.0)
-        pieces.append((max(0.0, -hi), -lo, phase, -1.0))
-
-    for a, b, phase, orient in pieces:
-        mod = abs(phase)
-        eps = max((tol / 4.0) / max(mod, 1.0), 1e-13)
-
-        def integrand(u: float, w: complex) -> float:
-            # u^(-gamma) pdf(orient * u), one real component at a time
-            z = cmath.exp(-gamma * math.log(u)) * pdf(orient * u)
-            return (z * w).real
-
-        re, e_re = _quad_real(lambda u: integrand(u, 1.0), a, b, eps)
-        im, e_im = _quad_real(lambda u: integrand(u, -1j), a, b, eps)
-        total += phase * complex(re, im)
-        achieved += (e_re + e_im) * mod
-
-    if achieved > tol:
-        raise QuadratureError(
-            f"moment quadrature error estimate {achieved:.3e} exceeds "
-            f"target {tol:.3e} at gamma = {gamma}",
-            achieved=achieved,
-        )
-    return total
+    g = np.atleast_1d(np.asarray(gamma, dtype=complex))
+    result = half_line_integrals(pdf, support, g).signed(g, sign)
+    require(result, tol, "moment quadrature", g)
+    return complex(result.value[0]) if np.ndim(gamma) == 0 else result.value
 
 
 class MonteCarloMoment(NamedTuple):
@@ -254,16 +265,15 @@ def make_grid(
             ).mean()
         return MomentGrid(params, values)
 
-    values = np.empty(2 * params.m + 1, dtype=complex)
     if method == "closed_form":
+        values = np.empty(2 * params.m + 1, dtype=complex)
         for i, g in enumerate(params.nodes()):
             values[i] = closed_form_moment(spec, g, params.sign)
     else:
-        pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
-        for i, g in enumerate(params.nodes()):
-            values[i] = moment_quadrature(
-                pdf, spec.support, g, params.sign, tol=tol
-            )
+        values = moment_quadrature(
+            lambda x: exact_pdf(spec, x), spec.support, params.nodes(),
+            params.sign, tol=tol,
+        )
     return MomentGrid(params, values)
 
 
@@ -446,6 +456,8 @@ def read_grid_csv(lines) -> tuple[MomentGrid, dict]:
 
     Accepts an iterable of lines (a file object works).  Returns the
     grid plus a metadata dict with whatever `#` keys were present.
+    Raises :class:`ArgumentError` unless the rows cover k = -m..m with
+    m >= 1, every value is finite, and eta = k * delta on every row.
     """
     meta: dict[str, object] = {}
     rows: list[tuple[int, float, float, complex]] = []
@@ -482,8 +494,10 @@ def read_grid_csv(lines) -> tuple[MomentGrid, dict]:
         rho, eta, re, im = (float(p) for p in parts[1:])
         rows.append((k, rho, eta, complex(re, im)))
 
-    if not rows:
-        raise ArgumentError("grid CSV contains no data rows")
+    if len(rows) < 3:
+        raise ArgumentError(
+            f"grid CSV needs at least 3 rows (k = -1..1), got {len(rows)}"
+        )
     if "sign" not in meta:
         raise ArgumentError("grid CSV missing '# sign:' metadata")
     rows.sort(key=lambda r: r[0])
@@ -491,10 +505,19 @@ def read_grid_csv(lines) -> tuple[MomentGrid, dict]:
     m = (len(rows) - 1) // 2
     if ks != list(range(-m, m + 1)):
         raise ArgumentError("grid CSV rows must cover k = -m..m exactly")
+    for k, rho_k, eta, value in rows:
+        if not np.isfinite([rho_k, eta, value.real, value.imag]).all():
+            raise ArgumentError(f"grid CSV row k = {k} has a non-finite value")
     rho = rows[0][1]
     if any(r[1] != rho for r in rows):
         raise ArgumentError("grid CSV rows disagree on rho")
     delta = rows[m + 1][2]  # eta at k = 1
     params = GridParams(rho=rho, delta=delta, m=m, sign=str(meta["sign"]))
+    for k, _, eta, _ in rows:
+        if not math.isclose(eta, k * delta, rel_tol=1e-9, abs_tol=1e-12 * delta):
+            raise ArgumentError(
+                f"grid CSV eta = {eta!r} at k = {k} is not k * delta "
+                f"(delta = {delta!r} from k = 1)"
+            )
     values = np.array([r[3] for r in rows], dtype=complex)
     return MomentGrid(params, values), meta

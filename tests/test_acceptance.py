@@ -119,7 +119,7 @@ def test_criterion_01_identity_suite():
     worst = 0.0
     for spec in ALL_SPECS:
         cf = lambda t: exact_cf(spec, t)  # noqa: E731
-        pdf = lambda x: float(exact_pdf(spec, x))  # noqa: E731
+        pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
         osc = spec.params["a"] if spec.family == "uniform" else None
         for k in range(-5, 6):
             g = _IDENTITY_GRID.node(k)

@@ -122,6 +122,27 @@ def test_reconstruct_pdf_smoke_cauchy(tmp_path, capsys):
     assert not any(row.startswith("0.0,") for row in body)
 
 
+@pytest.mark.parametrize("case", ["one_row", "nan", "eta"])
+def test_reconstruct_rejects_bad_grid_csv(tmp_path, capsys, case):
+    """A one-row grid used to end in an IndexError traceback, and NaN
+    values or an eta off k*delta in a NaN curve with exit 0."""
+    rows = [f"{k},0.4,{0.4 * k!r},1.0,0.0" for k in range(-2, 3)]
+    if case == "one_row":
+        rows = ["0,0.4,0.0,1.0,0.0"]
+    elif case == "nan":
+        rows[3] = "1,0.4,0.4,nan,0.0"
+    else:
+        rows[4] = "2,0.4,1.3,1.0,0.0"
+    grid = tmp_path / "grid.csv"
+    grid.write_text("# sign: minus\nk,rho,eta,re,im\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "cf.csv"
+    code, _, err = _run(["reconstruct-cf", "--grid-in", str(grid),
+                         "--range", "0.5:3:6", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: grid CSV")
+    assert not out.exists()
+
+
 def test_reconstruct_range_validation(capsys):
     for bad in ("1:2", "1:2:1", "2:1:5", "a:b:c"):
         code, _, err = _run(
@@ -166,6 +187,26 @@ def test_verify_cauchy_table(capsys):
         assert row in out
     assert "FAIL" not in out
     assert out.count("PASS") == 7
+
+
+def test_verify_keeps_every_oracle_estimate(capsys):
+    """No quadrature in verify may warn and carry on: every oracle and
+    operator estimate is checked against its target instead."""
+    import warnings
+
+    from scipy.integrate import IntegrationWarning
+
+    params = {"uniform": ["--param", "a=2"], "rayleigh": ["--param", "sigma=2"],
+              "cauchy": [], "levy": [],
+              "gaussian": ["--param", "mu=2", "--param", "sigma=1"]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for family, extra in params.items():
+            code, out, _ = _run(["verify", "--family", family, *extra,
+                                 "--m", "2"], capsys)
+            assert code == 0, family
+            assert out.count("PASS") == 7, family
+    assert not [w for w in caught if issubclass(w.category, IntegrationWarning)]
 
 
 # ----------------------------------------------------------------------

@@ -203,6 +203,46 @@ def test_rayleigh_cf_against_direct_quadrature():
         )
 
 
+def _rayleigh_cf_60_digits(theta):
+    # 1 - q e^(-q^2/2) sqrt(pi/2) (erfi(q/sqrt2) - i), q = sigma theta
+    import mpmath
+
+    with mpmath.workdps(60):
+        q = 2 * mpmath.mpf(theta)
+        x = q / mpmath.sqrt(2)
+        re = 1 - q * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-x * x) * mpmath.erfi(x)
+        im = q * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-x * x)
+        return complex(re, im)
+
+
+@pytest.mark.parametrize("theta", [1e3, 1e6, 1e8, 1e10, -1e8])
+def test_rayleigh_cf_far_tail_against_mpmath(theta):
+    """The Faddeeva form cancels like eps (sigma theta)^2: at theta = 1e8
+    it returned 0 and at 1e10 the wrong sign.  The real part ~ -1/q^2
+    must keep full relative accuracy."""
+    want = _rayleigh_cf_60_digits(theta)
+    got = complex(exact_cf(RAYLEIGH, theta))
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_rayleigh_cf_at_infinity_is_zero():
+    got = exact_cf(RAYLEIGH, np.array([np.inf, -np.inf]))
+    assert np.array_equal(got, np.zeros(2))
+
+
+def test_rayleigh_cf_unchanged_up_to_q_40():
+    # every figure and curve uses |sigma theta| <= 40, where the
+    # Faddeeva form is kept bit for bit
+    from scipy import special as sp_special
+
+    theta = np.concatenate([np.linspace(-20.0, 20.0, 40001), [-20.0, 20.0]])
+    q = 2.0 * theta
+    amp = q * math.sqrt(math.pi / 2.0)
+    direct = (1.0 - amp * np.imag(sp_special.wofz(q / math.sqrt(2.0)))
+              + 1j * amp * np.exp(-0.5 * q * q))
+    assert np.array_equal(exact_cf(RAYLEIGH, theta), direct)
+
+
 # ----------------------------------------------------------------------
 # closed-form complex moments
 # ----------------------------------------------------------------------

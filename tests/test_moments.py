@@ -131,7 +131,7 @@ def test_signed_moment_is_phase_times_absolute_on_positive_support():
     from scipy.integrate import quad as _quad
 
     for spec in (RAYLEIGH, LEVY):
-        pdf = lambda u: float(exact_pdf(spec, u))  # noqa: E731
+        pdf = lambda u: exact_pdf(spec, u)  # noqa: E731
         for order in (0.4 + 0.0j, 0.4 + 0.8j):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -200,7 +200,7 @@ def test_quadrature_failure_is_reported():
     # the origin and the requested tolerance cannot be met
     with pytest.raises(QuadratureError) as info:
         moment_quadrature(
-            lambda x: float(exact_pdf(CAUCHY, x)),
+            lambda x: exact_pdf(CAUCHY, x),
             CAUCHY.support,
             1.0 - 1e-9,
             "minus",
@@ -211,7 +211,7 @@ def test_quadrature_failure_is_reported():
 
 def test_moment_quadrature_plus_minus_conjugation():
     g = 0.4 + 0.8j
-    pdf = lambda x: float(exact_pdf(GAUSS21, x))  # noqa: E731
+    pdf = lambda x: exact_pdf(GAUSS21, x)  # noqa: E731
     a = moment_quadrature(pdf, GAUSS21.support, g, "minus").conjugate()
     b = moment_quadrature(pdf, GAUSS21.support, g.conjugate(), "plus")
     assert abs(a - b) <= 1e-10
@@ -360,3 +360,59 @@ def test_csv_read_rejects_malformed():
     # remove the sign metadata
     with pytest.raises(ArgumentError):
         read_grid_csv(io.StringIO(text.replace("# sign: minus\n", "")))
+
+
+def _grid_text(m=2, delta=0.4):
+    gp = GridParams(rho=0.4, delta=delta, m=m)
+    buf = io.StringIO()
+    write_grid_csv(make_grid(CAUCHY, gp, "closed_form"), buf,
+                   family="cauchy", params={}, method="closed_form")
+    return buf.getvalue()
+
+
+def test_csv_read_rejects_single_row():
+    # a one-row grid used to reach rows[m + 1] and raise IndexError
+    one_row = "# sign: minus\nk,rho,eta,re,im\n0,0.4,0.0,1.0,0.0\n"
+    with pytest.raises(ArgumentError, match="at least 3 rows"):
+        read_grid_csv(io.StringIO(one_row))
+
+
+@pytest.mark.parametrize("column", [1, 2, 3, 4])
+def test_csv_read_rejects_non_finite(column):
+    lines = _grid_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("1,"))
+    parts = lines[row].split(",")
+    parts[column] = "nan"
+    lines[row] = ",".join(parts)
+    with pytest.raises(ArgumentError, match="non-finite"):
+        read_grid_csv(io.StringIO("\n".join(lines)))
+
+
+def test_csv_read_rejects_inconsistent_eta():
+    lines = _grid_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("2,"))
+    parts = lines[row].split(",")
+    parts[2] = "0.9"  # k = 2 with delta = 0.4 must sit at eta = 0.8
+    lines[row] = ",".join(parts)
+    with pytest.raises(ArgumentError, match="k \\* delta"):
+        read_grid_csv(io.StringIO("\n".join(lines)))
+
+
+def test_csv_read_accepts_hand_written_eta():
+    # a decimal eta like 1.2 for k = 3 is k * delta up to rounding
+    rows = [f"{k},0.4,{round(0.4 * k, 10)},1.0,0.0" for k in range(-3, 4)]
+    text = "# sign: minus\nk,rho,eta,re,im\n" + "\n".join(rows) + "\n"
+    grid, _ = read_grid_csv(io.StringIO(text))
+    assert grid.params.m == 3 and grid.params.delta == 0.4
+
+
+def test_moment_quadrature_array_unreachable_tol():
+    """Over a node array, one order missing the target is enough to
+    raise, and the error carries the estimate it achieved."""
+    nodes = GridParams(rho=0.4, delta=0.4, m=3).nodes()
+    with pytest.raises(QuadratureError) as info:
+        moment_quadrature(lambda x: exact_pdf(GAUSS21, x), GAUSS21.support,
+                          nodes, "minus", tol=1e-18)
+    assert info.value.achieved is not None
+    assert info.value.achieved > 1e-18
+    assert "gamma = " in str(info.value)
