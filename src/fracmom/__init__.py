@@ -18,6 +18,9 @@ moments
 fracops
     One-sided and symmetric fractional operators evaluated at the
     origin of a characteristic function, plus the composition check.
+quadrature
+    Vectorised integration engine: a family of integrals (one per grid
+    node) in one pass, with a value and an error estimate per member.
 reconstruct
     CF and PDF series from a moment grid, classical Taylor and residue
     baselines, curve sampling and CSV output.

@@ -266,7 +266,7 @@ def _weyl_integral(g: complex, func: ComplexFunc, y, s: int) -> np.ndarray:
     if g == 0:
         return np.asarray(func(y), dtype=complex)
     raw = integrate(
-        lambda u: _power(u, np.asarray(g - 1.0)) * func(y[..., None] - s * u),
+        lambda u: np.exp((g - 1.0) * np.log(u)) * func(y[..., None] - s * u),
         0.0, math.inf,
     )
     return raw.value / complex_gamma(g)

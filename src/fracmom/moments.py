@@ -490,8 +490,11 @@ def read_grid_csv(lines) -> tuple[MomentGrid, dict]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ArgumentError(f"malformed grid CSV row: {line!r}")
-        k = int(parts[0])
-        rho, eta, re, im = (float(p) for p in parts[1:])
+        try:
+            k = int(parts[0])
+            rho, eta, re, im = (float(p) for p in parts[1:])
+        except ValueError:
+            raise ArgumentError(f"non-numeric grid CSV row: {line!r}") from None
         rows.append((k, rho, eta, complex(re, im)))
 
     if len(rows) < 3:

@@ -122,6 +122,8 @@ def integrate(
 ) -> Estimate:
     """Integrate every row of ``f`` over ``[a, b]``, ``0 <= a < b <= inf``.
 
+    ``f`` maps a 1-D array of abscissae to an array of shape
+    ``(..., x.size)``; the result holds arrays of shape ``(...)``.
     With ``oscillation`` set, the part beyond ``max(a, 1)`` of an
     infinite interval is integrated between the zeros of an oscillation
     at that angular frequency instead of over doubling panels.
@@ -176,11 +178,10 @@ def _layout(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         edges = a * 2.0 ** np.arange(PANELS + 1.0)
     start = np.minimum(edges[:-1], edges[1:])
     width = np.abs(np.diff(edges))
-    cuts = start[:, None] + width[:, None] * (np.arange(SUBPANELS + 1.0) / SUBPANELS)
+    cuts = start[:, None] + width[:, None] * np.linspace(0.0, 1.0, SUBPANELS + 1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[..., None] + half[..., None] * KRONROD_NODES
-    x = x.ravel()
+    x = ((0.5 * (lo + hi))[..., None] + half[..., None] * KRONROD_NODES).ravel()
     x.flags.writeable = half.flags.writeable = False
     return x, half
 
@@ -221,7 +222,8 @@ def _wynn(sums, value, error, pending):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, n):
             cur = table[k - 1, :, : n - k + 1]
-            table[k, :, : n - k] = older[:, 1 : n - k + 1] + 1.0 / (cur[:, 1:] - cur[:, :-1])
+            step = 1.0 / (cur[:, 1:] - cur[:, :-1])
+            table[k, :, : n - k] = older[:, 1 : n - k + 1] + step
             older = cur
         even = table[::2]
         e0, e1, e2 = even[:-1, :, :-2], even[:-1, :, 1:-1], even[:-1, :, 2:]

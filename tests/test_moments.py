@@ -388,6 +388,15 @@ def test_csv_read_rejects_non_finite(column):
         read_grid_csv(io.StringIO("\n".join(lines)))
 
 
+def test_csv_read_rejects_non_numeric():
+    # float("abc") used to escape as a raw ValueError
+    lines = _grid_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("0,"))
+    lines[row] = "0,0.4,0.0,abc,0.0"
+    with pytest.raises(ArgumentError, match="non-numeric"):
+        read_grid_csv(io.StringIO("\n".join(lines)))
+
+
 def test_csv_read_rejects_inconsistent_eta():
     lines = _grid_text().splitlines()
     row = next(i for i, ln in enumerate(lines) if ln.startswith("2,"))
