@@ -25,7 +25,8 @@ reconstruct
     CF and PDF series from a moment grid, classical Taylor and residue
     baselines, curve sampling and CSV output.
 special
-    Complex gamma (Lanczos with reflection) and signed complex powers.
+    Array layer over SciPy: complex gamma, the reflection product and
+    signed complex powers.
 cli
     ``fracmom`` command-line front end.
 """

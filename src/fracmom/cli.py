@@ -353,7 +353,7 @@ def _cmd_verify(config: RunConfig) -> int:
     riesz_i = riesz_integral_at_zero(cf, g, oscillation=osc)
     checks["riesz_integral"] = dev(riesz_i, abs_minus)
     me_m = mellin_forward(cf, g, "minus", oscillation=osc)
-    gam = np.array([complex_gamma(v) for v in g])
+    gam = complex_gamma(g)
     checks["mellin_two_path"] = float(
         np.max(np.abs(me_m - gam * rl["minus"]) / (1.0 + np.abs(me_m)))
     )

@@ -34,7 +34,7 @@ import mpmath
 import numpy as np
 from scipy import special as sp_special
 
-from .errors import ArgumentError, StripError
+from .errors import ArgumentError, DomainError, StripError
 from .special import complex_gamma, sign_value
 
 FAMILIES: tuple[str, ...] = ("uniform", "rayleigh", "cauchy", "levy", "gaussian")
@@ -286,11 +286,28 @@ def closed_form_moment(spec: DistributionSpec, gamma: complex, sign: str) -> com
 
     Raises :class:`StripError` when Re(gamma) leaves the family's
     convergence strip.  All poles of the gamma factors lie outside the
-    strips, so no separate pole handling is needed here.
+    strips, so no separate pole handling is needed here.  The factors
+    cos(gamma pi/2) and exp(-/+ s i gamma pi/2) grow like
+    exp(pi |Im gamma| / 2) and leave double range once |Im gamma|
+    exceeds about 451; any non-finite evaluation raises
+    :class:`DomainError` naming the order.
     """
     gamma = complex(gamma)
     s = sign_value(sign)
     _require_in_strip(spec, gamma)
+    try:
+        value = _closed_form(spec, gamma, s)
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(
+            f"closed-form evaluation of the {spec.label()} moment "
+            f"overflows double precision at gamma = {gamma}"
+        )
+    return value
+
+
+def _closed_form(spec: DistributionSpec, gamma: complex, s: int) -> complex:
     p = spec.params
 
     if spec.family == "uniform":

@@ -69,10 +69,6 @@ def _power(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return np.exp(np.multiply.outer(exponents, np.log(x)))
 
 
-def _gammas(z: np.ndarray) -> np.ndarray:
-    return np.array([complex_gamma(v) for v in z])
-
-
 def _require_unit_strip(gamma: np.ndarray, what: str) -> None:
     outside = ~((gamma.real > 0.0) & (gamma.real < 1.0))
     if outside.any():
@@ -112,7 +108,7 @@ def rl_integral_at_zero(
         lambda xi: _power(xi, g - 1.0) * cf(-s * xi),
         0.0, math.inf, oscillation=oscillation,
     )
-    gam = _gammas(g)
+    gam = complex_gamma(g)
     result = Estimate(raw.value / gam, raw.error / np.abs(gam))
     require(result, tol, "fractional integral", g)
     return _shaped(gamma, result.value)
@@ -146,7 +142,7 @@ def marchaud_derivative_at_zero(
         lambda xi: cf(-s * xi) * _power(xi, -1.0 - g),
         1.0, math.inf, oscillation=oscillation,
     )
-    front = g / _gammas(1.0 - g)
+    front = g / complex_gamma(1.0 - g)
     result = Estimate(
         front * (head.value + c0 / g - tail.value),
         (head.error + tail.error) * np.abs(front),

@@ -28,6 +28,7 @@ from .errors import (
     AllSamplesDegenerateError,
     ArgumentError,
     EmptyStripError,
+    FracmomError,
     PoleError,
     StripError,
 )
@@ -178,19 +179,23 @@ def moment_quadrature(
 
 
 class MonteCarloMoment(NamedTuple):
-    value: complex
-    stderr: float
+    """Sample mean and standard error per order (scalars for a scalar
+    order, arrays for an array of orders) and the zeros dropped."""
+
+    value: complex | np.ndarray
+    stderr: float | np.ndarray
     dropped: int
 
 
-def moment_monte_carlo(samples, gamma: complex, sign: str) -> MonteCarloMoment:
+def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     """Sample-average estimate of E[(s i X)^(-gamma)] with a standard error.
 
-    Exact zeros are dropped (the integrand is singular there for
-    Re gamma > 0) and counted in the result.  The standard error is the
-    delete-one jackknife of the mean, which for a plain average is the
-    classical sqrt(Var/n); for a complex estimate the variance is taken
-    as E|V - mean|^2.
+    ``gamma`` may be a scalar or an array of orders; log|x| and sgn(x)
+    are formed once and shared by every order.  Exact zeros are dropped
+    (the integrand is singular there for Re gamma > 0) and counted in
+    the result.  The standard error is the delete-one jackknife of the
+    mean, which for a plain average is the classical sqrt(Var/n); for a
+    complex estimate the variance is taken as E|V - mean|^2.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -201,23 +206,27 @@ def moment_monte_carlo(samples, gamma: complex, sign: str) -> MonteCarloMoment:
         raise AllSamplesDegenerateError(
             f"all {x.size} samples are exactly zero"
         )
-    vals = _signed_powers(keep, gamma, sign_value(sign))
-    value = complex(vals.mean())
-    n = keep.size
-    if n > 1:
-        var = float(np.mean(np.abs(vals - value) ** 2)) * n / (n - 1)
-        stderr = math.sqrt(var / n)
-    else:
-        stderr = math.inf
+    s = sign_value(sign)
+    logs = np.log(np.abs(keep))
+    sgn = np.sign(keep)
+    del keep
+    n = logs.size
+    orders = np.asarray(gamma, dtype=complex)
+    value = np.empty(orders.shape, dtype=complex)
+    stderr = np.full(orders.shape, math.inf)
+    for i, g in np.ndenumerate(orders):
+        # (s i x)^(-g) at every sample
+        vals = np.exp(-g * logs - s * g * (1j * math.pi / 2.0) * sgn)
+        value[i] = vals.mean()
+        if n > 1:
+            # two-pass variance, centred in place
+            vals -= value[i]
+            stderr[i] = math.sqrt(np.vdot(vals, vals).real / (n - 1) / n)
+        # release this order's vector before the next one is allocated
+        del vals
+    if orders.ndim == 0:
+        return MonteCarloMoment(complex(value), float(stderr), dropped)
     return MonteCarloMoment(value, stderr, dropped)
-
-
-def _signed_powers(x: np.ndarray, gamma: complex, s: int) -> np.ndarray:
-    # (s i x)^(-gamma) for an array of nonzero reals
-    return np.exp(
-        -gamma * np.log(np.abs(x))
-        - s * gamma * (1j * math.pi / 2.0) * np.sign(x)
-    )
 
 
 def make_grid(
@@ -248,22 +257,8 @@ def make_grid(
     if method == "monte_carlo":
         if samples is None or np.asarray(samples).size == 0:
             raise ArgumentError("monte_carlo needs a nonempty samples array")
-        x = np.asarray(samples, dtype=float)
-        keep = x[x != 0.0]
-        if keep.size == 0:
-            raise AllSamplesDegenerateError(
-                f"all {x.size} samples are exactly zero"
-            )
-        s = sign_value(params.sign)
-        # shared log/sign factors across nodes
-        logs = np.log(np.abs(keep))
-        sgn = np.sign(keep)
-        values = np.empty(2 * params.m + 1, dtype=complex)
-        for i, g in enumerate(params.nodes()):
-            values[i] = np.exp(
-                -g * logs - s * g * (1j * math.pi / 2.0) * sgn
-            ).mean()
-        return MomentGrid(params, values)
+        estimate = moment_monte_carlo(samples, params.nodes(), params.sign)
+        return MomentGrid(params, estimate.value)
 
     if method == "closed_form":
         values = np.empty(2 * params.m + 1, dtype=complex)
@@ -403,13 +398,13 @@ def suggest_truncation(
     try:
         if envelope(_TRUNCATION_CAP) > tol:
             return TruncationSuggestion(_TRUNCATION_CAP, True)
-    except Exception:
+    except FracmomError:
         return TruncationSuggestion(_TRUNCATION_CAP, True)
 
     for m in range(1, _TRUNCATION_CAP + 1):
         try:
             bound = envelope(m)
-        except Exception:
+        except FracmomError:
             # endpoint moment not evaluable this far out; treat the
             # envelope as unreachable from here on
             break

@@ -42,7 +42,7 @@ import numpy as np
 from .distributions import DistributionSpec, exact_cf, exact_pdf
 from .errors import ArgumentError, DomainError, UnsupportedError
 from .moments import GridParams, MomentGrid
-from .special import complex_gamma, reflection_product
+from .special import complex_gamma, reflection_product, signed_complex_power
 
 # ----------------------------------------------------------------------
 # series weights and kernels
@@ -50,15 +50,11 @@ from .special import complex_gamma, reflection_product
 
 
 def _cf_weights(grid: MomentGrid) -> np.ndarray:
-    nodes = grid.params.nodes()
-    gam = np.array([complex_gamma(g) for g in nodes])
-    return gam * grid.values
+    return complex_gamma(grid.params.nodes()) * grid.values
 
 
 def _pdf_weights(grid: MomentGrid) -> np.ndarray:
-    nodes = grid.params.nodes()
-    prod = np.array([reflection_product(g) for g in nodes])
-    return prod * grid.values
+    return reflection_product(grid.params.nodes()) * grid.values
 
 
 def _cf_sum(grid: MomentGrid, weights: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -73,10 +69,7 @@ def _pdf_sum_complex(
     grid: MomentGrid, weights: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     # (i x)^(gamma_k - 1) on the plus branch of the signed power
-    nodes = grid.params.nodes() - 1.0
-    log_x = np.log(np.abs(x))
-    phase = (1j * math.pi / 2.0) * np.sign(x)
-    kernel = np.exp(np.outer(log_x, nodes) + np.outer(phase, nodes))
+    kernel = signed_complex_power(x[:, None], grid.params.nodes() - 1.0, "plus")
     return (grid.params.delta / (2.0 * math.pi**2)) * kernel @ weights
 
 
@@ -86,7 +79,7 @@ def _pdf_sum_complex(
 
 
 def cf_series(grid: MomentGrid, theta: float) -> complex:
-    """Reconstructed CF at one point.
+    """Reconstructed CF at one point: :func:`sample_curve` at ``theta``.
 
     A minus-sign grid covers theta > 0 directly; a plus-sign grid covers
     theta < 0.  The other half-axis is filled in by the Hermitian
@@ -94,35 +87,17 @@ def cf_series(grid: MomentGrid, theta: float) -> complex:
     :class:`DomainError` (the series has no finite value there; the CLI
     layer may insert the exact CF(0) = 1 separately).
     """
-    theta = float(theta)
-    if theta == 0.0:
-        raise DomainError("CF series is singular at theta = 0")
-    weights = _cf_weights(grid)
-    direct_positive = grid.params.sign == "minus"
-    if (theta > 0.0) == direct_positive:
-        return complex(_cf_sum(grid, weights, np.array([theta]))[0])
-    return complex(np.conj(_cf_sum(grid, weights, np.array([-theta]))[0]))
+    return complex(sample_curve(grid, "cf", [float(theta)]).values[0])
 
 
 def pdf_series(grid: MomentGrid, x: float) -> float:
-    """Reconstructed density at one point (real part of the dual series).
+    """Reconstructed density at one point: :func:`sample_curve` at ``x``.
 
     Only grids tabulating E[(-iX)^(-gamma)] are accepted — the density
     series is written for that convention, and evaluating it on a plus
     grid would silently produce the density of -X.
     """
-    return float(_pdf_series_points(grid, np.array([float(x)]))[0].real)
-
-
-def _pdf_series_points(grid: MomentGrid, x: np.ndarray) -> np.ndarray:
-    if grid.params.sign != "minus":
-        raise ArgumentError(
-            "density series needs a grid built with sign='minus'"
-        )
-    if np.any(x == 0.0):
-        raise DomainError("density series is singular at x = 0")
-    weights = _pdf_weights(grid)
-    return _pdf_sum_complex(grid, weights, x)
+    return float(sample_curve(grid, "pdf", [float(x)]).values[0].real)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +242,11 @@ def sample_curve(
             values[~direct] = np.conj(_cf_sum(grid, weights, -x[~direct]))
         exact = exact_cf(exact_spec, x) if exact_spec is not None else None
     else:
-        raw = _pdf_series_points(grid, x)
+        if grid.params.sign != "minus":
+            raise ArgumentError(
+                "density series needs a grid built with sign='minus'"
+            )
+        raw = _pdf_sum_complex(grid, _pdf_weights(grid), x)
         im_max = float(np.max(np.abs(raw.imag)))
         values = raw.real.astype(complex)
         exact = (

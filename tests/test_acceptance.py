@@ -352,8 +352,8 @@ def test_criterion_09_hermitian_symmetry_and_residue_bridge():
 # Gamma(0.4 + 0.4j k) pinned from 40-digit quadrature of the defining
 # integral (argument shifted right via the recurrence so the integrand
 # is localized and slowly varying, then divided back down by the exact
-# rising product) — independent of both the Lanczos code under test and
-# any library gamma routine.
+# rising product) — independent of the SciPy loggamma code under test
+# and of any other library gamma routine.
 _GAMMA_ORACLE = {
     0: (2.218159543757688096903, 0.0),
     1: (1.008788557554842674932, -1.038257408114581736697),

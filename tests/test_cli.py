@@ -69,6 +69,27 @@ def test_moments_monte_carlo_seeded(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize("family", ["uniform", "rayleigh", "levy", "gaussian"])
+def test_moments_out_of_double_range_is_typed(family, capsys):
+    # at m = 1300, delta = 0.4 the end nodes reach |Im gamma| = 520,
+    # where the closed-form factors exceed double range
+    code, _, err = _run(
+        ["moments", "--family", family, "--m", "1300", "--delta", "0.4"], capsys
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "gamma = (0.4-520j)" in err
+
+
+def test_moments_cauchy_large_m(capsys):
+    code, out, _ = _run(
+        ["moments", "--family", "cauchy", "--m", "1300", "--delta", "0.4"], capsys
+    )
+    assert code == 0
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert len(rows) == 1 + 2601  # header + 2m+1 rows
+
+
 def test_dist_config_file(tmp_path, capsys):
     cfg = tmp_path / "dist.json"
     cfg.write_text(json.dumps({"family": "rayleigh", "params": {"sigma": 2.0}}))

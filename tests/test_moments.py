@@ -173,6 +173,20 @@ def test_make_grid_monte_carlo_path():
         make_grid(CAUCHY, gp, "monte_carlo")  # samples missing
 
 
+def test_monte_carlo_node_array_equals_scalar_calls():
+    gp = GridParams(rho=0.4, delta=0.4, m=3)
+    x = np.concatenate([[0.0], sample(RAYLEIGH, 5_000, seed=8)])
+    est = moment_monte_carlo(x, gp.nodes(), "plus")
+    assert est.value.shape == est.stderr.shape == (7,)
+    assert est.dropped == 1
+    for i, g in enumerate(gp.nodes()):
+        one = moment_monte_carlo(x, g, "plus")
+        assert est.value[i] == one.value and est.stderr[i] == one.stderr
+    grid = make_grid(RAYLEIGH, GridParams(0.4, 0.4, 3, "plus"),
+                     "monte_carlo", samples=x)
+    assert np.array_equal(grid.values, est.value)
+
+
 def test_monte_carlo_degenerate_inputs():
     with pytest.raises(AllSamplesDegenerateError):
         moment_monte_carlo(np.zeros(10), 0.5, "minus")
@@ -295,6 +309,21 @@ def test_suggest_truncation_monotone_in_tol():
 def test_suggest_truncation_cap():
     s = suggest_truncation(GAUSS21, 0.4, 0.0004, "minus", 1e-8)
     assert s.capped and s.m == 10_000
+
+
+def test_suggest_truncation_caps_on_overflowing_moments():
+    # the uniform envelope decays only polynomially, so the sweep runs
+    # until the closed form leaves double range at m*delta ~ 451
+    assert suggest_truncation(UNIFORM, 0.4, 0.2, "minus", 1e-10) == (10_000, True)
+
+
+def test_suggest_truncation_propagates_foreign_errors(monkeypatch):
+    def broken(spec, gamma, sign):
+        raise ZeroDivisionError("not a fracmom failure")
+
+    monkeypatch.setattr("fracmom.moments.closed_form_moment", broken)
+    with pytest.raises(ZeroDivisionError):
+        suggest_truncation(CAUCHY, 0.4, 0.4, "minus", 1e-6)
 
 
 def test_suggest_truncation_validation():
