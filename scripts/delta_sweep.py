@@ -15,6 +15,7 @@ limited and improves much more slowly.  Run:
 
     python scripts/delta_sweep.py
     python scripts/delta_sweep.py --family cauchy --reach 15 --thetas 1,5,20
+    python scripts/delta_sweep.py --family levy --rho 0.9 --reach 500
 """
 
 import argparse
@@ -24,14 +25,6 @@ import sys
 from fracmom.distributions import FAMILIES, exact_cf, make_spec
 from fracmom.moments import GridParams, make_grid
 from fracmom.reconstruct import cf_series
-
-PARAMS = {
-    "uniform": {"a": 2.0},
-    "rayleigh": {"sigma": 2.0},
-    "cauchy": {},
-    "levy": {},
-    "gaussian": {"mu": 2.0, "sigma": 1.0},
-}
 
 
 def run(argv=None):
@@ -46,7 +39,7 @@ def run(argv=None):
                     help="comma-separated probe arguments")
     args = ap.parse_args(argv)
 
-    spec = make_spec(args.family, **PARAMS[args.family])
+    spec = make_spec(args.family)
     deltas = [float(s) for s in args.deltas.split(",")]
     thetas = [float(s) for s in args.thetas.split(",")]
 

@@ -17,14 +17,6 @@ import sys
 from fracmom.cli import main as cli_main
 from fracmom.distributions import FAMILIES
 
-DEFAULTS = {
-    "uniform": ["--param", "a=2"],
-    "rayleigh": ["--param", "sigma=2"],
-    "cauchy": [],
-    "levy": [],
-    "gaussian": ["--param", "mu=2", "--param", "sigma=1"],
-}
-
 
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -40,7 +32,7 @@ def run(argv=None):
         print(f"=== {fam} ===")
         rc = cli_main(
             [
-                "verify", "--family", fam, *DEFAULTS[fam],
+                "verify", "--family", fam,
                 "--m", str(args.m), "--rho", str(args.rho),
                 "--delta", str(args.delta),
             ]

@@ -51,6 +51,7 @@ from .moments import (
     half_line_integrals,
     make_grid,
     read_grid_csv,
+    require_usable_rho,
     working_strip,
     write_grid_csv,
 )
@@ -297,6 +298,7 @@ def _cmd_reconstruct(config: RunConfig, kind: str) -> int:
         spec = None
         if family is not None:
             spec = DistributionSpec(str(family), meta.get("params", {}))
+            require_usable_rho(spec, grid.params.rho)
     else:
         spec = _require_spec(config)
         family = spec.family

@@ -18,6 +18,14 @@ The moment formulas in closed form:
                  function D_{g-1}(±mu/sig) with the half-line phase
                  exp(∓ s i g pi/2) attached
 
+The gamma factors decay and the phases grow like exp(pi |Im g| / 2),
+so the Rayleigh and Levy moments are formed as one exponential of
+their logarithm, and the Gaussian one as a single 30-digit mpmath
+expression; each stays finite for as long as the moment itself fits
+in a double.  Only the uniform cosine is evaluated as it stands: it
+leaves double range near |Im g| = 452, within about 1% of where the
+moment does.
+
 All five were validated against adaptive quadrature of the defining
 integral before being frozen here (the uniform and Rayleigh ones also
 against high-precision arbitrary-precision integration).
@@ -25,7 +33,6 @@ against high-precision arbitrary-precision integration).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -35,7 +42,7 @@ import numpy as np
 from scipy import special as sp_special
 
 from .errors import ArgumentError, DomainError, StripError
-from .special import complex_gamma, sign_value
+from .special import sign_value
 
 FAMILIES: tuple[str, ...] = ("uniform", "rayleigh", "cauchy", "levy", "gaussian")
 
@@ -268,84 +275,76 @@ def _rayleigh_cf_far(q: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _require_in_strip(spec: DistributionSpec, gamma: complex) -> None:
-    if complex(gamma).real not in spec.moment_strip:
+def _require_in_strip(spec: DistributionSpec, gamma: np.ndarray) -> None:
+    strip = spec.moment_strip
+    outside = ~((gamma.real > strip.lo) & (gamma.real < strip.hi))
+    if outside.any():
         raise StripError(
-            f"Re(gamma) = {complex(gamma).real} outside moment strip "
-            f"{spec.moment_strip} of {spec.label()}"
+            f"Re(gamma) = {float(gamma.real[outside][0])} outside moment strip "
+            f"{strip} of {spec.label()}"
         )
 
 
-def _pcf_d(order: complex, z: float) -> complex:
-    with mpmath.workdps(30):
-        return complex(mpmath.pcfd(mpmath.mpc(order), mpmath.mpf(z)))
-
-
-def closed_form_moment(spec: DistributionSpec, gamma: complex, sign: str) -> complex:
+def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
     """Exact value of E[(s i X)^(-gamma)], s = +1 ("plus") or -1 ("minus").
 
-    Raises :class:`StripError` when Re(gamma) leaves the family's
+    ``gamma`` may be a scalar (gives a complex) or an array of orders
+    (gives an array of the same shape); a scalar is evaluated as a
+    one-element array, so an array call equals the per-element scalar
+    calls exactly.  Raises :class:`StripError`, naming the first
+    offending real part, when any order leaves the family's
     convergence strip.  All poles of the gamma factors lie outside the
-    strips, so no separate pole handling is needed here.  The factors
-    cos(gamma pi/2) and exp(-/+ s i gamma pi/2) grow like
-    exp(pi |Im gamma| / 2) and leave double range once |Im gamma|
-    exceeds about 451; any non-finite evaluation raises
-    :class:`DomainError` naming the order.
+    strips, so no separate pole handling is needed here.  Each moment
+    is evaluated whole, so it is non-finite only where the moment
+    itself leaves double range: past |Im gamma| of about 452 for the
+    uniform family, about 901 for Rayleigh (sigma = 2), never on a
+    fixed line for Levy.  The first non-finite order in array order
+    raises :class:`DomainError` naming it.
     """
-    gamma = complex(gamma)
     s = sign_value(sign)
-    _require_in_strip(spec, gamma)
-    try:
-        value = _closed_form(spec, gamma, s)
-    except OverflowError:
-        value = complex(math.inf)
-    if not cmath.isfinite(value):
+    g = np.atleast_1d(np.asarray(gamma, dtype=complex))
+    _require_in_strip(spec, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _closed_form(spec, g, s)
+    bad = ~np.isfinite(value)
+    if bad.any():
         raise DomainError(
             f"closed-form evaluation of the {spec.label()} moment "
-            f"overflows double precision at gamma = {gamma}"
+            f"overflows double precision at gamma = {complex(g[bad][0])}"
         )
-    return value
+    return complex(value[0]) if np.ndim(gamma) == 0 else value
 
 
-def _closed_form(spec: DistributionSpec, gamma: complex, s: int) -> complex:
+def _closed_form(spec: DistributionSpec, g: np.ndarray, s: int) -> np.ndarray:
     p = spec.params
+    # half-line phase exp(-s i g pi/2), kept in the exponent
+    phase = -s * 1j * g * math.pi / 2.0
 
     if spec.family == "uniform":
         a = p["a"]
-        return (
-            cmath.exp(-gamma * math.log(a))
-            * cmath.cos(gamma * math.pi / 2.0)
-            / (1.0 - gamma)
-        )
+        return np.exp(-g * math.log(a)) * np.cos(g * math.pi / 2.0) / (1.0 - g)
     if spec.family == "rayleigh":
-        sig = p["sigma"]
-        plain = (
-            cmath.exp(-gamma * (math.log(sig) + 0.5 * math.log(2.0)))
-            * complex_gamma(1.0 - 0.5 * gamma)
-        )
-        return plain * cmath.exp(-s * 1j * gamma * math.pi / 2.0)
+        log_scale = -g * (math.log(p["sigma"]) + 0.5 * math.log(2.0))
+        return np.exp(log_scale + sp_special.loggamma(1.0 - 0.5 * g) + phase)
     if spec.family == "cauchy":
-        return 1.0 + 0.0j
+        return np.ones(g.shape, dtype=complex)
     if spec.family == "levy":
-        plain = (
-            cmath.exp(gamma * math.log(2.0))
-            * complex_gamma(gamma + 0.5)
-            / math.sqrt(math.pi)
-        )
-        return plain * cmath.exp(-s * 1j * gamma * math.pi / 2.0)
+        log_scale = g * math.log(2.0) - 0.5 * math.log(math.pi)
+        return np.exp(log_scale + sp_special.loggamma(g + 0.5) + phase)
+    values = [_gaussian_moment(gk, s, p["mu"], p["sigma"]) for gk in g.flat]
+    return np.array(values, dtype=complex).reshape(g.shape)
 
-    # gaussian: halves of the real line give parabolic cylinder functions
-    mu, sig = p["mu"], p["sigma"]
-    ratio = mu / sig
-    front = (
-        cmath.exp(-gamma * math.log(sig))
-        * complex_gamma(1.0 - gamma)
-        * math.exp(-0.25 * ratio * ratio)
-        / math.sqrt(2.0 * math.pi)
-    )
-    pos_half = cmath.exp(-s * 1j * gamma * math.pi / 2.0) * _pcf_d(gamma - 1.0, -ratio)
-    neg_half = cmath.exp(+s * 1j * gamma * math.pi / 2.0) * _pcf_d(gamma - 1.0, +ratio)
-    return front * (pos_half + neg_half)
+
+def _gaussian_moment(gamma: complex, s: int, mu: float, sig: float) -> complex:
+    # halves of the real line give parabolic cylinder functions, each
+    # with its half-line phase t^(+-1); the whole product is formed at
+    # 30 digits, where no factor leaves range, and rounded once
+    with mpmath.workdps(30):
+        g, r = mpmath.mpc(gamma), mpmath.mpf(mu) / sig
+        t = mpmath.exp(-s * 1j * g * mpmath.pi / 2)
+        halves = t * mpmath.pcfd(g - 1, -r) + mpmath.pcfd(g - 1, r) / t
+        front = mpmath.power(sig, -g) * mpmath.gamma(1 - g) * mpmath.exp(-r * r / 4)
+        return complex(front * halves / mpmath.sqrt(2 * mpmath.pi))
 
 
 # ----------------------------------------------------------------------

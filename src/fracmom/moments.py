@@ -229,6 +229,16 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     return MonteCarloMoment(value, stderr, dropped)
 
 
+def require_usable_rho(spec: DistributionSpec, rho: float) -> None:
+    """Raise :class:`StripError` unless a grid line at ``rho`` lies in
+    the family's moment strip intersected with the positive axis."""
+    allowed = spec.moment_strip.intersect(FundamentalStrip(0.0, math.inf))
+    if rho not in allowed:
+        raise StripError(
+            f"rho = {rho} outside usable strip {allowed} of {spec.label()}"
+        )
+
+
 def make_grid(
     spec: DistributionSpec,
     params: GridParams,
@@ -247,12 +257,7 @@ def make_grid(
         raise ArgumentError(
             f"method must be one of {GRID_METHODS}, got {method!r}"
         )
-    positive = FundamentalStrip(0.0, math.inf)
-    allowed = spec.moment_strip.intersect(positive)
-    if params.rho not in allowed:
-        raise StripError(
-            f"rho = {params.rho} outside usable strip {allowed} of {spec.label()}"
-        )
+    require_usable_rho(spec, params.rho)
 
     if method == "monte_carlo":
         if samples is None or np.asarray(samples).size == 0:
@@ -261,9 +266,7 @@ def make_grid(
         return MomentGrid(params, estimate.value)
 
     if method == "closed_form":
-        values = np.empty(2 * params.m + 1, dtype=complex)
-        for i, g in enumerate(params.nodes()):
-            values[i] = closed_form_moment(spec, g, params.sign)
+        values = closed_form_moment(spec, params.nodes(), params.sign)
     else:
         values = moment_quadrature(
             lambda x: exact_pdf(spec, x), spec.support, params.nodes(),
@@ -388,9 +391,9 @@ def suggest_truncation(
             # the exponential factor underflowed; in-strip moments are
             # finite, so the bound is zero regardless of their size
             return 0.0
-        top = abs(closed_form_moment(spec, complex(rho, eta), sign))
-        bot = abs(closed_form_moment(spec, complex(rho, -eta), sign))
-        return gamma_mod * max(top, bot)
+        ends = np.array([complex(rho, eta), complex(rho, -eta)])
+        moduli = np.abs(closed_form_moment(spec, ends, sign))
+        return gamma_mod * float(np.max(moduli))
 
     # The envelope decays like e^(-pi m delta / 2); if even the cap
     # endpoint misses the target, scanning up to it cannot help, and

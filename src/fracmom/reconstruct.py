@@ -201,6 +201,19 @@ class CurveResult:
     im_max: float | None = None
 
 
+def _series(grid: MomentGrid, kind: str, x: np.ndarray) -> np.ndarray:
+    if kind == "pdf":
+        return _pdf_sum_complex(grid, _pdf_weights(grid), x)
+    weights = _cf_weights(grid)
+    direct = (x > 0.0) if grid.params.sign == "minus" else (x < 0.0)
+    values = np.empty(x.size, dtype=complex)
+    if np.any(direct):
+        values[direct] = _cf_sum(grid, weights, x[direct])
+    if np.any(~direct):
+        values[~direct] = np.conj(_cf_sum(grid, weights, -x[~direct]))
+    return values
+
+
 def sample_curve(
     grid: MomentGrid,
     kind: str,
@@ -211,7 +224,9 @@ def sample_curve(
 
     Points must exclude the origin.  When ``exact_spec`` is given, the
     matching exact curve and pointwise absolute errors are attached.
-    An empty abscissae array produces an empty result.
+    An empty abscissae array produces an empty result.  A series that
+    is not finite at some point (its weights or kernel left double
+    range) raises :class:`DomainError` naming the first such point.
     """
     if kind not in ("cf", "pdf"):
         raise ArgumentError(f"kind must be 'cf' or 'pdf', got {kind!r}")
@@ -229,32 +244,26 @@ def sample_curve(
         )
     if np.any(x == 0.0):
         raise DomainError(f"{kind} series is singular at the origin")
+    if kind == "pdf" and grid.params.sign != "minus":
+        raise ArgumentError("density series needs a grid built with sign='minus'")
+    # an overflowing weight or kernel (times an underflowed partner)
+    # shows as a non-finite sum, reported as a typed error rather than
+    # as NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = _series(grid, kind, x)
+    bad = ~np.isfinite(series)
+    if bad.any():
+        raise DomainError(f"{kind} series is not finite at x = {float(x[bad][0])!r}")
 
     im_max: float | None = None
-    if kind == "cf":
-        weights = _cf_weights(grid)
-        direct_positive = grid.params.sign == "minus"
-        direct = (x > 0.0) if direct_positive else (x < 0.0)
-        values = np.empty(x.size, dtype=complex)
-        if np.any(direct):
-            values[direct] = _cf_sum(grid, weights, x[direct])
-        if np.any(~direct):
-            values[~direct] = np.conj(_cf_sum(grid, weights, -x[~direct]))
-        exact = exact_cf(exact_spec, x) if exact_spec is not None else None
-    else:
-        if grid.params.sign != "minus":
-            raise ArgumentError(
-                "density series needs a grid built with sign='minus'"
-            )
-        raw = _pdf_sum_complex(grid, _pdf_weights(grid), x)
-        im_max = float(np.max(np.abs(raw.imag)))
-        values = raw.real.astype(complex)
-        exact = (
-            exact_pdf(exact_spec, x).astype(complex)
-            if exact_spec is not None
-            else None
-        )
-
+    values = series
+    if kind == "pdf":
+        im_max = float(np.max(np.abs(series.imag)))
+        values = series.real.astype(complex)
+    exact = None
+    if exact_spec is not None:
+        exact_fn = exact_cf if kind == "cf" else exact_pdf
+        exact = np.asarray(exact_fn(exact_spec, x), dtype=complex)
     abs_err = np.abs(values - exact) if exact is not None else None
     return CurveResult(
         abscissae=x,

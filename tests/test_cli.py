@@ -7,6 +7,7 @@ back in through ``--grid-in``.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,16 +70,42 @@ def test_moments_monte_carlo_seeded(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
-@pytest.mark.parametrize("family", ["uniform", "rayleigh", "levy", "gaussian"])
-def test_moments_out_of_double_range_is_typed(family, capsys):
-    # at m = 1300, delta = 0.4 the end nodes reach |Im gamma| = 520,
-    # where the closed-form factors exceed double range
+@pytest.mark.parametrize(
+    "family,m,gamma",
+    [("uniform", "1300", "(0.4-520j)"), ("rayleigh", "2300", "(0.4-920j)")],
+    ids=["uniform", "rayleigh"],
+)
+def test_moments_out_of_double_range_is_typed(family, m, gamma, capsys):
+    # with delta = 0.4 the first node 0.4 - i m delta is past where the
+    # moment itself leaves double range: |Im gamma| ~ 452 for the
+    # uniform cosine, ~ 901 for Rayleigh(sigma=2)
     code, _, err = _run(
-        ["moments", "--family", family, "--m", "1300", "--delta", "0.4"], capsys
+        ["moments", "--family", family, "--m", m, "--delta", "0.4"], capsys
     )
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
-    assert "gamma = (0.4-520j)" in err
+    assert f"gamma = {gamma}" in err
+
+
+@pytest.mark.parametrize(
+    "family,want",
+    [
+        ("levy", 10.322057817870423 - 20.293968595798543j),
+        ("rayleigh", 1.9302317433813654e178 - 6.923429970263232e177j),
+    ],
+    ids=["levy", "rayleigh"],
+)
+def test_moments_past_the_phase_overflow(family, want, capsys):
+    # at |Im gamma| = 520 the half-line phase exp(pi |Im gamma| / 2)
+    # alone leaves double range, the moment does not; ``want`` is the
+    # k = -1300 moment from 30-digit mpmath
+    code, out, err = _run(
+        ["moments", "--family", family, "--m", "1300", "--delta", "0.4"], capsys
+    )
+    assert code == 0 and err == ""
+    row = next(l for l in out.splitlines() if l.startswith("-1300,"))
+    re, im = (float(v) for v in row.split(",")[3:])
+    assert abs(complex(re, im) - want) <= 1e-12 * abs(want)
 
 
 def test_moments_cauchy_large_m(capsys):
@@ -162,6 +189,48 @@ def test_reconstruct_rejects_bad_grid_csv(tmp_path, capsys, case):
     assert code == 1
     assert err.startswith("error: grid CSV")
     assert not out.exists()
+
+
+def _cauchy_grid_csv(tmp_path, rho, family_line=True):
+    rows = [f"{k},{rho!r},{0.4 * k!r},1.0,0.0" for k in range(-2, 3)]
+    head = "# family: cauchy\n" if family_line else ""
+    grid = tmp_path / "grid.csv"
+    grid.write_text(head + "# sign: minus\nk,rho,eta,re,im\n"
+                    + "\n".join(rows) + "\n")
+    return grid
+
+
+@pytest.mark.parametrize("kind", ["cf", "pdf"])
+def test_reconstruct_checks_grid_csv_rho_against_strip(tmp_path, capsys, kind):
+    """A cauchy grid moved to rho = 1.5, outside its strip (-1, 1), used
+    to give a wrong curve with exit 0."""
+    grid = _cauchy_grid_csv(tmp_path, 1.5)
+    code, _, err = _run([f"reconstruct-{kind}", "--grid-in", str(grid),
+                         "--range", "0.5:3:6"], capsys)
+    assert code == 1
+    assert err.startswith("error: rho = 1.5 outside usable strip")
+
+
+@pytest.mark.parametrize("case", ["levy_pdf_far_nodes", "csv_rho_180"])
+def test_reconstruct_non_finite_series_is_typed(tmp_path, capsys, case):
+    """Series whose weights or kernels leave double range used to print
+    NumPy overflow warnings and a NaN curve with exit 0."""
+    if case == "levy_pdf_far_nodes":
+        # the closed forms reach |Im gamma| = 520; the PDF kernel
+        # (ix)^(gamma-1) does not
+        argv = ["reconstruct-pdf", "--family", "levy", "--rho", "0.9",
+                "--m", "1300", "--delta", "0.4"]
+    else:
+        # no family line, so no strip check: Gamma(180 + ...) overflows
+        grid = _cauchy_grid_csv(tmp_path, 180.0, family_line=False)
+        argv = ["reconstruct-cf", "--grid-in", str(grid)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "series is not finite at x = " in err
+    assert len(err.splitlines()) == 1
 
 
 def test_reconstruct_range_validation(capsys):

@@ -6,7 +6,9 @@ routes agreeing to 1e-13 before a value was frozen here.
 """
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from fracmom.distributions import (
     sample,
     spec_from_config,
 )
-from fracmom.errors import ArgumentError, StripError
+from fracmom.errors import ArgumentError, DomainError, StripError
 
 UNIFORM = make_spec("uniform", a=2.0)
 RAYLEIGH = make_spec("rayleigh", sigma=2.0)
@@ -304,6 +306,57 @@ def test_moment_conjugation_symmetry(spec, rho, eta):
     lhs = closed_form_moment(spec, g, "minus").conjugate()
     rhs = closed_form_moment(spec, g.conjugate(), "plus")
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_closed_form_array_equals_scalar_calls(spec, sign, data):
+    """One array call gives exactly the per-element scalar results."""
+    strip = spec.moment_strip
+    size = 4 if spec.family == "gaussian" else 16
+    n = data.draw(st.integers(min_value=1, max_value=size))
+    rho = st.floats(min_value=max(strip.lo, -3.0), max_value=min(strip.hi, 3.0),
+                    exclude_min=True, exclude_max=True)
+    eta = st.floats(min_value=-300.0, max_value=300.0)
+    g = np.array(data.draw(st.lists(st.builds(complex, rho, eta),
+                                    min_size=n, max_size=n)))
+    got = closed_form_moment(spec, g, sign)
+    scalar = [closed_form_moment(spec, gk, sign) for gk in g]
+    assert all(type(v) is complex for v in scalar)
+    assert got.shape == g.shape
+    assert np.array_equal(got, np.array(scalar))
+
+
+def test_closed_form_array_strip_checked_everywhere():
+    g = np.array([0.4, 0.4 + 1j, 1.5 + 2j, 1.2])
+    with pytest.raises(StripError, match=r"Re\(gamma\) = 1\.5 "):
+        closed_form_moment(UNIFORM, g, "minus")
+
+
+def test_closed_form_array_names_first_non_finite_order():
+    # the uniform cosine leaves double range past |Im gamma| ~ 452
+    g = 0.4 + 1j * np.array([10.0, 600.0, -700.0, -460.0])
+    with pytest.raises(DomainError, match=re.escape("gamma = (0.4+600j)")):
+        closed_form_moment(UNIFORM, g, "minus")
+
+
+def test_gaussian_closed_form_far_out_matches_50_digits():
+    # both half-line phases exp(+-pi |Im gamma| / 2) leave double range
+    # at |Im gamma| = 520; the moment, |M| ~ 1.8e190, does not
+    gamma = 0.4 - 520j
+    got = closed_form_moment(GAUSS21, gamma, "minus")
+    with mpmath.workdps(50):
+        g = mpmath.mpc(gamma)
+        r = mpmath.mpf(2)  # mu / sigma
+        t = mpmath.exp(1j * g * mpmath.pi / 2)
+        want = complex(
+            mpmath.gamma(1 - g) * mpmath.exp(-r * r / 4)
+            / mpmath.sqrt(2 * mpmath.pi)
+            * (t * mpmath.pcfd(g - 1, -r) + mpmath.pcfd(g - 1, r) / t)
+        )
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_symmetric_families_sign_invariant():
