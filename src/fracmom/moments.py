@@ -138,13 +138,17 @@ def half_line_integrals(
     g = np.asarray(gamma, dtype=complex)
     lo, hi = support
     halves = []
+
+    def integrand(u, orient):
+        density = pdf(orient * u)
+        # far out in Re gamma the power overflows near u = 0; the
+        # resulting non-finite estimate is reported by ``require``
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(np.multiply.outer(-g, np.log(u))) * density
+
     for a, b, orient in ((max(lo, 0.0), hi, 1.0), (max(0.0, -hi), -lo, -1.0)):
         if b > a:
-            halves.append(integrate(
-                lambda u: np.exp(np.multiply.outer(-g, np.log(u)))
-                * pdf(orient * u),
-                a, b,
-            ))
+            halves.append(integrate(lambda u: integrand(u, orient), a, b))
         else:
             zero = np.zeros(g.shape)
             halves.append(Estimate(zero + 0j, zero))
@@ -372,8 +376,14 @@ def suggest_truncation(
     |Gamma(rho + i eta)| ~ sqrt(2 pi) |eta|^(rho - 1/2) e^(-pi |eta|/2)
     times the larger of the two grid endpoint moment magnitudes — an
     envelope, not an exact term, so the suggestion is conservative.
-    The sweep is linear in m and stops at 10^4 with ``capped=True`` when
-    the target is unreachable.
+    The search gallops (m = 1, 2, 4, ..., 10^4) to the first m whose
+    envelope is at most ``tol`` or whose endpoint moment cannot be
+    evaluated, then bisects back to the first such m: about 2 log2 m
+    envelope evaluations.  Like the linear sweep it replaces, it takes
+    that stop test to hold at every m past the first that meets it.
+    It answers ``capped=True`` with m = 10^4
+    when the target is unreachable, or when an endpoint moment stops
+    being evaluable before the target is met.
     """
     if not tol > 0.0:
         raise ArgumentError("tol must be > 0")
@@ -395,24 +405,34 @@ def suggest_truncation(
         moduli = np.abs(closed_form_moment(spec, ends, sign))
         return gamma_mod * float(np.max(moduli))
 
+    def reached(m: int) -> bool | None:
+        # None: the endpoint moment is not evaluable this far out, and
+        # the envelope is treated as unreachable from here on
+        try:
+            return envelope(m) <= tol
+        except FracmomError:
+            return None
+
     # The envelope decays like e^(-pi m delta / 2); if even the cap
-    # endpoint misses the target, scanning up to it cannot help, and
-    # answering "capped" immediately saves ~10^4 moment evaluations.
-    try:
-        if envelope(_TRUNCATION_CAP) > tol:
-            return TruncationSuggestion(_TRUNCATION_CAP, True)
-    except FracmomError:
+    # endpoint misses the target, searching below it cannot help.
+    if not reached(_TRUNCATION_CAP):
         return TruncationSuggestion(_TRUNCATION_CAP, True)
 
-    for m in range(1, _TRUNCATION_CAP + 1):
-        try:
-            bound = envelope(m)
-        except FracmomError:
-            # endpoint moment not evaluable this far out; treat the
-            # envelope as unreachable from here on
-            break
-        if bound <= tol:
-            return TruncationSuggestion(m, False)
+    # gallop until reached(hi) is not False, which the cap guarantees;
+    # reached(lo) stays False (lo = 0: nothing tried yet)
+    lo, hi, found = 0, 1, reached(1)
+    while found is False:
+        lo, hi = hi, min(2 * hi, _TRUNCATION_CAP)
+        found = reached(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        outcome = reached(mid)
+        if outcome is False:
+            lo = mid
+        else:
+            hi, found = mid, outcome
+    if found:
+        return TruncationSuggestion(hi, False)
     return TruncationSuggestion(_TRUNCATION_CAP, True)
 
 

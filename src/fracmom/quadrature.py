@@ -191,9 +191,12 @@ def _panel_sequence(f: Integrand, a: float, b: float) -> Estimate:
     y = np.asarray(f(x))
     lead = y.shape[:-1]
     y = y.reshape(-1, PANELS, SUBPANELS, KRONROD_NODES.size)
-    kronrod = (y @ KRONROD_WEIGHTS * half).sum(-1)
-    gauss_err = (np.abs(y @ (KRONROD_WEIGHTS - GAUSS_WEIGHTS)) * half).sum(-1)
-    abs_int = (np.abs(y) @ KRONROD_WEIGHTS * half).sum(-1)
+    # a non-finite integrand gives a non-finite estimate, which
+    # ``require`` reports; the rule sums need not warn about it too
+    with np.errstate(over="ignore", invalid="ignore"):
+        kronrod = (y @ KRONROD_WEIGHTS * half).sum(-1)
+        gauss_err = (np.abs(y @ (KRONROD_WEIGHTS - GAUSS_WEIGHTS)) * half).sum(-1)
+        abs_int = (np.abs(y) @ KRONROD_WEIGHTS * half).sum(-1)
 
     sums = np.cumsum(kronrod, axis=1)
     roundoff = 50.0 * _EPS * abs_int.sum(axis=1)

@@ -291,12 +291,17 @@ def write_curve_csv(result: CurveResult, out, *, family: str | None = None) -> N
     out.write(f"# m: {p.m}\n")
     out.write(f"# sign: {p.sign}\n")
     out.write("x,re,im,exact_re,exact_im,abs_err\n")
-    for i, xv in enumerate(result.abscissae):
-        v = complex(result.values[i])
-        if result.exact is not None:
-            e = complex(result.exact[i])
-            err = float(result.abs_err[i])
-            tail = f"{e.real!r},{e.imag!r},{err!r}"
-        else:
-            tail = ",,"
-        out.write(f"{float(xv)!r},{v.real!r},{v.imag!r},{tail}\n")
+    x = np.asarray(result.abscissae, dtype=float).tolist()
+    values = np.asarray(result.values, dtype=complex)
+    real, imag = values.real.tolist(), values.imag.tolist()
+    if result.exact is None:
+        out.writelines(f"{a!r},{b!r},{c!r},,,\n" for a, b, c in zip(x, real, imag))
+        return
+    exact = np.asarray(result.exact, dtype=complex)
+    err = np.asarray(result.abs_err, dtype=float).tolist()
+    out.writelines(
+        f"{a!r},{b!r},{c!r},{d!r},{e!r},{f!r}\n"
+        for a, b, c, d, e, f in zip(
+            x, real, imag, exact.real.tolist(), exact.imag.tolist(), err
+        )
+    )

@@ -299,6 +299,21 @@ def test_verify_keeps_every_oracle_estimate(capsys):
     assert not [w for w in caught if issubclass(w.category, IntegrationWarning)]
 
 
+def test_verify_far_rho_reports_nan_estimate_without_warnings(capsys):
+    """At Re gamma = 180 the power u^(-gamma) overflows near u = 0; the
+    NaN estimate is reported once, as a numerical failure, and NumPy
+    used to print four RuntimeWarnings before it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(["verify", "--family", "levy", "--rho", "180",
+                               "--m", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: moment quadrature estimate nan")
+    assert len(err.splitlines()) == 1
+    assert caught == []
+
+
 # ----------------------------------------------------------------------
 # exit codes and validation
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from fracmom.distributions import (
     spec_from_config,
 )
 from fracmom.errors import ArgumentError, DomainError, StripError
+from fracmom.moments import GridParams
 
 UNIFORM = make_spec("uniform", a=2.0)
 RAYLEIGH = make_spec("rayleigh", sigma=2.0)
@@ -357,6 +358,59 @@ def test_gaussian_closed_form_far_out_matches_50_digits():
             * (t * mpmath.pcfd(g - 1, -r) + mpmath.pcfd(g - 1, r) / t)
         )
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_gaussian_shared_pairs_equal_scalar_calls(sign):
+    """The conjugate-pair sharing keeps every node bit for bit as its
+    own scalar call gives it, on a grid and on a set with a repeated
+    node and a real one."""
+    for nodes in (
+        GridParams(0.4, 0.2, 50).nodes(),
+        np.array([0.4 - 3j, 0.7, 0.4 + 3j, 0.4 - 3j, 0.4 + 0j, -0.2 + 5j]),
+    ):
+        got = closed_form_moment(GAUSS21, nodes, sign)
+        scalar = [closed_form_moment(GAUSS21, g, sign) for g in nodes]
+        assert np.array_equal(_bits(got), _bits(scalar))
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_gaussian_conjugated_factors_equal_direct_evaluation(sign):
+    # mpmath's D_{conj v}(r) and Gamma(conj z) are the exact conjugates
+    # of D_v(r) and Gamma(z), so nodes below the axis, which take their
+    # factors from the node above it, agree bit for bit with the
+    # unshared 30-digit formula
+    nodes = np.array([0.4 - 0.2j, 0.4 - 7.4j, 0.9 - 33.0j, -1.5 - 120.6j])
+    with mpmath.workdps(30):
+        r = mpmath.mpf(2.0) / 1.0
+        want = []
+        for gamma in nodes:
+            g = mpmath.mpc(gamma)
+            t = mpmath.exp(-(1 if sign == "plus" else -1) * 1j * g * mpmath.pi / 2)
+            halves = t * mpmath.pcfd(g - 1, -r) + mpmath.pcfd(g - 1, r) / t
+            front = mpmath.power(1.0, -g) * mpmath.gamma(1 - g) * mpmath.exp(-r * r / 4)
+            want.append(complex(front * halves / mpmath.sqrt(2 * mpmath.pi)))
+    got = closed_form_moment(GAUSS21, nodes, sign)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_gaussian_pcfd_once_per_conjugate_pair(monkeypatch):
+    calls = []
+    pcfd = mpmath.pcfd
+
+    def counting(*args):
+        calls.append(args)
+        return pcfd(*args)
+
+    monkeypatch.setattr(mpmath, "pcfd", counting)
+    m = 10
+    closed_form_moment(GAUSS21, GridParams(0.4, 0.2, m).nodes(), "minus")
+    # D_{g-1}(-r) and D_{g-1}(r) for the real node and each of m pairs
+    assert len(calls) == 2 * (m + 1)
 
 
 def test_symmetric_families_sign_invariant():

@@ -1,5 +1,6 @@
 """Grid construction, estimator agreement, conversions, CSV round-trip."""
 
+import functools
 import io
 import math
 import warnings
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracmom.distributions import exact_pdf, make_spec, sample
+from fracmom.distributions import closed_form_moment, exact_pdf, make_spec, sample
 from fracmom.errors import (
     AllSamplesDegenerateError,
     ArgumentError,
+    FracmomError,
     PoleError,
     QuadratureError,
     StripError,
@@ -35,6 +37,7 @@ RAYLEIGH = make_spec("rayleigh", sigma=2.0)
 CAUCHY = make_spec("cauchy")
 LEVY = make_spec("levy")
 GAUSS21 = make_spec("gaussian", mu=2.0, sigma=1.0)
+GAUSS01 = make_spec("gaussian", mu=0.0, sigma=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +327,119 @@ def test_suggest_truncation_propagates_foreign_errors(monkeypatch):
     monkeypatch.setattr("fracmom.moments.closed_form_moment", broken)
     with pytest.raises(ZeroDivisionError):
         suggest_truncation(CAUCHY, 0.4, 0.4, "minus", 1e-6)
+
+
+_CAP = 10_000
+
+
+def _sweep_envelope(spec, rho, delta, sign):
+    """The truncation envelope, memoised so that one sweep serves every tol."""
+
+    @functools.lru_cache(maxsize=None)
+    def envelope(m):
+        eta = m * delta
+        gamma_mod = (
+            math.sqrt(2.0 * math.pi)
+            * eta ** (rho - 0.5)
+            * math.exp(-math.pi * eta / 2.0)
+        )
+        if gamma_mod == 0.0:
+            return 0.0
+        ends = np.array([complex(rho, eta), complex(rho, -eta)])
+        return gamma_mod * float(np.max(np.abs(closed_form_moment(spec, ends, sign))))
+
+    return envelope
+
+
+def _linear_sweep(envelope, tol):
+    """Oracle: the linear sweep over m = 1..10^4 that the search replaced."""
+    try:
+        if envelope(_CAP) > tol:
+            return (_CAP, True)
+    except FracmomError:
+        return (_CAP, True)
+    for m in range(1, _CAP + 1):
+        try:
+            bound = envelope(m)
+        except FracmomError:
+            break
+        if bound <= tol:
+            return (m, False)
+    return (_CAP, True)
+
+
+_SEARCH_TOLS = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+_SEARCH_CASES = [
+    (spec, rho, delta, sign)
+    for spec, rhos in (
+        (UNIFORM, (0.4, 0.9)),
+        (RAYLEIGH, (0.4, 1.5)),
+        (CAUCHY, (0.1, 0.9)),
+        (LEVY, (0.4, 0.9, 3.0)),
+        (GAUSS01, (0.4, 0.9)),
+    )
+    for rho in rhos
+    for delta in (0.4, 0.2, 0.05)
+    # GAUSS01 is symmetric, so its two signs give the same moments
+    for sign in (("minus",) if spec is GAUSS01 else ("minus", "plus"))
+] + [
+    # a pcfd pair at mu != 0 costs about 8 ms, so one delta suffices
+    (GAUSS21, 0.4, 0.4, sign) for sign in ("minus", "plus")
+]
+
+
+@pytest.mark.parametrize(
+    "spec, rho, delta, sign", _SEARCH_CASES,
+    ids=[f"{c[0].label().replace(' ', '')}-{c[1]}-{c[2]}-{c[3]}" for c in _SEARCH_CASES],
+)
+def test_suggest_truncation_matches_linear_sweep(spec, rho, delta, sign):
+    envelope = _sweep_envelope(spec, rho, delta, sign)
+    for tol in _SEARCH_TOLS:
+        want = _linear_sweep(envelope, tol)
+        assert suggest_truncation(spec, rho, delta, sign, tol) == want, tol
+
+
+@pytest.mark.parametrize(
+    "spec, rho, delta, tol, want",
+    [
+        # capped where the uniform closed form leaves double range
+        (UNIFORM, 0.4, 0.2, 1e-10, (_CAP, True)),
+        # capped by the shortcut: even m = 10^4 misses the target
+        (GAUSS21, 0.4, 0.0004, 1e-8, (_CAP, True)),
+        # met at the first step
+        (CAUCHY, 0.4, 10.0, 1e-4, (1, False)),
+        (LEVY, 0.9, 10.0, 1e-4, (1, False)),
+    ],
+)
+def test_suggest_truncation_edge_cases_match_linear_sweep(spec, rho, delta, tol, want):
+    envelope = _sweep_envelope(spec, rho, delta, "minus")
+    assert _linear_sweep(envelope, tol) == want
+    assert suggest_truncation(spec, rho, delta, "minus", tol) == want
+
+
+@pytest.mark.parametrize(
+    "spec, rho, want",
+    [
+        (UNIFORM, 0.4, (_CAP, True)),
+        (RAYLEIGH, 0.4, (159, False)),
+        (CAUCHY, 0.4, (76, False)),
+        (LEVY, 0.4, (81, False)),
+        (LEVY, 0.9, (92, False)),
+        (GAUSS21, 0.4, (194, False)),
+    ],
+    ids=lambda v: v.family if hasattr(v, "family") else None,
+)
+def test_suggest_truncation_evaluation_count(monkeypatch, spec, rho, want):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return closed_form_moment(*args)
+
+    monkeypatch.setattr("fracmom.moments.closed_form_moment", counting)
+    assert suggest_truncation(spec, rho, 0.2, "minus", 1e-10) == want
+    # a linear sweep made up to 2,263 calls (uniform) here
+    assert len(calls) <= 25
 
 
 def test_suggest_truncation_validation():

@@ -354,6 +354,26 @@ def test_curve_csv_roundtrip_text():
     assert float(first[1]) == curve.values[0].real
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_curve_csv_rows_are_per_value_reprs(exact):
+    """The column-wise writer gives the bytes of a row-by-row repr."""
+    grid = _grid(CAUCHY, 4)
+    xs = np.array([-3.0, -1e-7, 0.25, 1.0 / 3.0, 7.5])
+    curve = sample_curve(grid, "pdf", xs, exact_spec=CAUCHY if exact else None)
+    buf = io.StringIO()
+    write_curve_csv(curve, buf)
+    want = []
+    for i, x in enumerate(xs):
+        v = complex(curve.values[i])
+        tail = ",,"
+        if exact:
+            e = complex(curve.exact[i])
+            tail = f"{e.real!r},{e.imag!r},{float(curve.abs_err[i])!r}"
+        want.append(f"{float(x)!r},{v.real!r},{v.imag!r},{tail}")
+    body = buf.getvalue().split("x,re,im,exact_re,exact_im,abs_err\n")[1]
+    assert body == "".join(row + "\n" for row in want)
+
+
 def test_curve_csv_empty_reference_columns():
     grid = _grid(CAUCHY, 4)
     curve = sample_curve(grid, "pdf", np.array([1.0]))
