@@ -22,9 +22,9 @@ import argparse
 import math
 import sys
 
-from fracmom.distributions import FAMILIES, exact_cf, make_spec
+from fracmom.distributions import FAMILIES, make_spec
 from fracmom.moments import GridParams, make_grid
-from fracmom.reconstruct import cf_series
+from fracmom.reconstruct import sample_curve
 
 
 def run(argv=None):
@@ -51,7 +51,7 @@ def run(argv=None):
         m = max(1, round(args.reach / delta))
         grid = make_grid(spec, GridParams(rho=args.rho, delta=delta, m=m), "closed_form")
         floor = math.exp(-2.0 * math.pi * args.rho / delta)
-        errs = [abs(cf_series(grid, t) - complex(exact_cf(spec, t))) for t in thetas]
+        errs = sample_curve(grid, "cf", thetas, exact_spec=spec).abs_err
         print(f"{delta:<9g}{m:>4}   {floor:.2e}   "
               + "".join(f"{e:<13.4e}" for e in errs))
     return 0

@@ -17,7 +17,8 @@ moments
     conversions, truncation suggestion, CSV round-trip.
 fracops
     One-sided and symmetric fractional operators evaluated at the
-    origin of a characteristic function, plus the composition check.
+    origin of a characteristic function, the composition check, and
+    the identity suite behind ``fracmom verify``.
 quadrature
     Vectorised integration engine: a family of integrals (one per grid
     node) in one pass, with a value and an error estimate per member.
@@ -56,6 +57,7 @@ from .errors import (
 from .fracops import (
     CompositionReport,
     composition_check,
+    identity_suite,
     marchaud_derivative_at_zero,
     mellin_forward,
     riesz_derivative_at_zero,
@@ -118,6 +120,7 @@ __all__ = [
     "convert_moment",
     "exact_cf",
     "exact_pdf",
+    "identity_suite",
     "make_grid",
     "make_spec",
     "marchaud_derivative_at_zero",

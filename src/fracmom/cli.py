@@ -33,22 +33,14 @@ from .distributions import (
     FAMILIES,
     DistributionSpec,
     exact_cf,
-    exact_pdf,
     sample,
     spec_from_config,
 )
 from .errors import ArgumentError, FracmomError, QuadratureError
-from .fracops import (
-    marchaud_derivative_at_zero,
-    mellin_forward,
-    riesz_derivative_at_zero,
-    riesz_integral_at_zero,
-    rl_integral_at_zero,
-)
+from .fracops import identity_suite
 from .moments import (
     GridParams,
     MomentGrid,
-    half_line_integrals,
     make_grid,
     read_grid_csv,
     require_usable_rho,
@@ -60,16 +52,12 @@ from .reconstruct import (
     sample_curve,
     write_curve_csv,
 )
-from .quadrature import require
-from .special import complex_gamma
 
 log = logging.getLogger("fracmom")
 
 _METHODS = {"closed": "closed_form", "quad": "quadrature", "mc": "monte_carlo"}
 
 _IDENTITY_TOL = 1e-4
-# error target of the density-quadrature oracle, as in moment_quadrature
-_ORACLE_TOL = 1e-9
 
 _FIGURE_TABLE = """\
 figure parameters (all grids rho=0.4, delta=0.4, sign=minus unless noted):
@@ -318,48 +306,7 @@ def _cmd_reconstruct(config: RunConfig, kind: str) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     spec = _require_spec(config)
-    cf = lambda t: exact_cf(spec, t)  # noqa: E731
-    pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
-
-    osc = spec.params["a"] if spec.family == "uniform" else None
-    g = config.grid.nodes()
-
-    # Independent oracle: quadrature of the density.  The half-line
-    # integrals of u^(-g) and u^(+g) give all four signed moments and
-    # both absolute ones; none of their error estimates is dropped.
-    below = half_line_integrals(pdf, spec.support, g)
-    above = half_line_integrals(pdf, spec.support, -g)
-
-    def oracle(estimate) -> np.ndarray:
-        require(estimate, _ORACLE_TOL, "moment quadrature", g)
-        return estimate.value
-
-    mom = {side: oracle(below.signed(g, side)) for side in ("plus", "minus")}
-    dmom = {side: oracle(above.signed(-g, side)) for side in ("plus", "minus")}
-    abs_plus = oracle(above.absolute())  # E|X|^g
-    abs_minus = oracle(below.absolute())  # E|X|^(-g)
-
-    def dev(got: np.ndarray, want: np.ndarray) -> float:
-        return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
-
-    checks: dict[str, float] = {}
-    rl = {}
-    for side in ("plus", "minus"):
-        rl[side] = rl_integral_at_zero(cf, g, side, oscillation=osc)
-        checks[f"rl_integral_{side}"] = dev(rl[side], mom[side])
-    for side in ("plus", "minus"):
-        ma = marchaud_derivative_at_zero(cf, g, side, oscillation=osc)
-        checks[f"marchaud_{side}"] = dev(ma, dmom[side])
-    riesz_d = riesz_derivative_at_zero(cf, g, oscillation=osc)
-    checks["riesz_derivative"] = dev(riesz_d, -abs_plus)
-    riesz_i = riesz_integral_at_zero(cf, g, oscillation=osc)
-    checks["riesz_integral"] = dev(riesz_i, abs_minus)
-    me_m = mellin_forward(cf, g, "minus", oscillation=osc)
-    gam = complex_gamma(g)
-    checks["mellin_two_path"] = float(
-        np.max(np.abs(me_m - gam * rl["minus"]) / (1.0 + np.abs(me_m)))
-    )
-
+    checks = identity_suite(spec, config.grid)
     failed = [n for n, d in checks.items() if d > _IDENTITY_TOL]
     width = max(len(n) for n in checks)
     print(f"identity suite: {spec.label()}, rho={config.grid.rho:g}, "

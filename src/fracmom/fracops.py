@@ -5,7 +5,9 @@ caller-supplied CF directly, so its output can be compared against the
 closed-form moment of the same order computed in a completely different
 way.  Implemented are the left/right fractional integral, the Marchaud
 fractional derivative, both Riesz combinations, the forward Mellin
-transform, and a two-path composition (semigroup) check.
+transform, a two-path composition (semigroup) check, and
+:func:`identity_suite`, which checks every operator on a catalog CF
+against moments by quadrature of the density.
 
 Only orders with real part in (0, 1) are supported for the derivative
 forms — that window covers every identity the reconstruction machinery
@@ -21,16 +23,30 @@ integrates f(+xi) over xi in (0, inf).  With that pairing,
 for s = +1 ("plus") / -1 ("minus"), which is verified numerically in the
 test suite for every catalog family.
 
-Every operator is one or two calls of the vectorised engine in
-:mod:`fracmom.quadrature`: the integrand is formed for all requested
-orders at once on arrays of abscissae, so ``gamma`` may be a scalar
-(complex result) or a 1-D array of orders (array result), and the
-CF is called once per panel sequence rather than once per point.  The
-engine halves its panels toward the xi^(gamma-1) singularity at the
-origin and doubles them toward infinity, with Wynn extrapolation of
-the panel sums.  For CFs with a slowly decaying oscillatory tail (the
-uniform family's sinc) the ``oscillation`` hint switches the part
-beyond xi = 1 to integration between consecutive zeros with
+Every integral here is one half of
+:func:`fracmom.moments.half_line_integrals`, the integral of
+u^(-order) f(+/-u) over a stretch of the half-line that also gives the
+quadrature moments:
+
+* the Mellin integral J_s = int_0^inf xi^(gamma-1) cf(-s xi) d xi is
+  order 1 - gamma on (0, inf), and the fractional integral is
+  J_s / Gamma(gamma); the Mellin transform is J_s itself, so the
+  identity suite's ``mellin_two_path`` row checks the Gamma(gamma)
+  normalisation of one shared integral, not a second quadrature;
+* the Marchaud derivative is order 1 + gamma, of cf(0) - cf on (0, 1)
+  and of cf on (1, inf);
+* the composition check's Weyl integral is order 1 - gamma, on
+  (0, inf), of the shifted function v -> f(y - s v).
+
+The integrand is formed for all requested orders at once on arrays of
+abscissae, so ``gamma`` may be a scalar (complex result) or a 1-D array
+of orders (array result), and the CF is called once per panel sequence
+of the engine in :mod:`fracmom.quadrature` rather than once per point.
+The engine halves its panels toward the singularity at the origin and
+doubles them toward infinity, with Wynn extrapolation of the panel
+sums.  For CFs with a slowly decaying oscillatory tail (the uniform
+family's sinc) the ``oscillation`` hint switches the part beyond
+xi = 1 to integration between consecutive zeros with
 repeated-averaging (Euler) acceleration, accurate to ~1e-11 even at
 Re(gamma) close to 1.  Whenever any order's error estimate exceeds
 ``tol`` a :class:`QuadratureError` naming that order is raised.
@@ -43,11 +59,19 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .distributions import DistributionSpec, exact_cf, exact_pdf
 from .errors import DomainError, PoleError, StripError
-from .quadrature import Estimate, integrate, require
+from .moments import GridParams, half_line_integrals
+from .quadrature import Estimate, require
 from .special import complex_gamma, sign_value
 
 ComplexFunc = Callable[[np.ndarray], np.ndarray]
+
+# error target of every operator value
+_TOL = 1e-7
+# error target of the density-quadrature oracle, as in moment_quadrature
+_ORACLE_TOL = 1e-9
+_SIDES = ("plus", "minus")
 
 
 # ----------------------------------------------------------------------
@@ -64,11 +88,6 @@ def _shaped(gamma, values: np.ndarray):
     return complex(values[0]) if np.ndim(gamma) == 0 else values
 
 
-def _power(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    # x^p for every exponent (rows) and abscissa (columns), x > 0
-    return np.exp(np.multiply.outer(exponents, np.log(x)))
-
-
 def _require_unit_strip(gamma: np.ndarray, what: str) -> None:
     outside = ~((gamma.real > 0.0) & (gamma.real < 1.0))
     if outside.any():
@@ -76,6 +95,63 @@ def _require_unit_strip(gamma: np.ndarray, what: str) -> None:
             f"{what} implemented for 0 < Re(gamma) < 1 only, "
             f"got {complex(gamma[outside][0])}"
         )
+
+
+# ----------------------------------------------------------------------
+# the shared integrals
+# ----------------------------------------------------------------------
+
+
+def _half_line(
+    f: ComplexFunc, lo: float, hi: float, side: str, order,
+    oscillation: float | None = None,
+) -> Estimate:
+    # int_lo^hi xi^(-order) f(-s xi) d xi with 0 <= lo < hi: the half
+    # of half_line_integrals on which f(-s xi) lies
+    if sign_value(side) > 0:
+        halves = half_line_integrals(f, (-hi, -lo), order, oscillation=oscillation)
+        return halves.negative
+    return half_line_integrals(f, (lo, hi), order, oscillation=oscillation).positive
+
+
+def _fractional_integral(mellin: Estimate, gamma, tol: float) -> np.ndarray:
+    # the Mellin integral over Gamma(gamma), held to tol
+    gam = complex_gamma(gamma)
+    result = Estimate(mellin.value / gam, mellin.error / np.abs(gam))
+    require(result, tol, "fractional integral",
+            np.broadcast_to(gamma, result.error.shape))
+    return result.value
+
+
+def _marchaud(
+    cf: ComplexFunc, gamma: np.ndarray, side: str, tol: float,
+    oscillation: float | None,
+) -> np.ndarray:
+    c0 = complex(cf(0.0))
+    head = _half_line(lambda t: c0 - cf(t), 0.0, 1.0, side, 1.0 + gamma)
+    tail = _half_line(cf, 1.0, math.inf, side, 1.0 + gamma, oscillation)
+    front = gamma / complex_gamma(1.0 - gamma)
+    result = Estimate(
+        front * (head.value + c0 / gamma - tail.value),
+        (head.error + tail.error) * np.abs(front),
+    )
+    require(result, tol, "Marchaud derivative", gamma)
+    return result.value
+
+
+def _cosine_normaliser(gamma: np.ndarray) -> np.ndarray:
+    cos_half = np.cos(math.pi * gamma / 2.0)
+    vanishing = np.abs(cos_half) <= 1e-12
+    if vanishing.any():
+        raise PoleError(
+            "Riesz normaliser 2 cos(pi gamma / 2) vanishes at gamma = "
+            f"{complex(gamma[vanishing][0])}"
+        )
+    return 2.0 * cos_half
+
+
+def _riesz(plus: np.ndarray, minus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    return (plus + minus) / _cosine_normaliser(gamma)
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +164,7 @@ def rl_integral_at_zero(
     gamma,
     side: str,
     *,
-    tol: float = 1e-7,
+    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Fractional integral of order ``gamma`` of ``cf``, evaluated at 0.
@@ -103,15 +179,8 @@ def rl_integral_at_zero(
     """
     g = _orders(gamma)
     _require_unit_strip(g, "fractional integral")
-    s = sign_value(side)
-    raw = integrate(
-        lambda xi: _power(xi, g - 1.0) * cf(-s * xi),
-        0.0, math.inf, oscillation=oscillation,
-    )
-    gam = complex_gamma(g)
-    result = Estimate(raw.value / gam, raw.error / np.abs(gam))
-    require(result, tol, "fractional integral", g)
-    return _shaped(gamma, result.value)
+    mellin = _half_line(cf, 0.0, math.inf, side, 1.0 - g, oscillation)
+    return _shaped(gamma, _fractional_integral(mellin, g, tol))
 
 
 def marchaud_derivative_at_zero(
@@ -119,7 +188,7 @@ def marchaud_derivative_at_zero(
     gamma,
     side: str,
     *,
-    tol: float = 1e-7,
+    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Marchaud fractional derivative of ``cf`` at 0, order in (0, 1).
@@ -133,40 +202,14 @@ def marchaud_derivative_at_zero(
     """
     g = _orders(gamma)
     _require_unit_strip(g, "Marchaud derivative")
-    s = sign_value(side)
-    c0 = complex(cf(0.0))
-    head = integrate(
-        lambda xi: (c0 - cf(-s * xi)) * _power(xi, -1.0 - g), 0.0, 1.0
-    )
-    tail = integrate(
-        lambda xi: cf(-s * xi) * _power(xi, -1.0 - g),
-        1.0, math.inf, oscillation=oscillation,
-    )
-    front = g / complex_gamma(1.0 - g)
-    result = Estimate(
-        front * (head.value + c0 / g - tail.value),
-        (head.error + tail.error) * np.abs(front),
-    )
-    require(result, tol, "Marchaud derivative", g)
-    return _shaped(gamma, result.value)
-
-
-def _cosine_normaliser(gamma: np.ndarray) -> np.ndarray:
-    cos_half = np.cos(math.pi * gamma / 2.0)
-    vanishing = np.abs(cos_half) <= 1e-12
-    if vanishing.any():
-        raise PoleError(
-            "Riesz normaliser 2 cos(pi gamma / 2) vanishes at gamma = "
-            f"{complex(gamma[vanishing][0])}"
-        )
-    return 2.0 * cos_half
+    return _shaped(gamma, _marchaud(cf, g, side, tol, oscillation))
 
 
 def riesz_derivative_at_zero(
     cf: ComplexFunc,
     gamma,
     *,
-    tol: float = 1e-7,
+    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Riesz fractional derivative of ``cf`` at 0: the two Marchaud
@@ -176,35 +219,29 @@ def riesz_derivative_at_zero(
     of X.
     """
     g = _orders(gamma)
-    norm = _cosine_normaliser(g)
-    plus = marchaud_derivative_at_zero(
-        cf, g, "plus", tol=tol, oscillation=oscillation
+    plus, minus = (
+        marchaud_derivative_at_zero(cf, g, side, tol=tol, oscillation=oscillation)
+        for side in _SIDES
     )
-    minus = marchaud_derivative_at_zero(
-        cf, g, "minus", tol=tol, oscillation=oscillation
-    )
-    return _shaped(gamma, -(plus + minus) / norm)
+    return _shaped(gamma, -_riesz(plus, minus, g))
 
 
 def riesz_integral_at_zero(
     cf: ComplexFunc,
     gamma,
     *,
-    tol: float = 1e-7,
+    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Riesz fractional integral of ``cf`` at 0: both one-sided
     integrals over 2 cos(pi gamma / 2); equals E[|X|^(-gamma)] for a CF.
     """
     g = _orders(gamma)
-    norm = _cosine_normaliser(g)
-    plus = rl_integral_at_zero(
-        cf, g, "plus", tol=tol, oscillation=oscillation
+    plus, minus = (
+        rl_integral_at_zero(cf, g, side, tol=tol, oscillation=oscillation)
+        for side in _SIDES
     )
-    minus = rl_integral_at_zero(
-        cf, g, "minus", tol=tol, oscillation=oscillation
-    )
-    return _shaped(gamma, (plus + minus) / norm)
+    return _shaped(gamma, _riesz(plus, minus, g))
 
 
 def mellin_forward(
@@ -212,14 +249,15 @@ def mellin_forward(
     gamma,
     side: str,
     *,
-    tol: float = 1e-7,
+    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Forward Mellin transform int_0^inf xi^(gamma-1) f(-s xi) d xi.
 
-    Differs from :func:`rl_integral_at_zero` exactly by the Gamma(gamma)
-    factor — the two-path agreement is one of the module's tested
-    identities.  The universal lower strip edge Re(gamma) > 0 is
+    This is the integral J_s that :func:`rl_integral_at_zero` divides
+    by Gamma(gamma), so the identity suite's ``mellin_two_path`` row
+    checks that normalisation of one shared integral, not a second
+    quadrature.  The universal lower strip edge Re(gamma) > 0 is
     enforced here; convergence at the upper end depends on the decay of
     ``f`` and is reported through the quadrature error estimate instead.
     """
@@ -229,13 +267,72 @@ def mellin_forward(
             f"Mellin transform needs Re(gamma) > 0, "
             f"got {complex(g[~(g.real > 0.0)][0])}"
         )
-    s = sign_value(side)
-    result = integrate(
-        lambda xi: _power(xi, g - 1.0) * f(-s * xi),
-        0.0, math.inf, oscillation=oscillation,
-    )
+    result = _half_line(f, 0.0, math.inf, side, 1.0 - g, oscillation)
     require(result, tol, "Mellin transform", g)
     return _shaped(gamma, result.value)
+
+
+# ----------------------------------------------------------------------
+# identity suite
+# ----------------------------------------------------------------------
+
+
+def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, float]:
+    """Check every operator on the exact CF of ``spec`` against moments
+    by quadrature of its density, on the nodes of ``params``.
+
+    Returns the rows ``rl_integral_plus``, ``rl_integral_minus``,
+    ``marchaud_plus``, ``marchaud_minus``, ``riesz_derivative``,
+    ``riesz_integral`` and ``mellin_two_path``, each the maximum over
+    the nodes of |got - want| / (1 + |want|).  The oracle is the pair
+    of :func:`~fracmom.moments.half_line_integrals` passes at
+    u^(-gamma) and u^(+gamma); each signed and absolute moment drawn
+    from them must meet 1e-9.  Each operator integral (J_+, J_-, and
+    the Marchaud K_+, K_-) is integrated once and must meet the
+    operators' 1e-7.  The Riesz rows combine the one-sided values, and
+    ``mellin_two_path`` compares J_- with Gamma(gamma) times the
+    fractional integral made from it.  A missed target raises
+    :class:`QuadratureError`.
+    """
+    cf = lambda t: exact_cf(spec, t)  # noqa: E731
+    pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
+    osc = spec.params["a"] if spec.family == "uniform" else None
+    g = params.nodes()
+
+    # Independent oracle: quadrature of the density.  The half-line
+    # integrals of u^(-g) and u^(+g) give all four signed moments and
+    # both absolute ones; none of their error estimates is dropped.
+    below = half_line_integrals(pdf, spec.support, g)
+    above = half_line_integrals(pdf, spec.support, -g)
+
+    def oracle(estimate: Estimate) -> np.ndarray:
+        require(estimate, _ORACLE_TOL, "moment quadrature", g)
+        return estimate.value
+
+    mom = {side: oracle(below.signed(g, side)) for side in _SIDES}
+    dmom = {side: oracle(above.signed(-g, side)) for side in _SIDES}
+    abs_plus = oracle(above.absolute())  # E|X|^g
+    abs_minus = oracle(below.absolute())  # E|X|^(-g)
+
+    _require_unit_strip(g, "fractional integral")
+    mellin = {
+        side: _half_line(cf, 0.0, math.inf, side, 1.0 - g, osc) for side in _SIDES
+    }
+    rl = {side: _fractional_integral(mellin[side], g, _TOL) for side in _SIDES}
+    ma = {side: _marchaud(cf, g, side, _TOL, osc) for side in _SIDES}
+
+    def dev(got: np.ndarray, want: np.ndarray) -> float:
+        return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
+
+    rows = {f"rl_integral_{side}": dev(rl[side], mom[side]) for side in _SIDES}
+    rows.update({f"marchaud_{side}": dev(ma[side], dmom[side]) for side in _SIDES})
+    rows["riesz_derivative"] = dev(-_riesz(ma["plus"], ma["minus"], g), -abs_plus)
+    rows["riesz_integral"] = dev(_riesz(rl["plus"], rl["minus"], g), abs_minus)
+    j = mellin["minus"]
+    require(j, _TOL, "Mellin transform", g)
+    two_path = np.abs(j.value - complex_gamma(g) * rl["minus"])
+    rows["mellin_two_path"] = float(np.max(two_path / (1.0 + np.abs(j.value))))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -257,15 +354,14 @@ _NESTED_CHUNK = 256
 
 def _weyl_integral(g: complex, func: ComplexFunc, y, s: int) -> np.ndarray:
     # (I^g func)(y) = 1/Gamma(g) int_0^inf u^(g-1) func(y - s u) du,
-    # for every entry of the array y at once
+    # for every entry of the array y at once, held to the operators' tol
     y = np.asarray(y, dtype=float)
     if g == 0:
         return np.asarray(func(y), dtype=complex)
-    raw = integrate(
-        lambda u: np.exp((g - 1.0) * np.log(u)) * func(y[..., None] - s * u),
-        0.0, math.inf,
+    halves = half_line_integrals(
+        lambda v: func(y[..., None] - s * v), (0.0, math.inf), 1.0 - g
     )
-    return raw.value / complex_gamma(g)
+    return _fractional_integral(halves.positive, g, _TOL)
 
 
 def composition_check(
@@ -282,8 +378,11 @@ def composition_check(
     Order zero means the identity operator, so ``gamma2 = 0`` produces a
     deviation of exactly zero by construction (both paths evaluate the
     same integral).  The nested path re-integrates the inner operator
-    at every outer abscissa, in blocks of evaluation points.  The
-    reported deviation includes the quadrature error of both paths.
+    at every outer abscissa, in blocks of evaluation points.  Every
+    engine result (the direct integral, the outer nested one and each
+    inner block) must meet the operators' error target of 1e-7, or
+    :class:`QuadratureError` is raised; the deviation itself carries
+    no error estimate.
     """
     gamma1, gamma2 = complex(gamma1), complex(gamma2)
     if gamma1.real < 0.0 or gamma2.real < 0.0:

@@ -56,8 +56,8 @@ class GridParams:
 
     def __post_init__(self):
         sign_value(self.sign)  # validates
-        if not self.delta > 0.0:
-            raise ArgumentError("delta must be > 0")
+        if not 0.0 < self.delta < math.inf:
+            raise ArgumentError("delta must be finite and > 0")
         if self.m < 1:
             raise ArgumentError("m must be >= 1")
         if not math.isfinite(self.rho):
@@ -131,10 +131,18 @@ def half_line_integrals(
     pdf: Callable[[np.ndarray], np.ndarray],
     support: tuple[float, float],
     gamma,
+    *,
+    oscillation: float | None = None,
 ) -> HalfLineIntegrals:
     """Both half-line integrals of u^(-gamma) pdf(+/-u), one engine call
     per half of the support that is not empty; ``gamma`` may be a
-    scalar or an array of orders, and ``pdf`` is called on arrays."""
+    scalar or an array of orders, and ``pdf`` is called on arrays.
+
+    ``pdf`` may be any function, not only a density: the fractional
+    operators pass a characteristic function and a ``support`` that
+    marks the stretch of one half-line they need.  ``oscillation`` is
+    handed to :func:`~fracmom.quadrature.integrate`.
+    """
     g = np.asarray(gamma, dtype=complex)
     lo, hi = support
     halves = []
@@ -148,7 +156,9 @@ def half_line_integrals(
 
     for a, b, orient in ((max(lo, 0.0), hi, 1.0), (max(0.0, -hi), -lo, -1.0)):
         if b > a:
-            halves.append(integrate(lambda u: integrand(u, orient), a, b))
+            halves.append(integrate(
+                lambda u: integrand(u, orient), a, b, oscillation=oscillation
+            ))
         else:
             zero = np.zeros(g.shape)
             halves.append(Estimate(zero + 0j, zero))

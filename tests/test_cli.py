@@ -117,6 +117,21 @@ def test_moments_cauchy_large_m(capsys):
     assert len(rows) == 1 + 2601  # header + 2m+1 rows
 
 
+def test_moments_infinite_delta_is_validation(capsys):
+    """delta = inf used to pass GridParams, warn in nodes() and then
+    fail with a misleading Re(gamma) = nan strip error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(
+            ["moments", "--family", "cauchy", "--delta", "inf", "--m", "1"],
+            capsys,
+        )
+    assert code == 1
+    assert out == ""
+    assert err == "error: delta must be finite and > 0\n"
+    assert caught == []
+
+
 def test_dist_config_file(tmp_path, capsys):
     cfg = tmp_path / "dist.json"
     cfg.write_text(json.dumps({"family": "rayleigh", "params": {"sigma": 2.0}}))

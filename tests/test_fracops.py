@@ -12,16 +12,22 @@ import warnings
 import numpy as np
 import pytest
 
-from fracmom.distributions import closed_form_moment, exact_cf, make_spec
+from fracmom import quadrature
+from fracmom.cli import main
+from fracmom.distributions import closed_form_moment, exact_cf, exact_pdf, make_spec
 from fracmom.errors import DomainError, QuadratureError, StripError
 from fracmom.fracops import (
     composition_check,
+    identity_suite,
     marchaud_derivative_at_zero,
     mellin_forward,
     riesz_derivative_at_zero,
     riesz_integral_at_zero,
     rl_integral_at_zero,
 )
+from fracmom.moments import GridParams, half_line_integrals, moment_quadrature
+from fracmom.quadrature import integrate
+from fracmom.special import complex_gamma, sign_value
 
 UNIFORM = make_spec("uniform", a=2.0)
 RAYLEIGH = make_spec("rayleigh", sigma=2.0)
@@ -238,6 +244,14 @@ def test_composition_gaussian_cf():
     assert rep.max_deviation <= 1e-6
 
 
+def test_composition_reports_unreachable_error_target():
+    """cos never decays, so the Weyl integrals of order 0.5 cannot
+    converge; their estimates are checked instead of dropped."""
+    with pytest.raises(QuadratureError) as info:
+        composition_check(0.2, 0.3, np.cos, points=(0.0, 0.5))
+    assert info.value.achieved > 1e-7
+
+
 def test_composition_validation():
     with pytest.raises(DomainError):
         composition_check(-0.1, 0.3, lambda u: np.exp(-u))
@@ -261,3 +275,140 @@ def test_side_pairing_consistency():
     assert abs(p - m) > 0.1  # genuinely distinct
     assert abs(p - cp) <= 1e-8 and abs(m - cm) <= 1e-8
     assert abs(p - cm) > 0.1 and abs(m - cp) > 0.1
+
+
+# ----------------------------------------------------------------------
+# shared integrals against direct integrands, and the identity suite
+# ----------------------------------------------------------------------
+
+# the benchmark's families and grid
+_FAMILIES = {
+    "uniform": {"a": 2.0},
+    "rayleigh": {"sigma": 2.0},
+    "cauchy": {},
+    "levy": {},
+    "gaussian": {"mu": 2.0, "sigma": 1.0},
+}
+_GRID = GridParams(rho=0.4, delta=0.4, m=5)
+
+
+def _family(name):
+    spec = make_spec(name, **_FAMILIES[name])
+    cf = lambda t: exact_cf(spec, t)  # noqa: E731
+    osc = spec.params["a"] if name == "uniform" else None
+    return spec, cf, osc
+
+
+def _power(x, exponents):
+    return np.exp(np.multiply.outer(exponents, np.log(x)))
+
+
+def _direct_mellin(f, g, side, osc):
+    s = sign_value(side)
+    return integrate(
+        lambda xi: _power(xi, g - 1.0) * f(-s * xi),
+        0.0, math.inf, oscillation=osc,
+    ).value
+
+
+def _direct_marchaud(cf, g, side, osc):
+    s = sign_value(side)
+    c0 = complex(cf(0.0))
+    head = integrate(lambda xi: (c0 - cf(-s * xi)) * _power(xi, -1.0 - g), 0.0, 1.0)
+    tail = integrate(
+        lambda xi: cf(-s * xi) * _power(xi, -1.0 - g),
+        1.0, math.inf, oscillation=osc,
+    )
+    front = g / complex_gamma(1.0 - g)
+    return front * (head.value + c0 / g - tail.value)
+
+
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_operators_match_direct_integrands(name):
+    """Every operator on the shared half-line integrals equals the same
+    operator built on its own integrand, one engine call per part."""
+    _, cf, osc = _family(name)
+    g = _GRID.nodes()
+    norm = 2.0 * np.cos(math.pi * g / 2.0)
+    gam = complex_gamma(g)
+    rl, ma = {}, {}
+    for side in ("plus", "minus"):
+        mellin = _direct_mellin(cf, g, side, osc)
+        rl[side] = mellin / gam
+        ma[side] = _direct_marchaud(cf, g, side, osc)
+        got = mellin_forward(cf, g, side, oscillation=osc)
+        assert _close(got, mellin), side
+        got = rl_integral_at_zero(cf, g, side, oscillation=osc)
+        assert _close(got, rl[side]), side
+        got = marchaud_derivative_at_zero(cf, g, side, oscillation=osc)
+        assert _close(got, ma[side]), side
+    got = riesz_derivative_at_zero(cf, g, oscillation=osc)
+    assert _close(got, -(ma["plus"] + ma["minus"]) / norm)
+    got = riesz_integral_at_zero(cf, g, oscillation=osc)
+    assert _close(got, (rl["plus"] + rl["minus"]) / norm)
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_identity_suite_matches_public_operators(name):
+    """The suite's rows are the deviations of the public operators from
+    quadrature moments, each transform integrated once."""
+    spec, cf, osc = _family(name)
+    g = _GRID.nodes()
+    pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
+
+    def dev(got, want):
+        return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
+
+    want = {}
+    for side in ("plus", "minus"):
+        got = rl_integral_at_zero(cf, g, side, oscillation=osc)
+        want[f"rl_integral_{side}"] = dev(
+            got, moment_quadrature(pdf, spec.support, g, side)
+        )
+    for side in ("plus", "minus"):
+        got = marchaud_derivative_at_zero(cf, g, side, oscillation=osc)
+        want[f"marchaud_{side}"] = dev(
+            got, moment_quadrature(pdf, spec.support, -g, side)
+        )
+    abs_plus = half_line_integrals(pdf, spec.support, -g).absolute().value
+    abs_minus = half_line_integrals(pdf, spec.support, g).absolute().value
+    got = riesz_derivative_at_zero(cf, g, oscillation=osc)
+    want["riesz_derivative"] = dev(got, -abs_plus)
+    got = riesz_integral_at_zero(cf, g, oscillation=osc)
+    want["riesz_integral"] = dev(got, abs_minus)
+    me = mellin_forward(cf, g, "minus", oscillation=osc)
+    rl = rl_integral_at_zero(cf, g, "minus", oscillation=osc)
+    want["mellin_two_path"] = float(
+        np.max(np.abs(me - complex_gamma(g) * rl) / (1.0 + np.abs(me)))
+    )
+
+    rows = identity_suite(spec, _GRID)
+    assert list(rows) == list(want)
+    for row, value in want.items():
+        assert abs(rows[row] - value) <= 1e-15, row
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_verify_integrates_each_transform_once(name, monkeypatch, capsys):
+    """Oracle (2 passes), J+/-, and the Marchaud head and tail per side:
+    one panel sequence per finite part, two per half-line."""
+    calls = []
+    for attr in ("_panel_sequence", "_oscillatory"):
+        real = getattr(quadrature, attr)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, attr, counted)
+    argv = ["verify", "--family", name, "--rho", "0.4", "--delta", "0.4",
+            "--m", "5", "--sign", "minus"]
+    for key, value in _FAMILIES[name].items():
+        argv += ["--param", f"{key}={value:g}"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("PASS") == 7
+    assert len(calls) == (16 if name in ("cauchy", "gaussian") else 12)

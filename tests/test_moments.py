@@ -62,6 +62,7 @@ def test_grid_params_nodes():
         dict(rho=0.4, delta=-0.1, m=3),
         dict(rho=0.4, delta=0.4, m=0),
         dict(rho=0.4, delta=0.4, m=3, sign="up"),
+        dict(rho=0.4, delta=math.inf, m=3),
     ],
 )
 def test_grid_params_validation(kwargs):

@@ -1,0 +1,37 @@
+"""Smoke tests of the scripts in ``scripts/``: each runs through its
+``run()`` entry point, so a library change that breaks a script fails
+here rather than at its next manual run."""
+
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run_script(name, argv, capsys):
+    run = runpy.run_path(str(SCRIPTS / name))["run"]
+    code = run(argv)
+    return code, capsys.readouterr().out
+
+
+def test_identity_report_one_family(capsys):
+    code, out = _run_script(
+        "identity_report.py", ["--family", "cauchy", "--m", "2"], capsys
+    )
+    assert code == 0
+    assert out.startswith("=== cauchy ===\nidentity suite: cauchy")
+    rows = [l for l in out.splitlines() if l.startswith("  ")]
+    assert len(rows) == 7
+    assert all(l.endswith("PASS") for l in rows)
+
+
+def test_delta_sweep_two_spacings(capsys):
+    code, out = _run_script(
+        "delta_sweep.py", ["--deltas", "0.4,0.2", "--thetas", "1,5"], capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("family: uniform(a=2)")
+    rows = lines[3:]
+    assert [r.split()[:2] for r in rows] == [["0.4", "26"], ["0.2", "52"]]
+    assert all(len(r.split()) == 5 for r in rows)
