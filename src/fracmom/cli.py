@@ -59,6 +59,8 @@ _METHODS = {"closed": "closed_form", "quad": "quadrature", "mc": "monte_carlo"}
 
 _IDENTITY_TOL = 1e-4
 
+_RANGE_CAP = 1_000_000
+
 _FIGURE_TABLE = """\
 figure parameters (all grids rho=0.4, delta=0.4, sign=minus unless noted):
   fig3a   uniform(a=2)    classical Taylor order 8      theta 0.1..10 step 0.05
@@ -188,8 +190,8 @@ def _parse_range(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise ArgumentError(f"--range has non-numeric pieces: {text!r}") from None
-    if count < 2:
-        raise ArgumentError("--range needs count >= 2")
+    if not 2 <= count <= _RANGE_CAP:
+        raise ArgumentError(f"--range needs 2 <= count <= {_RANGE_CAP}")
     if not hi > lo:
         raise ArgumentError("--range needs hi > lo")
     points = np.linspace(lo, hi, count)
@@ -354,34 +356,27 @@ def _cmd_figures(config: RunConfig) -> int:
     print(f"fig3a.csv  n={cf_range.size}  "
           f"max_abs_err={float(np.max(np.abs(taylor - ref))):.6e}")
 
-    def cf_figure(name: str, spec: DistributionSpec, rho: float,
-                  points: np.ndarray, panels: tuple[str, ...] = ("",)):
-        grid = make_grid(spec, GridParams(rho=rho, delta=0.4, m=25, sign="minus"))
-        curve = sample_curve(grid, "cf", points, exact_spec=spec)
-        for panel in panels:
-            suffix = panel if panel else ""
-            label = {"a": "real", "b": "imag"}.get(panel)
-            curve_csv(f"{name}{suffix}", curve, spec.family, panel=label)
-
-    fig3b_range = np.round(np.arange(0.1, 20.0 + 1e-9, 0.1), 10)
-    cf_figure("fig3b", uni, 0.4, fig3b_range)
-    cf_figure("fig4", DistributionSpec("rayleigh", {"sigma": 2.0}), 0.4,
-              cf_range, panels=("a", "b"))
-    cf_figure("fig5", DistributionSpec("cauchy"), 0.4, cf_range)
-    cf_figure("fig6", DistributionSpec("levy"), 0.9, cf_range, panels=("a", "b"))
-
-    def pdf_figure(name: str, spec: DistributionSpec, m: int, lo: float,
-                   hi: float, step: float):
+    def figure(name: str, kind: str, spec: DistributionSpec, lo: float,
+               hi: float, step: float, m: int = 25, rho: float = 0.4,
+               panels: tuple[str, ...] = ("",)):
         points = np.round(np.arange(lo, hi + 1e-9, step), 10)
         points = points[points != 0.0]
-        grid = make_grid(spec, GridParams(rho=0.4, delta=0.4, m=m, sign="minus"))
-        curve = sample_curve(grid, "pdf", points, exact_spec=spec)
-        curve_csv(name, curve, spec.family)
+        grid = make_grid(spec, GridParams(rho=rho, delta=0.4, m=m, sign="minus"))
+        curve = sample_curve(grid, kind, points, exact_spec=spec)
+        for panel in panels:
+            label = {"a": "real", "b": "imag"}.get(panel)
+            curve_csv(f"{name}{panel}", curve, spec.family, panel=label)
 
-    pdf_figure("fig7", DistributionSpec("gaussian", {"mu": 2.0, "sigma": 1.0}),
-               30, -2.0, 6.0, 0.05)
-    pdf_figure("fig8", DistributionSpec("cauchy"), 10, -10.0, 10.0, 0.1)
-    pdf_figure("fig9", DistributionSpec("levy"), 10, 0.1, 10.0, 0.05)
+    rayleigh = DistributionSpec("rayleigh", {"sigma": 2.0})
+    gaussian = DistributionSpec("gaussian", {"mu": 2.0, "sigma": 1.0})
+    figure("fig3b", "cf", uni, 0.1, 20.0, 0.1)
+    figure("fig4", "cf", rayleigh, 0.1, 10.0, 0.05, panels=("a", "b"))
+    figure("fig5", "cf", DistributionSpec("cauchy"), 0.1, 10.0, 0.05)
+    figure("fig6", "cf", DistributionSpec("levy"), 0.1, 10.0, 0.05, rho=0.9,
+           panels=("a", "b"))
+    figure("fig7", "pdf", gaussian, -2.0, 6.0, 0.05, m=30)
+    figure("fig8", "pdf", DistributionSpec("cauchy"), -10.0, 10.0, 0.1, m=10)
+    figure("fig9", "pdf", DistributionSpec("levy"), 0.1, 10.0, 0.05, m=10)
     return 0
 
 

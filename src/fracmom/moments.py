@@ -37,7 +37,9 @@ from .special import sign_value
 
 GRID_METHODS = ("closed_form", "quadrature", "monte_carlo")
 
-_TRUNCATION_CAP = 10_000
+# the largest grid half-width: GridParams rejects a larger m, and the
+# truncation search answers capped here
+_M_CAP = 10_000
 
 
 # ----------------------------------------------------------------------
@@ -58,8 +60,8 @@ class GridParams:
         sign_value(self.sign)  # validates
         if not 0.0 < self.delta < math.inf:
             raise ArgumentError("delta must be finite and > 0")
-        if self.m < 1:
-            raise ArgumentError("m must be >= 1")
+        if not 1 <= self.m <= _M_CAP:
+            raise ArgumentError(f"m must be between 1 and {_M_CAP}")
         if not math.isfinite(self.rho):
             raise ArgumentError("rho must be finite")
 
@@ -259,7 +261,6 @@ def make_grid(
     method: str = "closed_form",
     *,
     samples=None,
-    tol: float = 1e-9,
 ) -> MomentGrid:
     """Tabulate the moment grid by one of the three estimators.
 
@@ -284,7 +285,7 @@ def make_grid(
     else:
         values = moment_quadrature(
             lambda x: exact_pdf(spec, x), spec.support, params.nodes(),
-            params.sign, tol=tol,
+            params.sign,
         )
     return MomentGrid(params, values)
 
@@ -425,14 +426,14 @@ def suggest_truncation(
 
     # The envelope decays like e^(-pi m delta / 2); if even the cap
     # endpoint misses the target, searching below it cannot help.
-    if not reached(_TRUNCATION_CAP):
-        return TruncationSuggestion(_TRUNCATION_CAP, True)
+    if not reached(_M_CAP):
+        return TruncationSuggestion(_M_CAP, True)
 
     # gallop until reached(hi) is not False, which the cap guarantees;
     # reached(lo) stays False (lo = 0: nothing tried yet)
     lo, hi, found = 0, 1, reached(1)
     while found is False:
-        lo, hi = hi, min(2 * hi, _TRUNCATION_CAP)
+        lo, hi = hi, min(2 * hi, _M_CAP)
         found = reached(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -443,7 +444,7 @@ def suggest_truncation(
             hi, found = mid, outcome
     if found:
         return TruncationSuggestion(hi, False)
-    return TruncationSuggestion(_TRUNCATION_CAP, True)
+    return TruncationSuggestion(_M_CAP, True)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,16 @@ with the signed-power branch of :func:`fracmom.special.signed_complex_power`.
 Both series are singular at the origin — the origin is rejected, not
 patched.
 
+The two series are one computation.  Per kind only the weight factor
+(Gamma(gamma_k), or the reflection product Gamma(gamma_k) Gamma(1-gamma_k)),
+the kernel and the scale differ; the weighted kernel sum is shared.  The
+CF kernel is evaluated at |theta| for every point, and points on the
+grid's far half-axis take the complex conjugate (the Hermitian fold), so
+cf(-theta) = conj(cf(theta)) holds bit for bit.  Each point's sum is its
+own row reduction: a point's value does not depend on the other points
+evaluated with it, and :func:`cf_series` / :func:`pdf_series` at a point
+equal :func:`sample_curve` at that point in any batch, bit for bit.
+
 Two classical baselines complete the module: the integer-moment Taylor
 expansion of the CF (which visibly diverges for heavy tails — the
 motivating failure mode) and the residue partial sum for the standard
@@ -43,35 +53,6 @@ from .distributions import DistributionSpec, exact_cf, exact_pdf
 from .errors import ArgumentError, DomainError, UnsupportedError
 from .moments import GridParams, MomentGrid
 from .special import complex_gamma, reflection_product, signed_complex_power
-
-# ----------------------------------------------------------------------
-# series weights and kernels
-# ----------------------------------------------------------------------
-
-
-def _cf_weights(grid: MomentGrid) -> np.ndarray:
-    return complex_gamma(grid.params.nodes()) * grid.values
-
-
-def _pdf_weights(grid: MomentGrid) -> np.ndarray:
-    return reflection_product(grid.params.nodes()) * grid.values
-
-
-def _cf_sum(grid: MomentGrid, weights: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # direct branch: |theta|^(-gamma_k), valid on the grid's own half-axis
-    nodes = grid.params.nodes()
-    log_t = np.log(np.abs(theta))
-    kernel = np.exp(-np.outer(log_t, nodes))
-    return (grid.params.delta / (2.0 * math.pi)) * kernel @ weights
-
-
-def _pdf_sum_complex(
-    grid: MomentGrid, weights: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    # (i x)^(gamma_k - 1) on the plus branch of the signed power
-    kernel = signed_complex_power(x[:, None], grid.params.nodes() - 1.0, "plus")
-    return (grid.params.delta / (2.0 * math.pi**2)) * kernel @ weights
-
 
 # ----------------------------------------------------------------------
 # scalar series evaluation
@@ -202,15 +183,24 @@ class CurveResult:
 
 
 def _series(grid: MomentGrid, kind: str, x: np.ndarray) -> np.ndarray:
-    if kind == "pdf":
-        return _pdf_sum_complex(grid, _pdf_weights(grid), x)
-    weights = _cf_weights(grid)
-    direct = (x > 0.0) if grid.params.sign == "minus" else (x < 0.0)
-    values = np.empty(x.size, dtype=complex)
-    if np.any(direct):
-        values[direct] = _cf_sum(grid, weights, x[direct])
-    if np.any(~direct):
-        values[~direct] = np.conj(_cf_sum(grid, weights, -x[~direct]))
+    p = grid.params
+    nodes = p.nodes()
+    if kind == "cf":
+        factor, scale = complex_gamma(nodes), p.delta / (2.0 * math.pi)
+        # |theta|^(-gamma_k): the grid's own half-axis, at every point
+        kernel = np.multiply.outer(-np.log(np.abs(x)), nodes)
+        np.exp(kernel, out=kernel)
+    else:
+        factor, scale = reflection_product(nodes), p.delta / (2.0 * math.pi**2)
+        # (i x)^(gamma_k - 1) on the plus branch of the signed power
+        kernel = signed_complex_power(x[:, None], nodes - 1.0, "plus")
+    # an in-place product and a row sum: no second points x nodes array,
+    # and no BLAS call whose summation order depends on the batch
+    weights = scale * factor * grid.values
+    values = np.multiply(kernel, weights, out=kernel).sum(axis=1)
+    if kind == "cf":
+        mirrored = (x < 0.0) if p.sign == "minus" else (x > 0.0)
+        values = np.where(mirrored, np.conj(values), values)
     return values
 
 
@@ -220,28 +210,21 @@ def sample_curve(
     abscissae: Sequence[float],
     exact_spec: DistributionSpec | None = None,
 ) -> CurveResult:
-    """Evaluate the CF or PDF series on an array of points.
+    """Evaluate the CF or PDF series on a one-dimensional array of points.
 
     Points must exclude the origin.  When ``exact_spec`` is given, the
     matching exact curve and pointwise absolute errors are attached.
-    An empty abscissae array produces an empty result.  A series that
+    An empty abscissae array produces an empty result (the grid is
+    still checked).  A point's value does not depend on the other
+    points in ``abscissae``.  A series that
     is not finite at some point (its weights or kernel left double
     range) raises :class:`DomainError` naming the first such point.
     """
     if kind not in ("cf", "pdf"):
         raise ArgumentError(f"kind must be 'cf' or 'pdf', got {kind!r}")
     x = np.asarray(abscissae, dtype=float)
-    if x.size == 0:
-        empty_c = np.empty(0, dtype=complex)
-        return CurveResult(
-            abscissae=x,
-            values=empty_c,
-            exact=empty_c if exact_spec is not None else None,
-            abs_err=np.empty(0) if exact_spec is not None else None,
-            params=grid.params,
-            kind=kind,
-            im_max=0.0 if kind == "pdf" else None,
-        )
+    if x.ndim != 1:
+        raise ArgumentError(f"abscissae must be one-dimensional, got shape {x.shape}")
     if np.any(x == 0.0):
         raise DomainError(f"{kind} series is singular at the origin")
     if kind == "pdf" and grid.params.sign != "minus":
@@ -258,7 +241,7 @@ def sample_curve(
     im_max: float | None = None
     values = series
     if kind == "pdf":
-        im_max = float(np.max(np.abs(series.imag)))
+        im_max = float(np.max(np.abs(series.imag), initial=0.0))
         values = series.real.astype(complex)
     exact = None
     if exact_spec is not None:

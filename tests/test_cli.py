@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fracmom.cli import main
+from fracmom.cli import _parse_range, main
+from fracmom.errors import ArgumentError
 
 
 def _run(argv, capsys):
@@ -255,6 +256,25 @@ def test_reconstruct_range_validation(capsys):
         )
         assert code == 1, bad
         assert "error:" in err
+
+
+def test_range_count_cap():
+    # parsing only: no grid and no curve is built at the cap
+    assert _parse_range("1:2:1000000").size == 1_000_000
+    with pytest.raises(ArgumentError, match="count"):
+        _parse_range("1:2:1000001")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reconstruct-cf", "--family", "cauchy", "--range", "1:2:1000001"],
+     ["moments", "--family", "cauchy", "--m", "10001"]],
+)
+def test_caps_give_one_error_line(argv, capsys):
+    # both caps are checked while the arguments are read, before any work
+    code, out, err = _run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_reconstruct_needs_a_distribution(capsys):

@@ -70,6 +70,13 @@ def test_grid_params_validation(kwargs):
         GridParams(**kwargs)
 
 
+def test_grid_params_m_cap():
+    # the truncation search's cap is the largest grid GridParams accepts
+    assert GridParams(rho=0.4, delta=0.4, m=10_000).m == 10_000
+    with pytest.raises(ArgumentError, match="10000"):
+        GridParams(rho=0.4, delta=0.4, m=10_001)
+
+
 def test_moment_grid_shape_check():
     gp = GridParams(rho=0.4, delta=0.4, m=2)
     with pytest.raises(ArgumentError):

@@ -6,6 +6,7 @@ rounding jitter.  Where a value has an independent closed form (the
 residue partial sums, the symmetry properties) it is asserted tightly.
 """
 
+import functools
 import io
 import math
 
@@ -333,6 +334,111 @@ def test_sample_curve_validation():
         sample_curve(grid, "cf", np.array([0.5, 0.0]))
     empty = sample_curve(grid, "cf", np.array([]))
     assert empty.values.size == 0
+
+
+@pytest.mark.parametrize("kind", ["cf", "pdf"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_sample_curve_empty_input(kind, exact):
+    spec = CAUCHY if exact else None
+    curve = sample_curve(_grid(CAUCHY, 5), kind, [], exact_spec=spec)
+    assert curve.abscissae.dtype == float and curve.abscissae.shape == (0,)
+    assert curve.values.dtype == complex and curve.values.shape == (0,)
+    if exact:
+        assert curve.exact.dtype == complex and curve.exact.shape == (0,)
+        assert curve.abs_err.dtype == float and curve.abs_err.shape == (0,)
+    else:
+        assert curve.exact is None and curve.abs_err is None
+    if kind == "pdf":
+        assert type(curve.im_max) is float and curve.im_max == 0.0
+    else:
+        assert curve.im_max is None
+
+
+@pytest.mark.parametrize("kind", ["cf", "pdf"])
+@pytest.mark.parametrize("abscissae", [1.0, [[0.5, 1.0]]])
+def test_sample_curve_rejects_non_vector_points(kind, abscissae):
+    with pytest.raises(ArgumentError, match="one-dimensional"):
+        sample_curve(_grid(CAUCHY, 5), kind, abscissae)
+
+
+def test_sample_curve_empty_pdf_still_checks_the_grid_sign():
+    # no points are no reason to skip the grid check
+    with pytest.raises(ArgumentError):
+        sample_curve(_grid(CAUCHY, 5, sign="plus"), "pdf", [])
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_cf_curve_mirrored_points_are_conjugates(sign):
+    grid = _grid(LEVY, 12, sign=sign)
+    xs = np.array([-7.5, -1.0, -0.3, 0.2, 1.0, 4.0])
+    curve = sample_curve(grid, "cf", xs)
+    mirrored = sample_curve(grid, "cf", -xs)
+    assert np.array_equal(curve.values, np.conj(mirrored.values))
+
+
+# ----------------------------------------------------------------------
+# batch independence: a point's value does not depend on its company
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _widest_grid(spec, sign):
+    return _grid(spec, 300, sign=sign)
+
+
+def _central_grid(spec, sign, m):
+    # the nodes k = -m..m of the m = 300 grid: the grid make_grid builds
+    # at half-width m, without tabulating it again
+    wide = _widest_grid(spec, sign)
+    return MomentGrid(
+        GridParams(rho=0.4, delta=0.4, m=m, sign=sign), wide.values[300 - m : 301 + m]
+    )
+
+
+def _alone(grid, kind, xs):
+    if kind == "cf":
+        return np.array([cf_series(grid, x) for x in xs])
+    return np.array([pdf_series(grid, x) for x in xs])
+
+
+def _in_batch(grid, kind, xs):
+    values = sample_curve(grid, kind, xs).values
+    return values if kind == "cf" else values.real
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_series_value_is_independent_of_the_batch(data):
+    spec = data.draw(st.sampled_from([UNIFORM, RAYLEIGH, CAUCHY, LEVY, GAUSS01]))
+    sign = data.draw(st.sampled_from(["minus", "plus"]))
+    kind = data.draw(st.sampled_from(["cf", "pdf"] if sign == "minus" else ["cf"]))
+    m = data.draw(st.integers(min_value=1, max_value=300))
+    magnitudes = st.floats(min_value=0.05, max_value=50.0)
+    points = st.one_of(magnitudes, magnitudes.map(lambda v: -v))
+    xs = np.array(data.draw(st.lists(points, min_size=2, max_size=12)))
+    order = np.array(data.draw(st.permutations(range(xs.size))))
+    sub = order[: data.draw(st.integers(min_value=1, max_value=xs.size))]
+
+    grid = _central_grid(spec, sign, m)
+    batch = _in_batch(grid, kind, xs)
+    assert np.array_equal(batch, _alone(grid, kind, xs))
+    assert np.array_equal(batch[sub], _in_batch(grid, kind, xs[sub]))
+
+
+def test_levy_cf_wide_grid_is_independent_of_the_batch():
+    # 5001 nodes: a one-row product and a matrix-vector product used to
+    # round differently here
+    grid = _grid(LEVY, 2500, rho=0.9, delta=0.2)
+    xs = np.array([1.0, 5.0, 20.0])
+    assert np.array_equal(_in_batch(grid, "cf", xs), _alone(grid, "cf", xs))
+
+
+def test_cauchy_pdf_figure_points_are_independent_of_the_batch():
+    grid = _grid(CAUCHY, 10)
+    xs = np.round(np.arange(-10.0, 10.0 + 1e-9, 0.1), 10)
+    xs = xs[xs != 0.0]
+    assert xs.size == 200
+    assert np.array_equal(_in_batch(grid, "pdf", xs), _alone(grid, "pdf", xs))
 
 
 def test_curve_csv_roundtrip_text():

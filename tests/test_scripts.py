@@ -35,3 +35,13 @@ def test_delta_sweep_two_spacings(capsys):
     rows = lines[3:]
     assert [r.split()[:2] for r in rows] == [["0.4", "26"], ["0.2", "52"]]
     assert all(len(r.split()) == 5 for r in rows)
+
+
+def test_code_lines_total_is_the_sum_of_the_rows(capsys):
+    code, out = _run_script("code_lines.py", [], capsys)
+    assert code == 0
+    *rows, total = [line.split() for line in out.splitlines()]
+    assert [name for name, _ in rows] == sorted(name for name, _ in rows)
+    assert "reconstruct.py" in {name for name, _ in rows}
+    assert total[0] == "total"
+    assert int(total[1]) == sum(int(n) for _, n in rows) > 0
