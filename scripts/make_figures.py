@@ -16,5 +16,10 @@ import sys
 
 from fracmom.cli import main
 
+
+def run(argv=None):
+    return main(["figures", *(sys.argv[1:] if argv is None else argv)])
+
+
 if __name__ == "__main__":
-    sys.exit(main(["figures", *sys.argv[1:]]))
+    sys.exit(run())

@@ -16,13 +16,16 @@ The moment formulas in closed form:
 * levy:          2^g Gamma(g + 1/2) / sqrt(pi) * exp(-s i g pi/2)
 * gaussian:      split at the origin; each half is a parabolic cylinder
                  function D_{g-1}(±mu/sig) with the half-line phase
-                 exp(∓ s i g pi/2) attached
+                 (s i)^(∓g) attached
 
 The gamma factors decay and the phases grow like exp(pi |Im g| / 2),
 so the Rayleigh and Levy moments are formed as one exponential of
 their logarithm, and the Gaussian one as a single 30-digit mpmath
 expression; each stays finite for as long as the moment itself fits
-in a double.  Only the uniform cosine is evaluated as it stands: it
+in a double.  The phases are exponentials of g times
+Log(s i) = s i pi/2, the branch of :func:`fracmom.special.signed_log`;
+the Gaussian's 30-digit phase t = (s i)^(-g) is the same branch, written
+in mpmath.  Only the uniform cosine is evaluated as it stands: it
 leaves double range near |Im g| = 452, within about 1% of where the
 moment does.
 
@@ -40,6 +43,7 @@ against high-precision arbitrary-precision integration).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -48,7 +52,7 @@ import numpy as np
 from scipy import special as sp_special
 
 from .errors import ArgumentError, DomainError, StripError
-from .special import sign_value
+from .special import sign_value, signed_log
 
 FAMILIES: tuple[str, ...] = ("uniform", "rayleigh", "cauchy", "levy", "gaussian")
 
@@ -126,8 +130,9 @@ class DistributionSpec:
     """Immutable description of one catalog distribution.
 
     ``params`` is normalized on construction: missing keys get the
-    catalog defaults, unknown keys raise :class:`ArgumentError`, and
-    scale parameters must be positive.
+    catalog defaults, and scale parameters must be positive.  Anything
+    but a mapping of known names to finite real numbers raises
+    :class:`ArgumentError`.
     """
 
     family: str
@@ -138,6 +143,8 @@ class DistributionSpec:
             raise ArgumentError(
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
+        if not isinstance(self.params, Mapping):
+            raise ArgumentError(f"params must be a mapping, got {self.params!r}")
         allowed = _PARAM_KEYS[self.family]
         unknown = set(self.params) - set(allowed)
         if unknown:
@@ -146,6 +153,10 @@ class DistributionSpec:
             )
         merged = dict(_DEFAULTS[self.family])
         for key, value in self.params.items():
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ArgumentError(f"{self.family}: {key} must be a finite real "
+                                    f"number, got {value!r}")
             merged[key] = float(value)
         for key in ("a", "sigma"):
             if key in merged and not merged[key] > 0.0:
@@ -196,10 +207,7 @@ def spec_from_config(obj: object) -> DistributionSpec:
         raise ArgumentError(f"unknown config key(s): {sorted(extra)}")
     if "family" not in obj:
         raise ArgumentError("distribution config missing 'family'")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ArgumentError("'params' must be an object")
-    return DistributionSpec(str(obj["family"]), params)
+    return DistributionSpec(str(obj["family"]), obj.get("params", {}))
 
 
 # ----------------------------------------------------------------------
@@ -313,11 +321,11 @@ def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
     fixed line for Levy.  The first non-finite order in array order
     raises :class:`DomainError` naming it.
     """
-    s = sign_value(sign)
+    sign_value(sign)  # validates before the strip check
     g = np.atleast_1d(np.asarray(gamma, dtype=complex))
     _require_in_strip(spec, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _closed_form(spec, g, s)
+        value = _closed_form(spec, g, sign)
     bad = ~np.isfinite(value)
     if bad.any():
         raise DomainError(
@@ -327,10 +335,10 @@ def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
     return complex(value[0]) if np.ndim(gamma) == 0 else value
 
 
-def _closed_form(spec: DistributionSpec, g: np.ndarray, s: int) -> np.ndarray:
+def _closed_form(spec: DistributionSpec, g: np.ndarray, sign: str) -> np.ndarray:
     p = spec.params
-    # half-line phase exp(-s i g pi/2), kept in the exponent
-    phase = -s * 1j * g * math.pi / 2.0
+    # half-line phase (s i)^(-g), kept in the exponent
+    phase = -g * signed_log(1.0, sign)
 
     if spec.family == "uniform":
         a = p["a"]
@@ -343,7 +351,7 @@ def _closed_form(spec: DistributionSpec, g: np.ndarray, s: int) -> np.ndarray:
     if spec.family == "levy":
         log_scale = g * math.log(2.0) - 0.5 * math.log(math.pi)
         return np.exp(log_scale + sp_special.loggamma(g + 0.5) + phase)
-    return _gaussian_moments(g, s, p["mu"], p["sigma"])
+    return _gaussian_moments(g, sign_value(sign), p["mu"], p["sigma"])
 
 
 def _gaussian_moments(g: np.ndarray, s: int, mu: float, sig: float) -> np.ndarray:
@@ -370,6 +378,7 @@ def _gaussian_moments(g: np.ndarray, s: int, mu: float, sig: float) -> np.ndarra
                 factors = [mpmath.conj(v) for v in factors]
             d_minus, d_plus, gamma_factor = factors
             gm = mpmath.mpc(gamma)
+            # (s i)^(-g) at 30 digits: the branch of special.signed_log
             t = mpmath.exp(-s * 1j * gm * mpmath.pi / 2)
             halves = t * d_minus + d_plus / t
             front = mpmath.power(sig, -gm) * gamma_factor * scale

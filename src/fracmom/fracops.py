@@ -60,10 +60,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .distributions import DistributionSpec, exact_cf, exact_pdf
-from .errors import DomainError, PoleError, StripError
+from .errors import DomainError, StripError
 from .moments import GridParams, half_line_integrals
 from .quadrature import Estimate, require
-from .special import complex_gamma, sign_value
+from .special import complex_gamma, cosine_normaliser, sign_value
 
 ComplexFunc = Callable[[np.ndarray], np.ndarray]
 
@@ -139,19 +139,8 @@ def _marchaud(
     return result.value
 
 
-def _cosine_normaliser(gamma: np.ndarray) -> np.ndarray:
-    cos_half = np.cos(math.pi * gamma / 2.0)
-    vanishing = np.abs(cos_half) <= 1e-12
-    if vanishing.any():
-        raise PoleError(
-            "Riesz normaliser 2 cos(pi gamma / 2) vanishes at gamma = "
-            f"{complex(gamma[vanishing][0])}"
-        )
-    return 2.0 * cos_half
-
-
 def _riesz(plus: np.ndarray, minus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    return (plus + minus) / _cosine_normaliser(gamma)
+    return (plus + minus) / cosine_normaliser(gamma)
 
 
 # ----------------------------------------------------------------------

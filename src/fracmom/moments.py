@@ -10,7 +10,6 @@ arithmetic, a truncation heuristic, and a CSV round-trip format.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -27,13 +26,13 @@ from .distributions import (
 from .errors import (
     AllSamplesDegenerateError,
     ArgumentError,
+    DomainError,
     EmptyStripError,
     FracmomError,
-    PoleError,
     StripError,
 )
 from .quadrature import Estimate, integrate, require
-from .special import sign_value
+from .special import cosine_normaliser, sign_value, signed_complex_power, signed_log
 
 GRID_METHODS = ("closed_form", "quadrature", "monte_carlo")
 
@@ -112,9 +111,8 @@ class HalfLineIntegrals(NamedTuple):
     negative: Estimate
 
     def signed(self, gamma, sign: str) -> Estimate:
-        """E[(s i X)^(-gamma)]: (s i x)^(-g) = |x|^(-g) exp(-/+ s g i pi/2)."""
-        s = sign_value(sign)
-        phase = np.exp(-s * np.asarray(gamma) * 1j * math.pi / 2.0)
+        """E[(s i X)^(-gamma)]: (s i x)^(-g) = |x|^(-g) (s i)^(-/+g)."""
+        phase = signed_complex_power(1.0, -np.asarray(gamma), sign)
         return Estimate(
             phase * self.positive.value + self.negative.value / phase,
             np.abs(phase) * self.positive.error
@@ -206,8 +204,9 @@ class MonteCarloMoment(NamedTuple):
 def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     """Sample-average estimate of E[(s i X)^(-gamma)] with a standard error.
 
-    ``gamma`` may be a scalar or an array of orders; log|x| and sgn(x)
-    are formed once and shared by every order.  Exact zeros are dropped
+    ``gamma`` may be a scalar or an array of orders; the branch
+    Log(s i x) of :func:`~fracmom.special.signed_log` is formed once
+    per sample and shared by every order.  Exact zeros are dropped
     (the integrand is singular there for Re gamma > 0) and counted in
     the result.  The standard error is the delete-one jackknife of the
     mean, which for a plain average is the classical sqrt(Var/n); for a
@@ -216,23 +215,20 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ArgumentError("samples must be nonempty")
-    keep = x[x != 0.0]
-    dropped = int(x.size - keep.size)
-    if keep.size == 0:
+    nonzero = x != 0.0
+    n = int(np.count_nonzero(nonzero))
+    if n == 0:
         raise AllSamplesDegenerateError(
             f"all {x.size} samples are exactly zero"
         )
-    s = sign_value(sign)
-    logs = np.log(np.abs(keep))
-    sgn = np.sign(keep)
-    del keep
-    n = logs.size
+    log_base = signed_log(x[nonzero], sign)
     orders = np.asarray(gamma, dtype=complex)
     value = np.empty(orders.shape, dtype=complex)
     stderr = np.full(orders.shape, math.inf)
     for i, g in np.ndenumerate(orders):
-        # (s i x)^(-g) at every sample
-        vals = np.exp(-g * logs - s * g * (1j * math.pi / 2.0) * sgn)
+        # (s i x)^(-g) at every sample, exponentiated in place
+        vals = np.multiply(log_base, -g)
+        np.exp(vals, out=vals)
         value[i] = vals.mean()
         if n > 1:
             # two-pass variance, centred in place
@@ -241,8 +237,8 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
         # release this order's vector before the next one is allocated
         del vals
     if orders.ndim == 0:
-        return MonteCarloMoment(complex(value), float(stderr), dropped)
-    return MonteCarloMoment(value, stderr, dropped)
+        value, stderr = complex(value), float(stderr)
+    return MonteCarloMoment(value, stderr, x.size - n)
 
 
 def require_usable_rho(spec: DistributionSpec, rho: float) -> None:
@@ -295,6 +291,15 @@ def make_grid(
 # ----------------------------------------------------------------------
 
 
+def _i_power(gamma: complex) -> complex:
+    # i^gamma on the signed-power branch, typed when it leaves range
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = signed_complex_power(1.0, gamma, "plus")
+    if not np.isfinite(power):
+        raise DomainError(f"i^(+/-gamma) overflows at gamma = {gamma}")
+    return power
+
+
 def convert_moment(
     kind_in: str,
     kind_out: str,
@@ -314,36 +319,22 @@ def convert_moment(
       which additionally needs ``plain_value`` = E[X^g].
 
     Plain moments of sign-changing variables are understood on the
-    principal branch, x^g = |x|^g e^(i pi g) for x < 0.  The remaining
-    in/out pairings are underdetermined and raise
+    principal branch, x^g = |x|^g e^(i pi g) for x < 0.  Every other
+    in/out pairing, including an unknown kind, raises
     :class:`ArgumentError`; the cosine zeros of the absolute direction
-    raise :class:`PoleError`.
+    raise :class:`PoleError`, and a factor i^(+/-g) or a cosine outside
+    double range raises :class:`DomainError`.
     """
     gamma = complex(gamma)
-    if kind_in not in ("signed_plus", "signed_minus"):
-        raise ArgumentError(f"kind_in must be signed_plus/signed_minus, got {kind_in!r}")
-    if kind_out not in ("plain", "absolute"):
-        raise ArgumentError(f"kind_out must be plain/absolute, got {kind_out!r}")
-
-    if kind_in == "signed_minus" and kind_out == "plain":
-        return cmath.exp(gamma * 1j * math.pi / 2.0) * signed_value
-    if kind_in == "signed_plus" and kind_out == "absolute":
+    if (kind_in, kind_out) == ("signed_minus", "plain"):
+        return _i_power(gamma) * signed_value
+    if (kind_in, kind_out) == ("signed_plus", "absolute"):
         if plain_value is None:
-            raise ArgumentError(
-                "signed_plus -> absolute needs the plain moment as well"
-            )
-        cos_half = cmath.cos(math.pi * gamma / 2.0)
-        if abs(cos_half) <= 1e-12:
-            raise PoleError(
-                f"absolute conversion undefined at gamma = {gamma} "
-                "(cosine normaliser vanishes)"
-            )
-        adj = cmath.exp(-gamma * 1j * math.pi / 2.0) * plain_value
-        return (signed_value + adj) / (2.0 * cos_half)
-    raise ArgumentError(
-        f"no identity links {kind_in} to {kind_out}; "
-        "supported: signed_minus->plain, signed_plus->absolute"
-    )
+            raise ArgumentError("signed_plus -> absolute needs the plain moment too")
+        normaliser = cosine_normaliser(gamma)
+        return (signed_value + _i_power(-gamma) * plain_value) / normaliser
+    raise ArgumentError(f"no identity links {kind_in!r} to {kind_out!r}; supported: "
+                        "signed_minus->plain, signed_plus->absolute")
 
 
 # ----------------------------------------------------------------------

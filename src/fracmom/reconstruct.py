@@ -13,7 +13,7 @@ density series reuses the *same* minus-sign grid:
     pdf(x) ~ (delta / 2 pi^2) *
              Re sum_k Gamma(gamma_k) Gamma(1-gamma_k) M_k (i x)^(gamma_k - 1)
 
-with the signed-power branch of :func:`fracmom.special.signed_complex_power`.
+with the signed-power branch of :func:`fracmom.special.signed_log`.
 Both series are singular at the origin — the origin is rejected, not
 patched.
 

@@ -1,5 +1,5 @@
-"""Complex gamma, the reflection product and signed complex powers, as
-array functions.
+"""Complex gamma, the reflection product, the signed-power branch and
+the cosine normaliser, as array functions.
 
 Each function takes a scalar or an array.  A scalar gives a Python
 ``complex``; an array gives an array, broadcast elementwise, so a
@@ -17,12 +17,18 @@ checked against each other.  Past |Im g| = 100, before sin(pi g) would
 overflow (around |Im g| ~ 225), it switches to log space with the
 asymptotic expansion of log sin(pi g).
 
-Signed powers follow the convention
+``signed_log`` is the one statement of the signed-power branch,
 
-    (s i x)^g = exp(g ln|x| + s g (i pi / 2) sgn x),   s in {+1, -1},
+    Log(s i x) = ln|x| + s sgn(x) i pi/2,   s in {+1, -1},
 
 i.e. the branch obtained by continuously rotating |x| onto the
-imaginary axis.  The origin is excluded.
+imaginary axis; the origin is excluded.  Every phase of a signed
+moment E[(s i X)^(-g)] is an exponential of g times it:
+``signed_complex_power`` is (s i x)^g = exp(g Log(s i x)), and at
+x = 1 it gives the half-line phases (s i)^g.
+
+``cosine_normaliser`` is 2 cos(pi g / 2), the denominator of the Riesz
+operators and of the absolute-moment conversion.
 """
 
 from __future__ import annotations
@@ -110,23 +116,52 @@ def reflection_product(gamma):
     return _shaped(out)
 
 
-def signed_complex_power(x, gamma, sign: str):
-    """Evaluate ``(s i x)^gamma`` with ``s = +1`` ("plus") or ``-1`` ("minus").
+def signed_log(x, sign: str):
+    """``Log(s i x) = ln|x| + s sgn(x) i pi/2`` with ``s = +1`` ("plus")
+    or ``-1`` ("minus"): the branch of every signed power.
 
-    This is the branch fixed by writing the base in polar form with
-    argument ``s * sgn(x) * pi/2``:
-
-        (s i x)^g = exp(g ln|x| + s g (i pi/2) sgn x).
-
-    ``x`` and ``gamma`` broadcast against each other.  The origin has no
-    admissible value on this branch; any ``x == 0`` raises
-    :class:`DomainError`.
+    The origin has no admissible value on this branch; any ``x == 0``
+    raises :class:`DomainError`.
     """
     s = sign_value(sign)
     xv = np.asarray(x, dtype=float)
     if np.any(xv == 0.0):
         raise DomainError("signed power is undefined at x = 0")
+    out = np.array(np.log(np.abs(xv)), dtype=complex)
+    out.imag = s * math.pi / 2.0 * np.sign(xv)
+    return _shaped(out)
+
+
+def signed_complex_power(x, gamma, sign: str):
+    """Evaluate ``(s i x)^gamma = exp(gamma * signed_log(x, sign))``.
+
+    ``x`` and ``gamma`` broadcast against each other; the exponent is
+    the only array of the broadcast shape, exponentiated in place.  Any
+    ``x == 0`` raises :class:`DomainError`.
+    """
     g = np.asarray(gamma, dtype=complex)
-    return _shaped(np.exp(
-        g * np.log(np.abs(xv)) + s * g * (1j * math.pi / 2.0) * np.sign(xv)
-    ))
+    branch = np.asarray(signed_log(x, sign))
+    # gamma ln|x| +/- gamma i pi/2: each product has a zero real or
+    # imaginary part, so a fused multiply-add cannot round it otherwise
+    # and an array call equals the scalar calls bit for bit
+    power = np.asarray(g * branch.real)
+    quarter_turn = g * (1j * math.pi / 2.0)
+    np.add(power, quarter_turn, out=power, where=branch.imag > 0.0)
+    np.subtract(power, quarter_turn, out=power, where=branch.imag < 0.0)
+    return _shaped(np.exp(power, out=power))
+
+
+def cosine_normaliser(gamma):
+    """``2 cos(pi gamma / 2)``, the Riesz normaliser.
+
+    Raises :class:`PoleError` where it vanishes (within 1e-12, at odd
+    integers) and :class:`DomainError` where it leaves double range.
+    """
+    g = np.asarray(gamma, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos_half = np.cos(math.pi * g / 2.0)
+    for bad, error, what in ((np.abs(cos_half) <= _POLE_TOL, PoleError, "vanishes"),
+                             (~np.isfinite(cos_half), DomainError, "overflows")):
+        if bad.any():
+            raise error(f"2 cos(pi gamma / 2) {what} at gamma = {complex(g[bad][0])}")
+    return _shaped(2.0 * cos_half)

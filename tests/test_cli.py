@@ -377,6 +377,43 @@ def test_param_conflicts_with_dist(tmp_path, capsys):
     assert code == 1
 
 
+def _one_error_line(code, out, err):
+    return code == 1 and out == "" and err.startswith("error: ") \
+        and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("params", [{"sigma": "x"}, {"sigma": None}, 5])
+def test_dist_file_with_bad_params_is_validation(tmp_path, capsys, params):
+    # "x" used to end in a raw ValueError, null in a raw TypeError
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({"family": "rayleigh", "params": params}))
+    assert _one_error_line(*_run(["moments", "--dist", str(cfg)], capsys))
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [("rayleigh", "sigma=inf"), ("uniform", "a=inf"), ("gaussian", "mu=nan")],
+)
+def test_non_finite_param_is_validation(capsys, family, param):
+    # infinite scales used to write an all-zero grid with exit 0, and
+    # mu = nan to be reported as a double-precision overflow
+    code, out, err = _run(["moments", "--family", family, "--param", param], capsys)
+    assert _one_error_line(code, out, err)
+    assert "must be a finite real number" in err
+
+
+def test_grid_csv_with_non_mapping_params_is_validation(tmp_path, capsys):
+    # used to end in TypeError: 'int' object is not iterable
+    rows = [f"{k},0.4,{0.4 * k!r},1.0,0.0" for k in range(-2, 3)]
+    grid = tmp_path / "grid.csv"
+    grid.write_text("# family: cauchy\n# params: 5\n# sign: minus\n"
+                    "k,rho,eta,re,im\n" + "\n".join(rows) + "\n")
+    code, out, err = _run(["reconstruct-cf", "--grid-in", str(grid),
+                           "--range", "0.5:3:6"], capsys)
+    assert _one_error_line(code, out, err)
+    assert "params must be a mapping" in err
+
+
 def test_rho_outside_strip_is_validation(capsys):
     code, _, err = _run(
         ["moments", "--family", "cauchy", "--rho", "1.5"], capsys

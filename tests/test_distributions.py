@@ -64,11 +64,27 @@ def test_defaults_applied():
         ("rayleigh", {"sigma": -2.0}),
         ("gaussian", {"sigma": 0.0}),
         ("cauchy", {"scale": 1.0}),
+        ("rayleigh", {"sigma": "x"}),
+        ("rayleigh", {"sigma": None}),
+        ("rayleigh", {"sigma": "2"}),
+        ("gaussian", {"sigma": True}),
+        ("uniform", 5),
+        ("cauchy", ["scale"]),
+        ("rayleigh", {"sigma": math.inf}),
+        ("uniform", {"a": math.inf}),
+        ("gaussian", {"mu": math.nan}),
+        ("gaussian", {"mu": -math.inf}),
     ],
 )
 def test_bad_specs_rejected(family, params):
     with pytest.raises(ArgumentError):
         DistributionSpec(family, params)
+
+
+def test_spec_parameters_accept_any_finite_real():
+    spec = DistributionSpec("gaussian", {"mu": np.float32(0.5), "sigma": 3})
+    assert spec.params == {"mu": 0.5, "sigma": 3.0}
+    assert all(type(v) is float for v in spec.params.values())
 
 
 def test_gaussian_mu_zero_allowed():

@@ -13,6 +13,7 @@ from fracmom.distributions import closed_form_moment, exact_pdf, make_spec, samp
 from fracmom.errors import (
     AllSamplesDegenerateError,
     ArgumentError,
+    DomainError,
     FracmomError,
     PoleError,
     QuadratureError,
@@ -198,6 +199,30 @@ def test_monte_carlo_node_array_equals_scalar_calls():
     assert np.array_equal(grid.values, est.value)
 
 
+def _monte_carlo_oracle(samples, gamma, sign):
+    # the per-sample expression with separate log|x| and sgn(x) arrays
+    s = 1.0 if sign == "plus" else -1.0
+    x = samples[samples != 0.0]
+    vals = np.exp(-gamma * np.log(np.abs(x))
+                  - s * gamma * (1j * math.pi / 2.0) * np.sign(x))
+    mean = vals.mean()
+    centred = vals - mean
+    n = x.size
+    return mean, math.sqrt(np.vdot(centred, centred).real / (n - 1) / n)
+
+
+@pytest.mark.parametrize("spec", [CAUCHY, LEVY, RAYLEIGH], ids=lambda s: s.family)
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_monte_carlo_matches_per_sample_oracle(spec, sign):
+    gp = GridParams(rho=0.4, delta=0.4, m=10)
+    x = sample(spec, 20_000, seed=5)
+    est = moment_monte_carlo(x, gp.nodes(), sign)
+    for i, g in enumerate(gp.nodes()):
+        value, stderr = _monte_carlo_oracle(x, g, sign)
+        assert abs(est.value[i] - value) <= 1e-12 * stderr
+        assert abs(est.stderr[i] - stderr) <= 1e-14 * stderr
+
+
 def test_monte_carlo_degenerate_inputs():
     with pytest.raises(AllSamplesDegenerateError):
         moment_monte_carlo(np.zeros(10), 0.5, "minus")
@@ -280,6 +305,17 @@ class TestConvertMoment:
     def test_pole_at_cosine_zero(self):
         with pytest.raises(PoleError):
             convert_moment("signed_plus", "absolute", 1.0, 1.0 + 0j, 1.0 + 0j)
+
+    @pytest.mark.parametrize(
+        "kind_in,kind_out,extra",
+        [("signed_minus", "plain", ()), ("signed_plus", "absolute", (1.0 + 0j,))],
+    )
+    def test_overflow_is_typed(self, kind_in, kind_out, extra):
+        # i^gamma, and 2 cos(pi gamma / 2), leave double range here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"gamma = \(0\.4-500j\)"):
+                convert_moment(kind_in, kind_out, 0.4 - 500j, 1.0 + 0j, *extra)
 
     def test_unsupported_pairing(self):
         with pytest.raises(ArgumentError):

@@ -9,6 +9,7 @@ residue partial sums, the symmetry properties) it is asserted tightly.
 import functools
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,21 @@ def test_sample_curve_empty_input(kind, exact):
 def test_sample_curve_rejects_non_vector_points(kind, abscissae):
     with pytest.raises(ArgumentError, match="one-dimensional"):
         sample_curve(_grid(CAUCHY, 5), kind, abscissae)
+
+
+def test_pdf_curve_peak_memory_is_one_kernel():
+    # the signed-power kernel is the only points x nodes array: its
+    # exponent is formed once and exponentiated in place
+    grid = _grid(CAUCHY, 200, delta=0.2)
+    x = np.linspace(-10.0, 10.0, 2000)
+    sample_curve(grid, "pdf", x)
+    tracemalloc.start()
+    try:
+        sample_curve(grid, "pdf", x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.size * (2 * 200 + 1) * 16
 
 
 def test_sample_curve_empty_pdf_still_checks_the_grid_sign():

@@ -1,4 +1,4 @@
-"""Complex gamma and signed powers.
+"""Complex gamma, the signed-power branch and the cosine normaliser.
 
 Golden values come from high-precision evaluation of the defining
 integral (argument shifted right by the recurrence until the integrand
@@ -17,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 from fracmom.errors import ArgumentError, DomainError, PoleError
 from fracmom.special import (
     complex_gamma,
+    cosine_normaliser,
     reflection_product,
     sign_value,
     signed_complex_power,
+    signed_log,
 )
 
 # values of Gamma(0.4 + 0.4j*k); 22 significant digits
@@ -157,6 +159,64 @@ def test_sign_value():
         sign_value("both")
 
 
+class TestSignedLog:
+    def test_unit_spots(self):
+        half_pi = math.pi / 2.0
+        assert signed_log(1.0, "plus") == complex(0.0, half_pi)
+        assert signed_log(1.0, "minus") == complex(0.0, -half_pi)
+        assert signed_log(-1.0, "plus") == complex(0.0, -half_pi)
+        assert signed_log(-1.0, "minus") == complex(0.0, half_pi)
+        assert signed_log(-2.0, "plus") == complex(math.log(2.0), -half_pi)
+        assert signed_log(0.5, "minus") == complex(math.log(0.5), -half_pi)
+
+    def test_matches_principal_log_of_the_rotated_base(self):
+        # Log(s i x) is the principal log of s i x: |arg| = pi/2 < pi
+        for x in (3.7, -0.2, 1e-300, -1e300):
+            for sign, s in (("plus", 1.0), ("minus", -1.0)):
+                assert signed_log(x, sign) == cmath.log(complex(0.0, s * x))
+
+    def test_array_shape_and_type(self):
+        x = np.array([[2.0, -3.0], [0.25, -1.0]])
+        got = signed_log(x, "minus")
+        assert got.shape == x.shape and got.dtype == complex
+        want = [[signed_log(float(v), "minus") for v in row] for row in x]
+        assert np.array_equal(got, want)
+        assert isinstance(signed_log(2.0, "plus"), complex)
+
+    def test_zero_and_bad_sign_rejected(self):
+        with pytest.raises(DomainError, match="x = 0"):
+            signed_log(0.0, "plus")
+        with pytest.raises(DomainError):
+            signed_log(np.array([1.0, -0.0, 2.0]), "minus")
+        with pytest.raises(ArgumentError):
+            signed_log(1.0, "both")
+
+    def test_power_is_the_exponential_of_the_branch(self):
+        x = np.array([-4.0, -0.5, 0.3, 7.0])
+        g = complex(0.4, -2.2)
+        got = signed_complex_power(x, g, "minus")
+        want = np.exp(g * signed_log(x, "minus"))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+class TestCosineNormaliser:
+    def test_values(self):
+        assert cosine_normaliser(0.0) == 2.0
+        assert cosine_normaliser(0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        g = np.array([0.3, 0.4 + 2.0j])
+        assert np.array_equal(cosine_normaliser(g), 2.0 * np.cos(math.pi * g / 2.0))
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0, 3.0, np.array([0.4, 1.0])])
+    def test_pole_at_odd_integers(self, gamma):
+        with pytest.raises(PoleError, match="vanishes"):
+            cosine_normaliser(gamma)
+
+    def test_overflow_is_typed_without_warning(self, recwarn):
+        with pytest.raises(DomainError, match="overflows"):
+            cosine_normaliser(np.array([0.4, 0.4 - 500j]))
+        assert len(recwarn) == 0
+
+
 class TestSignedPower:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -236,6 +296,22 @@ def test_signed_power_broadcast_equals_scalar_calls(xs, gammas, sign):
     want = np.array([[signed_complex_power(float(a), complex(b), sign)
                       for b in g] for a in x])
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(
+    st.lists(st.floats(min_value=-50.0, max_value=50.0).filter(
+        lambda v: abs(v) >= 0.05), min_size=1, max_size=6),
+    st.lists(st.complex_numbers(max_magnitude=20.0), min_size=1, max_size=8),
+    st.sampled_from(["plus", "minus"]),
+)
+@settings(max_examples=100)
+def test_signed_power_equals_modulus_plus_phase_form(xs, gammas, sign):
+    # g ln|x| + s g (i pi/2) sgn x, with log|x| and sgn x as separate
+    # arrays: the form the PDF kernel values are pinned to, bit for bit
+    x, g = np.array(xs)[:, None], np.array(gammas, dtype=complex)
+    s = 1.0 if sign == "plus" else -1.0
+    want = np.exp(g * np.log(np.abs(x)) + s * g * (1j * math.pi / 2.0) * np.sign(x))
+    assert np.array_equal(signed_complex_power(x, g, sign), want)
 
 
 def test_array_pole_anywhere_raises():
