@@ -6,11 +6,12 @@ Subcommands: ``moments`` (tabulate a grid to CSV), ``reconstruct-cf`` /
 ``strip`` (print the usable line-abscissa interval) and ``figures``
 (one-shot emission of every reproduction curve with pinned parameters).
 
-Exit codes: 0 success, 1 argument/configuration problems, 2 numerical
-failure (quadrature that could not reach its error target; the message
-names the operation that failed).  Output files are written atomically
-(temp file + rename) and are byte-deterministic for a fixed
-configuration and seed.  Set ``FRACMOM_LOG`` to error/warn/info/debug
+Exit codes: 0 success, 1 argument/configuration problems or a stdout
+closed by its reader (``| head``: the command stops quietly, with nothing
+on stderr), 2 numerical failure (quadrature that could not reach its
+error target; the message names the operation that failed).  Output
+files are written atomically (temp file + rename) and are
+byte-deterministic for a fixed configuration and seed.  Set ``FRACMOM_LOG`` to error/warn/info/debug
 to adjust verbosity.
 """
 
@@ -429,7 +430,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(glued)
         config = _config_from_args(args)
-        return run(config)
+        status = run(config)
+        # a reader that closed stdout early shows up here at the latest
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # nobody reads stdout any more (`| head`): stop quietly, and point
+        # stdout at devnull so the flush at interpreter exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

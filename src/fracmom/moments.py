@@ -11,7 +11,9 @@ arithmetic, a truncation heuristic, and a CSV round-trip format.
 from __future__ import annotations
 
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TextIO
 
@@ -32,13 +34,28 @@ from .errors import (
     StripError,
 )
 from .quadrature import Estimate, integrate, require
-from .special import cosine_normaliser, sign_value, signed_complex_power, signed_log
+from .special import (
+    branch_power,
+    cosine_normaliser,
+    sign_value,
+    signed_complex_power,
+    signed_log,
+)
+
+log = logging.getLogger(__name__)
 
 GRID_METHODS = ("closed_form", "quadrature", "monte_carlo")
 
 # the largest grid half-width: GridParams rejects a larger m, and the
 # truncation search answers capped here
 _M_CAP = 10_000
+
+# samples per block of the Monte Carlo passes that need temporaries
+_BLOCK = 1 << 16
+
+# nodes per run of the Monte Carlo node ladder: one exact power, then a
+# step per node
+_LADDER_RUN = 16
 
 
 # ----------------------------------------------------------------------
@@ -194,23 +211,93 @@ def moment_quadrature(
 
 class MonteCarloMoment(NamedTuple):
     """Sample mean and standard error per order (scalars for a scalar
-    order, arrays for an array of orders) and the zeros dropped."""
+    order, arrays for an array of orders or a grid's nodes) and the
+    zeros dropped."""
 
     value: complex | np.ndarray
     stderr: float | np.ndarray
     dropped: int
 
 
+def _mean_stderr(vals: np.ndarray) -> tuple[complex, float]:
+    # the mean of one order's per-sample powers and its standard error;
+    # the two-pass sum of squares is centred one block at a time in a
+    # small buffer, so ``vals`` is left as it was
+    n = vals.size
+    mean = vals.mean()
+    if n == 1:
+        return mean, math.inf
+    buf = np.empty(min(n, _BLOCK), dtype=complex)
+    squares = 0.0
+    for start in range(0, n, _BLOCK):
+        part = buf[: min(_BLOCK, n - start)]
+        np.subtract(vals[start : start + _BLOCK], mean, out=part)
+        squares += np.vdot(part, part).real
+    return mean, math.sqrt(squares / (n - 1) / n)
+
+
+def _sample_power(xs: np.ndarray, gamma: complex, sign: str, out: np.ndarray) -> None:
+    # (s i x)^gamma at every sample into ``out``, one block of samples at
+    # a time, so the branch and exponent temporaries stay block-sized
+    for start in range(0, xs.size, _BLOCK):
+        part = slice(start, start + _BLOCK)
+        out[part] = branch_power(signed_log(xs[part], sign), gamma)
+
+
+def _node_ladder(xs: np.ndarray, params: GridParams):
+    # per-node mean and standard error over the grid's nodes; returns
+    # them with the number of exact anchors
+    m = params.m
+    value = np.empty(2 * m + 1, dtype=complex)
+    stderr = np.empty(2 * m + 1)
+    # the ratio z = exp(-i delta Log(s i x)) between consecutive nodes,
+    # and the running power exp(-gamma_k Log(s i x)): the only two
+    # sample-length arrays
+    step = np.empty(xs.shape, dtype=complex)
+    _sample_power(xs, -1j * params.delta, params.sign, step)
+    power = np.empty_like(step)
+    anchors = 0
+    # outward from the centre, where the mean is largest against its
+    # standard error (so a step's rounding weighs least there): up from
+    # k = 0 by multiplying by z, down from k = -1 by dividing
+    for k in (*range(m + 1), *range(-1, -m - 1, -1)):
+        if (k if k >= 0 else -1 - k) % _LADDER_RUN == 0:
+            _sample_power(xs, -params.node(k), params.sign, power)
+            anchors += 1
+        elif k > 0:
+            np.multiply(power, step, out=power)
+        else:
+            np.divide(power, step, out=power)
+        value[k + m], stderr[k + m] = _mean_stderr(power)
+    return value, stderr, anchors
+
+
 def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     """Sample-average estimate of E[(s i X)^(-gamma)] with a standard error.
 
-    ``gamma`` may be a scalar or an array of orders; the branch
-    Log(s i x) of :func:`~fracmom.special.signed_log` is formed once
-    per sample and shared by every order.  Exact zeros are dropped
-    (the integrand is singular there for Re gamma > 0) and counted in
-    the result.  The standard error is the delete-one jackknife of the
+    ``gamma`` may be a scalar, an array of orders or a :class:`GridParams`
+    (whose sign must equal ``sign``).  Exact zeros are dropped (the
+    integrand is singular there for Re gamma > 0) and counted in the
+    result.  The standard error is the delete-one jackknife of the
     mean, which for a plain average is the classical sqrt(Var/n); for a
     complex estimate the variance is taken as E|V - mean|^2.
+
+    A scalar or array of orders takes the direct path: the branch
+    Log(s i x) of :func:`~fracmom.special.signed_log` is formed once per
+    sample, and each order is one exact exponential of it
+    (:func:`~fracmom.special.branch_power`).  A grid's nodes take the
+    node ladder instead.  Consecutive nodes differ by i delta, so
+    (s i x)^(-gamma_(k+1)) = (s i x)^(-gamma_k) z with
+    z = exp(-i delta Log(s i x)): each node is one in-place multiply or
+    divide by z.  The ladder walks outward from the centre, up from
+    k = 0 by multiplying and down from k = -1 by dividing, and an exact
+    exponential starts it again every 16 nodes, so no node is more than
+    15 steps from an exact power.  It holds two sample-length arrays,
+    the step and the running power.  Its values differ from the direct
+    path's by rounding only (about 1e-13 of a standard error at 2e5
+    samples).  With ``FRACMOM_LOG=debug`` the ladder logs its samples,
+    zeros, nodes, exact exponentials, multiplies (a divide counts as
+    one) and time.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -221,21 +308,23 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
         raise AllSamplesDegenerateError(
             f"all {x.size} samples are exactly zero"
         )
-    log_base = signed_log(x[nonzero], sign)
+    xs = x.ravel() if n == x.size else x[nonzero]
+    if isinstance(gamma, GridParams):
+        if gamma.sign != sign:
+            raise ArgumentError(f"grid sign {gamma.sign!r} differs from sign {sign!r}")
+        start = time.perf_counter()
+        value, stderr, anchors = _node_ladder(xs, gamma)
+        log.debug("monte carlo grid: %d samples used, %d zeros dropped, %d nodes, "
+                  "%d exact exponentials, %d ladder multiplies, %.3f s",
+                  n, x.size - n, value.size, anchors + 1, value.size - anchors,
+                  time.perf_counter() - start)
+        return MonteCarloMoment(value, stderr, x.size - n)
+    branch = signed_log(xs, sign)
     orders = np.asarray(gamma, dtype=complex)
     value = np.empty(orders.shape, dtype=complex)
-    stderr = np.full(orders.shape, math.inf)
+    stderr = np.empty(orders.shape)
     for i, g in np.ndenumerate(orders):
-        # (s i x)^(-g) at every sample, exponentiated in place
-        vals = np.multiply(log_base, -g)
-        np.exp(vals, out=vals)
-        value[i] = vals.mean()
-        if n > 1:
-            # two-pass variance, centred in place
-            vals -= value[i]
-            stderr[i] = math.sqrt(np.vdot(vals, vals).real / (n - 1) / n)
-        # release this order's vector before the next one is allocated
-        del vals
+        value[i], stderr[i] = _mean_stderr(branch_power(branch, -g))
     if orders.ndim == 0:
         value, stderr = complex(value), float(stderr)
     return MonteCarloMoment(value, stderr, x.size - n)
@@ -273,7 +362,7 @@ def make_grid(
     if method == "monte_carlo":
         if samples is None or np.asarray(samples).size == 0:
             raise ArgumentError("monte_carlo needs a nonempty samples array")
-        estimate = moment_monte_carlo(samples, params.nodes(), params.sign)
+        estimate = moment_monte_carlo(samples, params, params.sign)
         return MomentGrid(params, estimate.value)
 
     if method == "closed_form":

@@ -24,8 +24,10 @@ asymptotic expansion of log sin(pi g).
 i.e. the branch obtained by continuously rotating |x| onto the
 imaginary axis; the origin is excluded.  Every phase of a signed
 moment E[(s i X)^(-g)] is an exponential of g times it:
-``signed_complex_power`` is (s i x)^g = exp(g Log(s i x)), and at
-x = 1 it gives the half-line phases (s i)^g.
+``branch_power`` is (s i x)^g = exp(g Log(s i x)) from a branch formed
+beforehand (a caller raising one branch to many orders takes the
+logarithm once), ``signed_complex_power`` is ``branch_power`` of
+``signed_log``, and at x = 1 it gives the half-line phases (s i)^g.
 
 ``cosine_normaliser`` is 2 cos(pi g / 2), the denominator of the Riesz
 operators and of the absolute-moment conversion.
@@ -132,23 +134,32 @@ def signed_log(x, sign: str):
     return _shaped(out)
 
 
-def signed_complex_power(x, gamma, sign: str):
-    """Evaluate ``(s i x)^gamma = exp(gamma * signed_log(x, sign))``.
+def branch_power(branch, gamma):
+    """``exp(gamma * branch)`` for a branch ``branch = signed_log(x, sign)``
+    formed beforehand: ``(s i x)^gamma`` without taking the logarithm again.
 
-    ``x`` and ``gamma`` broadcast against each other; the exponent is
-    the only array of the broadcast shape, exponentiated in place.  Any
-    ``x == 0`` raises :class:`DomainError`.
+    ``branch`` and ``gamma`` broadcast against each other; the exponent
+    is the only array of the broadcast shape, exponentiated in place.
     """
     g = np.asarray(gamma, dtype=complex)
-    branch = np.asarray(signed_log(x, sign))
+    b = np.asarray(branch)
     # gamma ln|x| +/- gamma i pi/2: each product has a zero real or
     # imaginary part, so a fused multiply-add cannot round it otherwise
     # and an array call equals the scalar calls bit for bit
-    power = np.asarray(g * branch.real)
+    power = np.asarray(g * b.real)
     quarter_turn = g * (1j * math.pi / 2.0)
-    np.add(power, quarter_turn, out=power, where=branch.imag > 0.0)
-    np.subtract(power, quarter_turn, out=power, where=branch.imag < 0.0)
+    np.add(power, quarter_turn, out=power, where=b.imag > 0.0)
+    np.subtract(power, quarter_turn, out=power, where=b.imag < 0.0)
     return _shaped(np.exp(power, out=power))
+
+
+def signed_complex_power(x, gamma, sign: str):
+    """Evaluate ``(s i x)^gamma = exp(gamma * signed_log(x, sign))``.
+
+    ``x`` and ``gamma`` broadcast against each other (see
+    :func:`branch_power`).  Any ``x == 0`` raises :class:`DomainError`.
+    """
+    return branch_power(signed_log(x, sign), gamma)
 
 
 def cosine_normaliser(gamma):

@@ -7,11 +7,16 @@ back in through ``--grid-in``.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracmom
 from fracmom.cli import _parse_range, main
 from fracmom.errors import ArgumentError
 
@@ -256,6 +261,30 @@ def test_reconstruct_range_validation(capsys):
         )
         assert code == 1, bad
         assert "error:" in err
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops after one line (`| head -1`) used to leave a
+    BrokenPipeError traceback on stderr."""
+    src = str(Path(fracmom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fracmom.cli", "reconstruct-cf", "--family", "cauchy",
+         "--range", "0.1:10:200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"# kind: cf\n"
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_range_count_cap():

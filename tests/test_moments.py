@@ -2,7 +2,9 @@
 
 import functools
 import io
+import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -196,7 +198,9 @@ def test_monte_carlo_node_array_equals_scalar_calls():
         assert est.value[i] == one.value and est.stderr[i] == one.stderr
     grid = make_grid(RAYLEIGH, GridParams(0.4, 0.4, 3, "plus"),
                      "monte_carlo", samples=x)
-    assert np.array_equal(grid.values, est.value)
+    ladder = moment_monte_carlo(x, GridParams(0.4, 0.4, 3, "plus"), "plus")
+    assert np.array_equal(grid.values, ladder.value)
+    assert np.all(np.abs(grid.values - est.value) <= 1e-12 * est.stderr)
 
 
 def _monte_carlo_oracle(samples, gamma, sign):
@@ -221,6 +225,103 @@ def test_monte_carlo_matches_per_sample_oracle(spec, sign):
         value, stderr = _monte_carlo_oracle(x, g, sign)
         assert abs(est.value[i] - value) <= 1e-12 * stderr
         assert abs(est.stderr[i] - stderr) <= 1e-14 * stderr
+
+
+@pytest.mark.parametrize("spec", [CAUCHY, LEVY, RAYLEIGH], ids=lambda s: s.family)
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_monte_carlo_ladder_matches_per_sample_oracle(spec, sign):
+    gp = GridParams(rho=0.4, delta=0.4, m=10, sign=sign)
+    x = sample(spec, 200_000, seed=5)
+    est = moment_monte_carlo(x, gp, sign)
+    for i, g in enumerate(gp.nodes()):
+        value, stderr = _monte_carlo_oracle(x, g, sign)
+        assert abs(est.value[i] - value) <= 1e-12 * stderr
+        assert abs(est.stderr[i] - stderr) <= 1e-14 * stderr
+
+
+def _real_arithmetic_mean(x, gamma, sign):
+    # mean of (s i x)^(-gamma) with the exponent formed in real
+    # arithmetic: -gamma ln|x| -/+ s sgn(x) gamma i pi/2, every product
+    # and sum rounded once
+    g = -complex(gamma)
+    a = np.log(np.abs(x))
+    turn = (1.0 if sign == "plus" else -1.0) * np.sign(x)
+    exponent = np.empty(x.shape, dtype=complex)
+    exponent.real = g.real * a - turn * (g.imag * (math.pi / 2.0))
+    exponent.imag = g.imag * a + turn * (g.real * (math.pi / 2.0))
+    return np.exp(exponent).mean()
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_monte_carlo_direct_path_is_the_real_arithmetic_power(sign):
+    x = np.concatenate([[0.0], sample(CAUCHY, 3_000, seed=21)])
+    kept = x[x != 0.0]
+    nodes = GridParams(rho=0.3, delta=0.7, m=4).nodes()
+    for g in (np.complex128(0.3 - 2.1j), np.array([0.3 - 2.1j]), nodes):
+        est = moment_monte_carlo(x, g, sign)
+        want = [_real_arithmetic_mean(kept, o, sign) for o in np.atleast_1d(g)]
+        assert np.array_equal(np.atleast_1d(est.value), want)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_monte_carlo_ladder_matches_direct_path(data):
+    rho = data.draw(st.floats(min_value=0.05, max_value=0.95))
+    delta = data.draw(st.floats(min_value=0.01, max_value=0.4))
+    m = data.draw(st.integers(min_value=1, max_value=min(2000, int(200.0 / delta))))
+    n = data.draw(st.integers(min_value=2, max_value=2000))
+    spec = data.draw(st.sampled_from([CAUCHY, LEVY, RAYLEIGH]))
+    sign = data.draw(st.sampled_from(["plus", "minus"]))
+    x = sample(spec, n, seed=data.draw(st.integers(0, 2**16)))
+    gp = GridParams(rho=rho, delta=delta, m=m, sign=sign)
+    ladder = moment_monte_carlo(x, gp, sign)
+    direct = moment_monte_carlo(x, gp.nodes(), sign)
+    assert np.all(np.abs(ladder.value - direct.value) <= 1e-12 * direct.stderr)
+    # Either path rounds each power to a relative error of a few eps
+    # times the exponent, |Re exponent| <= rho |ln|x|| + m delta pi/2
+    # (~7e-14 at m delta = 200), so the standard errors are compared in
+    # the unit that rounding scales with, sqrt(sum |V|^2 / (n (n-1))):
+    # against their own size, close samples would magnify it without bound
+    a = np.log(np.abs(x))
+    turn = (1.0 if sign == "plus" else -1.0) * np.sign(x) * (math.pi / 2.0)
+    reach = rho * float(np.max(np.abs(a))) + m * delta * math.pi / 2.0
+    tol = 1e-14 + 4.0 * np.finfo(float).eps * reach
+    for i, k in enumerate(range(-m, m + 1)):
+        unit = math.sqrt(np.sum(np.exp(2.0 * (k * delta * turn - rho * a))) / (n * (n - 1)))
+        assert abs(ladder.stderr[i] - direct.stderr[i]) <= tol * unit
+
+
+def test_monte_carlo_ladder_holds_two_sample_arrays():
+    # the step and the running power; a third sample-length complex
+    # array would take the peak past 3
+    x = np.random.default_rng(4).standard_cauchy(1_000_000)
+    gp = GridParams(rho=0.4, delta=0.4, m=2)
+    moment_monte_carlo(x, gp, "minus")
+    tracemalloc.start()
+    try:
+        moment_monte_carlo(x, gp, "minus")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x.size * 16
+
+
+def test_monte_carlo_ladder_logs_its_cost(caplog):
+    x = np.concatenate([[0.0, 0.0], sample(LEVY, 1_000, seed=2)])
+    with caplog.at_level(logging.DEBUG, logger="fracmom"):
+        make_grid(LEVY, GridParams(rho=0.4, delta=0.4, m=20), "monte_carlo", samples=x)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fracmom.moments"]
+    assert len(lines) == 1
+    # anchors at k = 0, 16, -1, -17 and the step; 41 - 4 ladder steps
+    assert lines[0].startswith(
+        "monte carlo grid: 1000 samples used, 2 zeros dropped, 41 nodes, "
+        "5 exact exponentials, 37 ladder multiplies, ")
+    assert lines[0].endswith(" s")
+
+
+def test_monte_carlo_grid_sign_must_match():
+    with pytest.raises(ArgumentError, match="sign"):
+        moment_monte_carlo(np.ones(4), GridParams(0.4, 0.4, 2, "plus"), "minus")
 
 
 def test_monte_carlo_degenerate_inputs():

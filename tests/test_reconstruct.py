@@ -377,6 +377,48 @@ def test_pdf_curve_peak_memory_is_one_kernel():
     assert peak <= 1.25 * x.size * (2 * 200 + 1) * 16
 
 
+def test_cf_curve_builds_no_points_by_nodes_array():
+    # the node ladder keeps a few arrays of one value per point
+    grid = _grid(CAUCHY, 200, delta=0.2)
+    x = np.linspace(-10.0, 10.0, 2000)
+    sample_curve(grid, "cf", x)
+    tracemalloc.start()
+    try:
+        sample_curve(grid, "cf", x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * x.size * (2 * 200 + 1) * 16
+
+
+def _direct_cf(grid, x):
+    # the CF series with one exponential per (point, node): |theta|^(-gamma_k)
+    # = exp(-gamma_k ln|theta|), summed over the nodes, and the scale of its
+    # rounding, |theta|^(-rho) sum |w_k|
+    p = grid.params
+    nodes = p.nodes()
+    weights = p.delta / (2.0 * math.pi) * complex_gamma(nodes) * grid.values
+    values = np.exp(np.multiply.outer(-np.log(np.abs(x)), nodes)) @ weights
+    mirrored = (x < 0.0) if p.sign == "minus" else (x > 0.0)
+    scale = np.abs(x) ** -p.rho * np.sum(np.abs(weights))
+    return np.where(mirrored, np.conj(values), values), scale
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_cf_ladder_matches_direct_kernel(data):
+    spec = data.draw(st.sampled_from([UNIFORM, RAYLEIGH, CAUCHY, LEVY, GAUSS01]))
+    sign = data.draw(st.sampled_from(["minus", "plus"]))
+    delta = data.draw(st.floats(min_value=0.05, max_value=0.4))
+    m = data.draw(st.integers(min_value=1, max_value=min(2000, int(200.0 / delta))))
+    magnitudes = st.floats(min_value=0.05, max_value=50.0)
+    points = st.one_of(magnitudes, magnitudes.map(lambda v: -v))
+    xs = np.array(data.draw(st.lists(points, min_size=1, max_size=8)))
+    grid = _grid(spec, m, delta=delta, sign=sign)
+    want, scale = _direct_cf(grid, xs)
+    assert np.all(np.abs(sample_curve(grid, "cf", xs).values - want) <= 1e-13 * scale)
+
+
 def test_sample_curve_empty_pdf_still_checks_the_grid_sign():
     # no points are no reason to skip the grid check
     with pytest.raises(ArgumentError):
