@@ -6,18 +6,39 @@ Subcommands: ``moments`` (tabulate a grid to CSV), ``reconstruct-cf`` /
 ``strip`` (print the usable line-abscissa interval) and ``figures``
 (one-shot emission of every reproduction curve with pinned parameters).
 
-Exit codes: 0 success, 1 argument/configuration problems or a stdout
+Each command accepts only the flags it reads; any other flag is an
+``unrecognized arguments`` error::
+
+    command               dist  grid  build  own flags
+    moments                x     x     x
+    reconstruct-cf/-pdf    x     x     x     --range, --grid-in
+    verify                 x     x
+    strip                  x
+    figures                                  --out-dir
+
+    dist   --dist PATH.json | --family NAME, --param K=V (repeatable)
+    grid   --rho, --delta, --m, --sign
+    build  --method, --n-samples, --seed, --out
+
+``--grid-in`` reads the distribution from the grid CSV, so it cannot be
+combined with the dist flags.
+
+Exit codes: 0 success, 1 argument/configuration problems (a path named
+by ``--out``/``--out-dir`` that cannot be written included) or a stdout
 closed by its reader (``| head``: the command stops quietly, with nothing
 on stderr), 2 numerical failure (quadrature that could not reach its
-error target; the message names the operation that failed).  Output
-files are written atomically (temp file + rename) and are
-byte-deterministic for a fixed configuration and seed.  Set ``FRACMOM_LOG`` to error/warn/info/debug
-to adjust verbosity.
+error target; the message names the operation that failed), 3 internal
+error (an exception the package does not raise on purpose: one
+``internal error:`` line on stderr, the traceback under
+``FRACMOM_LOG=debug``).  Output files are written atomically (temp file +
+rename) and are byte-deterministic for a fixed configuration and seed.
+Set ``FRACMOM_LOG`` to error/warn/info/debug to adjust verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import logging
@@ -25,7 +46,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,24 +99,8 @@ measured errors behind this choice."""
 
 
 # ----------------------------------------------------------------------
-# config plumbing
+# argument parsing
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from argv."""
-
-    command: str
-    spec: DistributionSpec | None
-    grid: GridParams
-    method: str
-    n_samples: int
-    seed: int
-    abscissae: np.ndarray | None
-    out: Path | None
-    grid_in: Path | None
-    out_dir: Path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,44 +115,53 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fracmom", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    dist = common.add_mutually_exclusive_group()
-    dist.add_argument("--dist", type=Path, metavar="PATH.json",
-                      help="distribution config file")
-    dist.add_argument("--family", choices=FAMILIES)
-    common.add_argument("--param", action="append", default=[],
-                        metavar="K=V", help="family parameter (repeatable)")
-    common.add_argument("--rho", type=float, default=0.4)
-    common.add_argument("--delta", type=float, default=0.4)
-    common.add_argument("--m", type=int, default=5)
-    common.add_argument("--sign", choices=("plus", "minus"), default="minus")
-    common.add_argument("--method", choices=tuple(_METHODS), default="closed")
-    common.add_argument("--n-samples", type=int, default=100_000)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", type=Path, metavar="PATH.csv")
+    # flag groups; each command takes only the groups it reads
+    dist = argparse.ArgumentParser(add_help=False)
+    which = dist.add_mutually_exclusive_group()
+    which.add_argument("--dist", type=Path, metavar="PATH.json",
+                       help="distribution config file")
+    which.add_argument("--family", choices=FAMILIES)
+    dist.add_argument("--param", action="append", default=[],
+                      metavar="K=V", help="family parameter (repeatable)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--rho", type=float, default=0.4)
+    grid.add_argument("--delta", type=float, default=0.4)
+    grid.add_argument("--m", type=int, default=5)
+    grid.add_argument("--sign", choices=("plus", "minus"), default="minus")
+    build = argparse.ArgumentParser(add_help=False)
+    build.add_argument("--method", choices=tuple(_METHODS), default="closed")
+    build.add_argument("--n-samples", type=int, default=100_000)
+    build.add_argument("--seed", type=int, default=0)
+    build.add_argument("--out", type=Path, metavar="PATH.csv")
 
-    p = sub.add_parser("moments", parents=[common],
+    p = sub.add_parser("moments", parents=[dist, grid, build],
                        help="tabulate a moment grid as CSV")
+    p.set_defaults(run=_cmd_moments)
 
     for kind in ("cf", "pdf"):
-        p = sub.add_parser(f"reconstruct-{kind}", parents=[common],
+        p = sub.add_parser(f"reconstruct-{kind}", parents=[dist, grid, build],
                            help=f"evaluate the {kind.upper()} series on a range")
         p.add_argument("--range", dest="range_", metavar="LO:HI:COUNT",
                        default="0.1:10:100",
                        help="evaluation points (0 is dropped if hit)")
         p.add_argument("--grid-in", type=Path, metavar="PATH.csv",
                        help="reuse a grid CSV instead of rebuilding")
+        p.set_defaults(run=partial(_cmd_reconstruct, kind=kind))
 
-    sub.add_parser("verify", parents=[common],
-                   help="fractional-operator identity suite vs quadrature")
-    sub.add_parser("strip", parents=[common],
-                   help="print the usable line-abscissa interval")
+    p = sub.add_parser("verify", parents=[dist, grid],
+                       help="fractional-operator identity suite vs quadrature")
+    p.set_defaults(run=_cmd_verify)
+    p = sub.add_parser("strip", parents=[dist],
+                       help="print the usable line-abscissa interval")
+    p.set_defaults(run=_cmd_strip)
 
-    p = sub.add_parser("figures", parents=[common],
+    # no abbreviations here, or --out would pass for --out-dir
+    p = sub.add_parser("figures", allow_abbrev=False,
                        help="emit all reproduction curves",
                        epilog=_FIGURE_TABLE,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--out-dir", type=Path, default=Path("figures"))
+    p.set_defaults(run=_cmd_figures)
     return parser
 
 
@@ -203,23 +217,8 @@ def _parse_range(text: str) -> np.ndarray:
     return nonzero
 
 
-def _config_from_args(args) -> RunConfig:
-    grid = GridParams(rho=args.rho, delta=args.delta, m=args.m, sign=args.sign)
-    abscissae = None
-    if hasattr(args, "range_"):
-        abscissae = _parse_range(args.range_)
-    return RunConfig(
-        command=args.command,
-        spec=_load_spec(args),
-        grid=grid,
-        method=_METHODS[args.method],
-        n_samples=args.n_samples,
-        seed=args.seed,
-        abscissae=abscissae,
-        out=args.out,
-        grid_in=getattr(args, "grid_in", None),
-        out_dir=getattr(args, "out_dir", Path("figures")),
-    )
+def _grid_params(args) -> GridParams:
+    return GridParams(rho=args.rho, delta=args.delta, m=args.m, sign=args.sign)
 
 
 # ----------------------------------------------------------------------
@@ -228,18 +227,19 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(path: Path | None, text: str) -> None:
@@ -255,50 +255,59 @@ def _emit(path: Path | None, text: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def _require_spec(config: RunConfig) -> DistributionSpec:
-    if config.spec is None:
+def _require_spec(args) -> DistributionSpec:
+    spec = _load_spec(args)
+    if spec is None:
         raise ArgumentError("this command needs --family or --dist")
-    return config.spec
+    return spec
 
 
-def _build_grid(config: RunConfig, spec: DistributionSpec) -> MomentGrid:
+def _build_grid(args, spec: DistributionSpec, params: GridParams) -> MomentGrid:
+    method = _METHODS[args.method]
     samples = None
-    if config.method == "monte_carlo":
-        samples = sample(spec, config.n_samples, seed=config.seed)
-    return make_grid(spec, config.grid, config.method, samples=samples)
+    if method == "monte_carlo":
+        samples = sample(spec, args.n_samples, seed=args.seed)
+    return make_grid(spec, params, method, samples=samples)
 
 
-def _cmd_moments(config: RunConfig) -> int:
-    spec = _require_spec(config)
-    grid = _build_grid(config, spec)
+def _cmd_moments(args) -> int:
+    params = _grid_params(args)
+    spec = _require_spec(args)
+    grid = _build_grid(args, spec, params)
     buf = io.StringIO()
     write_grid_csv(grid, buf, family=spec.family, params=spec.params,
-                   method=config.method)
-    _emit(config.out, buf.getvalue())
+                   method=_METHODS[args.method])
+    _emit(args.out, buf.getvalue())
     return 0
 
 
-def _cmd_reconstruct(config: RunConfig, kind: str) -> int:
-    if config.grid_in is not None:
+def _cmd_reconstruct(args, kind: str) -> int:
+    params = _grid_params(args)
+    abscissae = _parse_range(args.range_)
+    if args.grid_in is None:
+        spec = _require_spec(args)
+        family = spec.family
+        grid = _build_grid(args, spec, params)
+    else:
+        # the spec is still read first, so a bad one keeps its own error
+        if _load_spec(args) is not None or args.param:
+            raise ArgumentError("--grid-in cannot be combined with --dist, "
+                                "--family or --param")
         try:
-            with open(config.grid_in) as handle:
+            with open(args.grid_in) as handle:
                 grid, meta = read_grid_csv(handle)
         except OSError as exc:
-            raise ArgumentError(f"cannot read {config.grid_in}: {exc}") from None
+            raise ArgumentError(f"cannot read {args.grid_in}: {exc}") from None
         family = meta.get("family")
         spec = None
         if family is not None:
             spec = DistributionSpec(str(family), meta.get("params", {}))
             require_usable_rho(spec, grid.params.rho)
-    else:
-        spec = _require_spec(config)
-        family = spec.family
-        grid = _build_grid(config, spec)
 
-    curve = sample_curve(grid, kind, config.abscissae, exact_spec=spec)
+    curve = sample_curve(grid, kind, abscissae, exact_spec=spec)
     buf = io.StringIO()
     write_curve_csv(curve, buf, family=family)
-    _emit(config.out, buf.getvalue())
+    _emit(args.out, buf.getvalue())
     if curve.abs_err is not None and curve.abs_err.size:
         print(f"{kind}: {curve.abscissae.size} points, "
               f"max abs error = {float(np.max(curve.abs_err)):.6e}")
@@ -307,13 +316,14 @@ def _cmd_reconstruct(config: RunConfig, kind: str) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    spec = _require_spec(config)
-    checks = identity_suite(spec, config.grid)
+def _cmd_verify(args) -> int:
+    params = _grid_params(args)
+    spec = _require_spec(args)
+    checks = identity_suite(spec, params)
     failed = [n for n, d in checks.items() if d > _IDENTITY_TOL]
     width = max(len(n) for n in checks)
-    print(f"identity suite: {spec.label()}, rho={config.grid.rho:g}, "
-          f"delta={config.grid.delta:g}, m={config.grid.m}")
+    print(f"identity suite: {spec.label()}, rho={params.rho:g}, "
+          f"delta={params.delta:g}, m={params.m}")
     for name, dev in checks.items():
         status = "FAIL" if dev > _IDENTITY_TOL else "PASS"
         print(f"  {name:<{width}}  max dev {dev:.3e}  {status}")
@@ -324,14 +334,14 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_strip(config: RunConfig) -> int:
-    spec = _require_spec(config)
+def _cmd_strip(args) -> int:
+    spec = _require_spec(args)
     print(str(working_strip(spec)))
     return 0
 
 
-def _cmd_figures(config: RunConfig) -> int:
-    out_dir = config.out_dir
+def _cmd_figures(args) -> int:
+    out_dir = args.out_dir
     cf_range = np.round(np.arange(0.1, 10.0 + 1e-9, 0.05), 10)
 
     def curve_csv(name: str, curve, family: str, panel: str | None = None):
@@ -386,32 +396,7 @@ def _cmd_figures(config: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 
-def run(config: RunConfig) -> int:
-    """Execute one parsed configuration; returns the exit status."""
-    if config.command == "moments":
-        return _cmd_moments(config)
-    if config.command == "reconstruct-cf":
-        return _cmd_reconstruct(config, "cf")
-    if config.command == "reconstruct-pdf":
-        return _cmd_reconstruct(config, "pdf")
-    if config.command == "verify":
-        return _cmd_verify(config)
-    if config.command == "strip":
-        return _cmd_strip(config)
-    if config.command == "figures":
-        return _cmd_figures(config)
-    raise ArgumentError(f"unknown command {config.command!r}")
-
-
-def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("FRACMOM_LOG", "warn").lower()
-    level_map = {"error": logging.ERROR, "warn": logging.WARNING,
-                 "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=level_map.get(level, logging.WARNING),
-                        format="%(name)s %(levelname)s %(message)s")
-
-    if argv is None:
-        argv = sys.argv[1:]
+def _glue_range(argv: list[str]) -> list[str]:
     # argparse would mistake a leading-minus range like -10:10:201 for
     # an option; gluing the pair into --range=... sidesteps that
     glued = []
@@ -425,12 +410,21 @@ def main(argv: list[str] | None = None) -> int:
             skip = True
         else:
             glued.append(tok)
+    return glued
 
-    parser = _build_parser()
+
+def main(argv: list[str] | None = None) -> int:
+    level = os.environ.get("FRACMOM_LOG", "warn").lower()
+    level_map = {"error": logging.ERROR, "warn": logging.WARNING,
+                 "info": logging.INFO, "debug": logging.DEBUG}
+    logging.basicConfig(level=level_map.get(level, logging.WARNING),
+                        format="%(name)s %(levelname)s %(message)s")
+
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(glued)
-        config = _config_from_args(args)
-        status = run(config)
+        args = _build_parser().parse_args(_glue_range(argv))
+        status = args.run(args)
         # a reader that closed stdout early shows up here at the latest
         sys.stdout.flush()
         return status
@@ -447,6 +441,12 @@ def main(argv: list[str] | None = None) -> int:
     except FracmomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # not raised on purpose, so a defect: one line, traceback at debug
+        log.debug("unexpected failure", exc_info=True)
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

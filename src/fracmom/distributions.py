@@ -56,16 +56,8 @@ from .special import sign_value, signed_log
 
 FAMILIES: tuple[str, ...] = ("uniform", "rayleigh", "cauchy", "levy", "gaussian")
 
-_PARAM_KEYS: dict[str, tuple[str, ...]] = {
-    "uniform": ("a",),
-    "rayleigh": ("sigma",),
-    "cauchy": (),
-    "levy": (),
-    "gaussian": ("mu", "sigma"),
-}
-
-# Figure-matching defaults: uniform half-width 2, Rayleigh scale 2,
-# Gaussian mean 2 / unit standard deviation.
+# Parameter names and figure-matching defaults: uniform half-width 2,
+# Rayleigh scale 2, Gaussian mean 2 / unit standard deviation.
 _DEFAULTS: dict[str, dict[str, float]] = {
     "uniform": {"a": 2.0},
     "rayleigh": {"sigma": 2.0},
@@ -145,8 +137,7 @@ class DistributionSpec:
             )
         if not isinstance(self.params, Mapping):
             raise ArgumentError(f"params must be a mapping, got {self.params!r}")
-        allowed = _PARAM_KEYS[self.family]
-        unknown = set(self.params) - set(allowed)
+        unknown = set(self.params) - set(_DEFAULTS[self.family])
         if unknown:
             raise ArgumentError(
                 f"unknown parameter(s) for {self.family}: {sorted(unknown)}"
@@ -395,6 +386,8 @@ def sample(spec: DistributionSpec, n: int, seed: int | None = None) -> np.ndarra
     """Draw ``n`` i.i.d. variates; deterministic for a fixed seed."""
     if n < 1:
         raise ArgumentError("sample size must be >= 1")
+    if seed is not None and seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     p = spec.params
     if spec.family == "uniform":

@@ -495,3 +495,166 @@ def test_figures_full_set(tmp_path, capsys):
             assert float(line.split("=")[-1]) <= 1e-2
         if line.startswith("fig5.csv"):
             assert float(line.split("=")[-1]) <= 1e-2
+
+
+# ----------------------------------------------------------------------
+# flag surface: each command takes only the flags it reads
+# ----------------------------------------------------------------------
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strip", "--family", "cauchy", "--m", "0"],
+        ["strip", "--family", "cauchy", "--out", "OUT"],
+        ["verify", "--family", "cauchy", "--method", "mc"],
+        ["verify", "--family", "cauchy", "--n-samples", "10"],
+        ["verify", "--family", "cauchy", "--seed", "1"],
+        ["verify", "--family", "cauchy", "--out", "OUT"],
+        ["figures", "--out-dir", "OUT", "--family", "levy"],
+        ["figures", "--out-dir", "OUT", "--m", "99"],
+        ["figures", "--out", "OUT"],
+    ],
+    ids=["strip-m", "strip-out", "verify-method", "verify-n-samples",
+         "verify-seed", "verify-out", "figures-family", "figures-m",
+         "figures-out"],
+)
+def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path, monkeypatch,
+                                                    capsys):
+    # each used to be accepted and ignored; figures --out must also not
+    # pass as an abbreviation of --out-dir
+    monkeypatch.chdir(tmp_path)
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    code, out, err = _run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: unrecognized arguments: ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _parse(argv):
+    from fracmom.cli import _build_parser, _glue_range
+
+    return _build_parser().parse_args(_glue_range(argv))
+
+
+def test_benchmark_and_script_argv_still_parse(tmp_path, monkeypatch, capsys):
+    import importlib.util
+    import runpy
+
+    import fracmom.cli
+
+    seen = []
+    monkeypatch.setattr(fracmom.cli, "main", lambda argv: seen.append(argv) or 0)
+
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in ("identity", "reconstruct", "montecarlo"):
+        for op in workloads.build(workload, 1, tmp_path):
+            if op.cli:
+                op.invoke()
+    n_bench = len(seen)
+    for script, argv in (("identity_report.py", []),
+                         ("make_figures.py", ["--out-dir", str(tmp_path)])):
+        assert runpy.run_path(str(REPO / "scripts" / script))["run"](argv) == 0
+    capsys.readouterr()
+
+    # 5 verify; 5 grids and 8 curves plus figures; 3 grids and 5 curves
+    assert n_bench == 5 + 14 + 8
+    assert len(seen) == n_bench + 5 + 1
+    for argv in seen:
+        _parse(argv)
+    assert {argv[0] for argv in seen} == {
+        "verify", "moments", "reconstruct-cf", "reconstruct-pdf", "figures"}
+
+
+def test_readme_cli_examples_parse():
+    import shlex
+
+    text = (REPO / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.splitlines() if l.startswith("fracmom ")]
+    assert len(lines) >= 8
+    for line in lines:
+        _parse(shlex.split(line)[1:])
+
+
+# ----------------------------------------------------------------------
+# --grid-in and the distribution flags
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["cf", "pdf"])
+@pytest.mark.parametrize("flags", ["family", "dist", "param"])
+def test_grid_in_conflicts_with_distribution_flags(kind, flags, tmp_path, capsys):
+    """--grid-in with --family levy used to rebuild the CSV's cauchy
+    curve silently."""
+    grid = _cauchy_grid_csv(tmp_path, 0.4)
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({"family": "levy", "params": {}}))
+    extra = {"family": ["--family", "levy"], "dist": ["--dist", str(cfg)],
+             "param": ["--param", "sigma=2"]}[flags]
+    out = tmp_path / "curve.csv"
+    code, stdout, err = _run([f"reconstruct-{kind}", "--grid-in", str(grid), *extra,
+                              "--range", "0.5:3:6", "--out", str(out)], capsys)
+    assert _one_error_line(code, stdout, err)
+    assert err == ("error: --grid-in cannot be combined with --dist, "
+                   "--family or --param\n")
+    assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# one stderr line for every failure
+# ----------------------------------------------------------------------
+
+
+def test_negative_seed_is_validation(capsys):
+    # used to end in numpy's ValueError traceback
+    code, out, err = _run(["moments", "--family", "cauchy", "--method", "mc",
+                           "--n-samples", "100", "--seed", "-1"], capsys)
+    assert _one_error_line(code, out, err)
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["moments", "reconstruct-cf", "figures"])
+def test_unwritable_output_path_is_one_error_line(command, tmp_path, capsys):
+    # a parent that is a file used to end in a FileExistsError traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "sub" / "x.csv"
+    argv = {"moments": ["moments", "--family", "cauchy", "--m", "1",
+                        "--out", str(target)],
+            "reconstruct-cf": ["reconstruct-cf", "--family", "cauchy", "--m", "1",
+                               "--out", str(target)],
+            "figures": ["figures", "--out-dir", str(target)]}[command]
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {blocker / 'sub'}")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in out + err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_foreign_exception_is_one_line_exit_three(monkeypatch, capsys, caplog):
+    import logging
+
+    import fracmom.cli
+
+    def broken(spec):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(fracmom.cli, "working_strip", broken)
+    with caplog.at_level(logging.DEBUG, logger="fracmom"):
+        code, out, err = _run(["strip", "--family", "cauchy"], capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"
+    # the traceback is kept for FRACMOM_LOG=debug
+    [record] = [r for r in caplog.records if r.exc_info]
+    assert record.levelno == logging.DEBUG
+    assert record.exc_info[0] is RuntimeError
