@@ -20,8 +20,12 @@ Each command accepts only the flags it reads; any other flag is an
     grid   --rho, --delta, --m, --sign
     build  --method, --n-samples, --seed, --out
 
-``--grid-in`` reads the distribution from the grid CSV, so it cannot be
-combined with the dist flags.
+``--grid-in`` reads the distribution and the grid from the grid CSV, so
+it cannot be combined with the dist or grid flags, nor with a build flag
+but ``--out`` (not even one passed at its default value).  ``verify``
+needs rho inside the family's moment strip, its mirror image and
+(0, 1), because its oracle integrates the density at u^(-gamma) and
+u^(+gamma).
 
 Exit codes: 0 success, 1 argument/configuration problems (a path named
 by ``--out``/``--out-dir`` that cannot be written included) or a stdout
@@ -83,6 +87,12 @@ _IDENTITY_TOL = 1e-4
 
 _RANGE_CAP = 1_000_000
 
+# Defaults of the grid and build flags (``--out`` has none).  The parser
+# leaves an omitted flag at None, so ``--grid-in`` can reject each one
+# that was passed.
+_FLAG_DEFAULTS = {"rho": 0.4, "delta": 0.4, "m": 5, "sign": "minus",
+                  "method": "closed", "n_samples": 100_000, "seed": 0}
+
 _FIGURE_TABLE = """\
 figure parameters (all grids rho=0.4, delta=0.4, sign=minus unless noted):
   fig3a   uniform(a=2)    classical Taylor order 8      theta 0.1..10 step 0.05
@@ -123,15 +133,16 @@ def _build_parser() -> _Parser:
     which.add_argument("--family", choices=FAMILIES)
     dist.add_argument("--param", action="append", default=[],
                       metavar="K=V", help="family parameter (repeatable)")
+    # grid and build flags default to None; _flag supplies the defaults
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--rho", type=float, default=0.4)
-    grid.add_argument("--delta", type=float, default=0.4)
-    grid.add_argument("--m", type=int, default=5)
-    grid.add_argument("--sign", choices=("plus", "minus"), default="minus")
+    grid.add_argument("--rho", type=float)
+    grid.add_argument("--delta", type=float)
+    grid.add_argument("--m", type=int)
+    grid.add_argument("--sign", choices=("plus", "minus"))
     build = argparse.ArgumentParser(add_help=False)
-    build.add_argument("--method", choices=tuple(_METHODS), default="closed")
-    build.add_argument("--n-samples", type=int, default=100_000)
-    build.add_argument("--seed", type=int, default=0)
+    build.add_argument("--method", choices=tuple(_METHODS))
+    build.add_argument("--n-samples", type=int)
+    build.add_argument("--seed", type=int)
     build.add_argument("--out", type=Path, metavar="PATH.csv")
 
     p = sub.add_parser("moments", parents=[dist, grid, build],
@@ -217,8 +228,14 @@ def _parse_range(text: str) -> np.ndarray:
     return nonzero
 
 
+def _flag(args, name: str):
+    value = getattr(args, name)
+    return _FLAG_DEFAULTS[name] if value is None else value
+
+
 def _grid_params(args) -> GridParams:
-    return GridParams(rho=args.rho, delta=args.delta, m=args.m, sign=args.sign)
+    names = ("rho", "delta", "m", "sign")
+    return GridParams(**{name: _flag(args, name) for name in names})
 
 
 # ----------------------------------------------------------------------
@@ -263,10 +280,10 @@ def _require_spec(args) -> DistributionSpec:
 
 
 def _build_grid(args, spec: DistributionSpec, params: GridParams) -> MomentGrid:
-    method = _METHODS[args.method]
+    method = _METHODS[_flag(args, "method")]
     samples = None
     if method == "monte_carlo":
-        samples = sample(spec, args.n_samples, seed=args.seed)
+        samples = sample(spec, _flag(args, "n_samples"), seed=_flag(args, "seed"))
     return make_grid(spec, params, method, samples=samples)
 
 
@@ -276,13 +293,13 @@ def _cmd_moments(args) -> int:
     grid = _build_grid(args, spec, params)
     buf = io.StringIO()
     write_grid_csv(grid, buf, family=spec.family, params=spec.params,
-                   method=_METHODS[args.method])
+                   method=_METHODS[_flag(args, "method")])
     _emit(args.out, buf.getvalue())
     return 0
 
 
 def _cmd_reconstruct(args, kind: str) -> int:
-    params = _grid_params(args)
+    params = _grid_params(args) if args.grid_in is None else None
     abscissae = _parse_range(args.range_)
     if args.grid_in is None:
         spec = _require_spec(args)
@@ -293,6 +310,12 @@ def _cmd_reconstruct(args, kind: str) -> int:
         if _load_spec(args) is not None or args.param:
             raise ArgumentError("--grid-in cannot be combined with --dist, "
                                 "--family or --param")
+        # the grid and how it was built come from the CSV too
+        passed = [f"--{name.replace('_', '-')}" for name in _FLAG_DEFAULTS
+                  if getattr(args, name) is not None]
+        if passed:
+            raise ArgumentError(f"--grid-in cannot be combined with "
+                                f"{', '.join(passed)}")
         try:
             with open(args.grid_in) as handle:
                 grid, meta = read_grid_csv(handle)

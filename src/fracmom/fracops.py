@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import DistributionSpec, exact_cf, exact_pdf
+from .distributions import DistributionSpec, FundamentalStrip, exact_cf, exact_pdf
 from .errors import DomainError, StripError
 from .moments import GridParams, half_line_integrals
 from .quadrature import Estimate, require
@@ -281,11 +281,19 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     operators' 1e-7.  The Riesz rows combine the one-sided values, and
     ``mellin_two_path`` compares J_- with Gamma(gamma) times the
     fractional integral made from it.  A missed target raises
-    :class:`QuadratureError`.
+    :class:`QuadratureError`.  The oracle needs both E|X|^(-rho) and
+    E|X|^(+rho), and the operators 0 < rho < 1, so ``rho`` outside the
+    moment strip, its mirror image and (0, 1) raises
+    :class:`StripError` before any quadrature.
     """
+    allowed = spec.moment_strip.intersect(-spec.moment_strip).intersect(
+        FundamentalStrip(0.0, 1.0))
+    if params.rho not in allowed:
+        raise StripError(f"rho = {params.rho} outside identity-suite strip "
+                         f"{allowed} of {spec.label()}")
     cf = lambda t: exact_cf(spec, t)  # noqa: E731
     pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
-    osc = spec.params["a"] if spec.family == "uniform" else None
+    osc = spec.record.oscillation(spec.params)
     g = params.nodes()
 
     # Independent oracle: quadrature of the density.  The half-line
@@ -303,7 +311,6 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     abs_plus = oracle(above.absolute())  # E|X|^g
     abs_minus = oracle(below.absolute())  # E|X|^(-g)
 
-    _require_unit_strip(g, "fractional integral")
     mellin = {
         side: _half_line(cf, 0.0, math.inf, side, 1.0 - g, osc) for side in _SIDES
     }

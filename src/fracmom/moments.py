@@ -434,14 +434,12 @@ def convert_moment(
 def working_strip(spec: DistributionSpec) -> FundamentalStrip:
     """Guaranteed-usable line abscissas for reconstruction.
 
-    The moment strip intersected with (0, 1) — except the Gaussian,
-    whose reconstruction line extends over the whole positive axis by
-    analytic continuation of its rapidly decaying CF.
+    The moment strip intersected with (0, 1), unless the family's
+    record sets its own (the Gaussian's extends over the whole positive
+    axis by analytic continuation of its rapidly decaying CF).
     """
-    if spec.family == "gaussian":
-        strip = FundamentalStrip(0.0, math.inf)
-    else:
-        strip = spec.moment_strip.intersect(FundamentalStrip(0.0, 1.0))
+    strip = spec.record.working_strip or spec.moment_strip.intersect(
+        FundamentalStrip(0.0, 1.0))
     if strip.is_empty:
         raise EmptyStripError(
             f"no admissible line abscissa for {spec.label()}"

@@ -94,23 +94,6 @@ def pdf_series(grid: MomentGrid, x: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _integer_moment(spec: DistributionSpec, j: int) -> float:
-    p = spec.params
-    if spec.family == "uniform":
-        return 0.0 if j % 2 else p["a"] ** j / (j + 1)
-    if spec.family == "gaussian":
-        mu, sig = p["mu"], p["sigma"]
-        if j == 0:
-            return 1.0
-        m_prev, m_cur = 1.0, mu  # E[X^0], E[X^1]
-        for n in range(2, j + 1):
-            m_prev, m_cur = m_cur, mu * m_cur + (n - 1) * sig * sig * m_prev
-        return m_cur
-    # rayleigh
-    sig = p["sigma"]
-    return sig**j * 2.0 ** (j / 2.0) * math.gamma(1.0 + j / 2.0)
-
-
 def classical_taylor_cf(
     spec: DistributionSpec, theta: float, order: int
 ) -> complex:
@@ -124,7 +107,7 @@ def classical_taylor_cf(
     """
     if order < 0:
         raise ArgumentError("order must be >= 0")
-    if spec.family in ("cauchy", "levy"):
+    if spec.record.integer_moment is None:
         raise UnsupportedError(
             f"{spec.family} has no finite integer moments; its Taylor CF "
             "expansion is a sum of divergent terms"
@@ -134,7 +117,7 @@ def classical_taylor_cf(
     for j in range(order + 1):
         if j > 0:
             term *= 1j * theta / j
-        total += term * _integer_moment(spec, j)
+        total += term * spec.record.integer_moment(spec.params, j)
     return total
 
 

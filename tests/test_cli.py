@@ -363,19 +363,51 @@ def test_verify_keeps_every_oracle_estimate(capsys):
     assert not [w for w in caught if issubclass(w.category, IntegrationWarning)]
 
 
-def test_verify_far_rho_reports_nan_estimate_without_warnings(capsys):
-    """At Re gamma = 180 the power u^(-gamma) overflows near u = 0; the
-    NaN estimate is reported once, as a numerical failure, and NumPy
-    used to print four RuntimeWarnings before it."""
+def test_far_rho_is_a_verify_strip_error_and_a_quiet_quadrature_nan(capsys):
+    """At Re gamma = 180 the power u^(-gamma) overflows near u = 0.
+    ``verify`` rejects that rho before any quadrature, and
+    ``moment_quadrature`` reports its NaN estimate once, as a numerical
+    failure; NumPy used to print four RuntimeWarnings before it."""
+    from fracmom import DistributionSpec, GridParams, exact_pdf, moment_quadrature
+    from fracmom.errors import QuadratureError
+
+    levy = DistributionSpec("levy")
+    nodes = GridParams(rho=180.0, delta=0.4, m=2).nodes()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _run(["verify", "--family", "levy", "--rho", "180",
                                "--m", "2"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("numerical failure: moment quadrature estimate nan")
-    assert len(err.splitlines()) == 1
+        with pytest.raises(QuadratureError,
+                           match="^moment quadrature estimate nan"):
+            moment_quadrature(lambda x: exact_pdf(levy, x), levy.support, nodes,
+                              "minus")
+    assert (code, out) == (1, "")
+    assert err == "error: rho = 180.0 outside identity-suite strip (0, 0.5) of levy\n"
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "family, rho, strip, label",
+    [("cauchy", "1.5", "(0, 1)", "cauchy"), ("levy", "0.6", "(0, 0.5)", "levy"),
+     ("uniform", "-0.2", "(0, 1)", "uniform(a=2)"),
+     ("gaussian", "1.0", "(0, 1)", "gaussian(mu=2, sigma=1)")],
+)
+def test_verify_checks_rho_against_the_oracle_strip(family, rho, strip, label,
+                                                    capsys, monkeypatch):
+    """The oracle integrates the density at u^(-gamma) and u^(+gamma), so
+    rho must lie in the moment strip and its mirror image.  cauchy at 1.5
+    used to end in a quadrature-estimate line (exit 2); levy at 0.6 passed
+    all seven rows on the analytic continuation of a divergent integral."""
+    import fracmom.fracops
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(fracmom.fracops, "half_line_integrals", no_quadrature)
+    code, out, err = _run(["verify", "--family", family, "--rho", rho], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: rho = {float(rho)} outside identity-suite strip "
+                   f"{strip} of {label}\n")
 
 
 # ----------------------------------------------------------------------
@@ -607,6 +639,32 @@ def test_grid_in_conflicts_with_distribution_flags(kind, flags, tmp_path, capsys
     assert err == ("error: --grid-in cannot be combined with --dist, "
                    "--family or --param\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--m", "0"], "--m"),
+     (["--m", "7", "--rho", "0.3"], "--rho, --m"),
+     (["--delta", "0.2", "--sign", "plus"], "--delta, --sign"),
+     (["--method", "mc", "--seed", "3"], "--method, --seed"),
+     (["--n-samples", "10"], "--n-samples"),
+     (["--rho", "0.4"], "--rho")],
+)
+def test_grid_in_rejects_the_grid_and_build_flags(flags, named, tmp_path, capsys):
+    """The grid comes from the CSV, so a grid or build flag would be
+    ignored; --m 0 used to fail on its own range check.  Passing a flag
+    at its default value is rejected too."""
+    grid = _cauchy_grid_csv(tmp_path, 0.4)
+    out = tmp_path / "curve.csv"
+    code, stdout, err = _run(["reconstruct-cf", "--grid-in", str(grid), *flags,
+                              "--range", "0.5:3:6", "--out", str(out)], capsys)
+    assert _one_error_line(code, stdout, err)
+    assert err == f"error: --grid-in cannot be combined with {named}\n"
+    assert not out.exists()
+    # --range and --out stay allowed
+    code, stdout, _ = _run(["reconstruct-cf", "--grid-in", str(grid),
+                            "--range", "0.5:3:6", "--out", str(out)], capsys)
+    assert code == 0 and out.exists()
 
 
 # ----------------------------------------------------------------------

@@ -489,3 +489,39 @@ def test_sample_cauchy_median_and_tails():
     want = 2.0 / math.pi * math.atan(0.1)
     frac = float(np.mean(np.abs(x) > 10.0))
     assert frac == pytest.approx(want, rel=0.15)
+
+
+# ----------------------------------------------------------------------
+# each catalog record agrees with itself
+# ----------------------------------------------------------------------
+
+
+def _fourier_integral(spec, theta):
+    # E[e^(i theta X)] by quad of the density over each half of the
+    # support, with QUADPACK's Fourier weights: x = side * u, u >= 0
+    lo, hi = spec.support
+    value = 0j
+    for side, (a, b) in ((1, (max(lo, 0.0), hi)), (-1, (max(-hi, 0.0), -lo))):
+        if a < b:
+            f = lambda u: exact_pdf(spec, side * u)  # noqa: E731
+            value += quad(f, a, b, weight="cos", wvar=theta)[0]
+            value += side * 1j * quad(f, a, b, weight="sin", wvar=theta)[0]
+    return value
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_record_pdf_cf_and_sampler_agree(family):
+    """The density, the CF and the sampler of every record describe one
+    law: the CF is the Fourier integral of the density, and seeded sample
+    means of cos(theta X) and sin(theta X) fall within 5 standard errors
+    of it."""
+    spec = DistributionSpec(family)
+    thetas = np.array([0.3, 1.0, 2.5])
+    cf = exact_cf(spec, thetas)
+    for theta, want in zip(thetas, cf):
+        assert abs(_fourier_integral(spec, theta) - want) < 1e-8, theta
+    x = sample(spec, 40_000, seed=7)
+    for theta, want in zip(thetas, cf):
+        for part, got in ((want.real, np.cos(theta * x)), (want.imag, np.sin(theta * x))):
+            stderr = got.std(ddof=1) / math.sqrt(got.size)
+            assert abs(got.mean() - part) < 5.0 * stderr + 1e-12, (theta, part)

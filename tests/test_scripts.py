@@ -56,3 +56,24 @@ def test_code_lines_total_is_the_sum_of_the_rows(capsys):
     assert "reconstruct.py" in {name for name, _ in rows}
     assert total[0] == "total"
     assert int(total[1]) == sum(int(n) for _, n in rows) > 0
+
+
+def test_compare_outputs_tiny_corpus(capsys):
+    repo = str(SCRIPTS.parent)
+    code, out = _run_script("compare_outputs.py",
+                            [repo, repo, "--only", "strip-levy"], capsys)
+    assert code == 0
+    *rows, summary = out.splitlines()
+    assert [row.split()[0] for row in rows] == [
+        "strip-levy:exit", "strip-levy:stdout", "strip-levy:stderr"]
+    assert all(row.endswith(" identical") for row in rows)
+    assert summary == "0 of 3 artifacts differ"
+
+
+def test_compare_outputs_reports_the_largest_deviation():
+    compare = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))["compare_text"]
+    assert compare("x,1.0\n", "x,1.0\n") == "identical"
+    assert (compare("x,1.0,2e-3,-4\n", "x,1.5,2e-3,-4.0\n")
+            == "max abs 5.000e-01  max rel 3.333e-01")
+    assert compare("a\nb 1\n", "a\nc 1\n") == "text differs at line 2: 'b 1' -> 'c 1'"
+    assert compare("a\n", "a\nb\n") == "text differs at line 2: '<none>' -> 'b'"
