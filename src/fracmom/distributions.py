@@ -10,11 +10,14 @@ closed-form value of E[(s i X)^(-gamma)] for s = +/-1, and a seeded
 sampler; and the facts other modules need beyond these (the integer
 moments of the Taylor baseline, the CF's oscillation frequency, and a
 reconstruction strip that differs from the default).  Adding a family
-means adding one record.  The module functions :func:`exact_pdf`,
-:func:`exact_cf`, :func:`closed_form_moment` and :func:`sample` are the
-only way to the record's callables, so the three moment estimators in
-:mod:`fracmom.moments` can be cross-checked against each other on every
-family.
+means adding one record.  The record's pdf, cf, moment and sampler are
+reached only through the module functions :func:`exact_pdf`,
+:func:`exact_cf`, :func:`closed_form_moment` and :func:`sample`, so the
+three moment estimators in :mod:`fracmom.moments` can be cross-checked
+against each other on every family.  The record's ``integer_moment``
+and ``oscillation`` are called directly, by
+:func:`fracmom.reconstruct.classical_taylor_cf` and
+:func:`fracmom.fracops.identity_suite`.
 
 The moment formulas in closed form:
 

@@ -58,16 +58,20 @@ def test_code_lines_total_is_the_sum_of_the_rows(capsys):
     assert int(total[1]) == sum(int(n) for _, n in rows) > 0
 
 
-def test_compare_outputs_tiny_corpus(capsys):
-    repo = str(SCRIPTS.parent)
-    code, out = _run_script("compare_outputs.py",
-                            [repo, repo, "--only", "strip-levy"], capsys)
-    assert code == 0
-    *rows, summary = out.splitlines()
-    assert [row.split()[0] for row in rows] == [
+def test_compare_outputs_tiny_corpus(tmp_path):
+    script = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
+    repo = SCRIPTS.parent
+    commands = [("strip-levy", ["strip", "--family", "levy"])]
+    runs = []
+    for name in ("old", "new"):
+        (tmp_path / name).mkdir()
+        runs.append(script["run_tree"](repo, commands, tmp_path / name))
+    old, new = runs
+    assert list(old) == list(new) == [
         "strip-levy:exit", "strip-levy:stdout", "strip-levy:stderr"]
-    assert all(row.endswith(" identical") for row in rows)
-    assert summary == "0 of 3 artifacts differ"
+    assert old["strip-levy:exit"] == b"0"
+    assert all(script["compare_text"](old[k].decode(), new[k].decode())
+               == "identical" for k in old)
 
 
 def test_compare_outputs_reports_the_largest_deviation():
@@ -77,3 +81,5 @@ def test_compare_outputs_reports_the_largest_deviation():
             == "max abs 5.000e-01  max rel 3.333e-01")
     assert compare("a\nb 1\n", "a\nc 1\n") == "text differs at line 2: 'b 1' -> 'c 1'"
     assert compare("a\n", "a\nb\n") == "text differs at line 2: '<none>' -> 'b'"
+    assert (compare("a 1\n", "a 1") == compare("a 1\r\n", "a 1\n")
+            == "text differs in line endings or trailing newline")
