@@ -9,7 +9,8 @@ by one command can be read by a later one.  The corpus:
 * ``verify`` for every family and both signs, and ``strip``;
 * ``moments`` by closed form, quadrature and Monte Carlo;
 * ``reconstruct-cf`` and ``reconstruct-pdf`` curves with their summary
-  lines, one of them from a grid CSV;
+  lines, one of them from a grid CSV, and a levy density out to
+  |Im gamma| = 520;
 * ``figures`` and its CSVs;
 * argvs that must fail with one ``error:`` line.
 
@@ -66,6 +67,10 @@ def corpus() -> list[tuple[str, list[str]]]:
     out.append(("cf-grid-in", ["reconstruct-cf", "--grid-in",
                                "moments-levy-closed.csv", "--range", "0.1:10:50",
                                "--out", "cf-grid-in.csv"]))
+    # past |Im gamma| ~ 451, where a per-node PDF kernel leaves double range
+    out.append(("pdf-levy-reach", ["reconstruct-pdf", "--family", "levy", "--rho", "0.9",
+                                   "--m", "1300", "--delta", "0.4",
+                                   "--out", "pdf-levy-reach.csv"]))
     out.append(("figures", ["figures", "--out-dir", "figs"]))
     errors = [
         ["moments", "--family", "nosuch"],
@@ -82,6 +87,8 @@ def corpus() -> list[tuple[str, list[str]]]:
         ["verify", "--family", "cauchy", "--rho", "1.5"],
         ["verify", "--family", "levy", "--rho", "0.6"],
         ["strip", "--m", "3"],
+        ["moments", "--family", "cauchy", "--method", "mc",
+         "--n-samples", "100000000000000000000", "--m", "2"],
     ]
     out += [(f"error-{i:02d}", argv) for i, argv in enumerate(errors)]
     return out

@@ -461,10 +461,18 @@ def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
 # ----------------------------------------------------------------------
 
 
+# Largest sample size: the Monte Carlo node ladder holds about 40 bytes
+# per sample, so 0.4 GB at the cap.
+_N_CAP = 10_000_000
+
+
 def sample(spec: DistributionSpec, n: int, seed: int | None = None) -> np.ndarray:
-    """Draw ``n`` i.i.d. variates; deterministic for a fixed seed."""
+    """Draw ``n`` i.i.d. variates, 1 <= n <= 10^7; deterministic for a
+    fixed seed."""
     if n < 1:
         raise ArgumentError("sample size must be >= 1")
+    if n > _N_CAP:
+        raise ArgumentError(f"sample size must be <= {_N_CAP}, got {n}")
     if seed is not None and seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
     return spec.record.sample(spec.params, np.random.default_rng(seed), n)

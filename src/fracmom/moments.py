@@ -10,6 +10,7 @@ arithmetic, a truncation heuristic, and a CSV round-trip format.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -465,14 +466,13 @@ def suggest_truncation(
     |Gamma(rho + i eta)| ~ sqrt(2 pi) |eta|^(rho - 1/2) e^(-pi |eta|/2)
     times the larger of the two grid endpoint moment magnitudes — an
     envelope, not an exact term, so the suggestion is conservative.
-    The search gallops (m = 1, 2, 4, ..., 10^4) to the first m whose
-    envelope is at most ``tol`` or whose endpoint moment cannot be
-    evaluated, then bisects back to the first such m: about 2 log2 m
-    envelope evaluations.  Like the linear sweep it replaces, it takes
-    that stop test to hold at every m past the first that meets it.
-    It answers ``capped=True`` with m = 10^4
-    when the target is unreachable, or when an endpoint moment stops
-    being evaluable before the target is met.
+    One bisection over m = 1..10^4 finds the first m whose envelope is
+    at most ``tol`` or whose endpoint moment cannot be evaluated: about
+    log2(10^4) + 1 = 15 envelope evaluations.  Like the linear sweep it
+    replaces, it takes that stop test to hold at every m past the first
+    that meets it.  It answers ``capped=True`` with m = 10^4 when the
+    target is unreachable, or when an endpoint moment stops being
+    evaluable before the target is met.
     """
     if not tol > 0.0:
         raise ArgumentError("tol must be > 0")
@@ -502,26 +502,12 @@ def suggest_truncation(
         except FracmomError:
             return None
 
-    # The envelope decays like e^(-pi m delta / 2); if even the cap
-    # endpoint misses the target, searching below it cannot help.
-    if not reached(_M_CAP):
-        return TruncationSuggestion(_M_CAP, True)
-
-    # gallop until reached(hi) is not False, which the cap guarantees;
-    # reached(lo) stays False (lo = 0: nothing tried yet)
-    lo, hi, found = 0, 1, reached(1)
-    while found is False:
-        lo, hi = hi, min(2 * hi, _M_CAP)
-        found = reached(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        outcome = reached(mid)
-        if outcome is False:
-            lo = mid
-        else:
-            hi, found = mid, outcome
-    if found:
-        return TruncationSuggestion(hi, False)
+    # the first m whose stop test does not fail (or _M_CAP + 1)
+    first = 1 + bisect.bisect_left(
+        range(1, _M_CAP + 1), True, key=lambda m: reached(m) is not False
+    )
+    if first <= _M_CAP and reached(first):
+        return TruncationSuggestion(first, False)
     return TruncationSuggestion(_M_CAP, True)
 
 

@@ -232,19 +232,18 @@ def test_reconstruct_checks_grid_csv_rho_against_strip(tmp_path, capsys, kind):
     assert err.startswith("error: rho = 1.5 outside usable strip")
 
 
-@pytest.mark.parametrize("case", ["levy_pdf_far_nodes", "csv_rho_180"])
+@pytest.mark.parametrize("case", ["pdf_csv_rho_300", "csv_rho_180"])
 def test_reconstruct_non_finite_series_is_typed(tmp_path, capsys, case):
     """Series whose weights or kernels leave double range used to print
     NumPy overflow warnings and a NaN curve with exit 0."""
-    if case == "levy_pdf_far_nodes":
-        # the closed forms reach |Im gamma| = 520; the PDF kernel
-        # (ix)^(gamma-1) does not
-        argv = ["reconstruct-pdf", "--family", "levy", "--rho", "0.9",
-                "--m", "1300", "--delta", "0.4"]
+    if case == "pdf_csv_rho_300":
+        # the anchor |x|^(rho - 1) leaves double range past x ~ 10.7
+        rho, argv = 300.5, ["reconstruct-pdf", "--range", "1:20:5"]
     else:
-        # no family line, so no strip check: Gamma(180 + ...) overflows
-        grid = _cauchy_grid_csv(tmp_path, 180.0, family_line=False)
-        argv = ["reconstruct-cf", "--grid-in", str(grid)]
+        # Gamma(180 + ...) overflows
+        rho, argv = 180.0, ["reconstruct-cf"]
+    # no family line, so no strip check
+    argv += ["--grid-in", str(_cauchy_grid_csv(tmp_path, rho, family_line=False))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _run(argv, capsys)
@@ -297,10 +296,14 @@ def test_range_count_cap():
 @pytest.mark.parametrize(
     "argv",
     [["reconstruct-cf", "--family", "cauchy", "--range", "1:2:1000001"],
-     ["moments", "--family", "cauchy", "--m", "10001"]],
+     ["moments", "--family", "cauchy", "--m", "10001"],
+     # numpy refuses these two sizes before allocating; they used to end
+     # in "internal error: ValueError: ..." with exit 3
+     *(["moments", "--family", "cauchy", "--method", "mc", "--n-samples", n]
+       for n in ("100000000000000000000", "9223372036854775807"))],
 )
 def test_caps_give_one_error_line(argv, capsys):
-    # both caps are checked while the arguments are read, before any work
+    # every cap is checked before any work
     code, out, err = _run(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1

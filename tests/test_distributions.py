@@ -453,6 +453,14 @@ def test_sample_shapes_and_determinism():
         assert not np.array_equal(x, z)
 
 
+def test_sample_size_is_checked_before_drawing(monkeypatch):
+    # no generator is made, so no array is allocated, for a refused size
+    monkeypatch.setattr(np.random, "default_rng", None)
+    for n in (0, 10_000_001, 10**20):
+        with pytest.raises(ArgumentError, match="sample size must be"):
+            sample(CAUCHY, n, seed=0)
+
+
 def test_sample_support():
     assert np.all(np.abs(sample(UNIFORM, 5000, seed=1)) <= 2.0)
     assert np.all(sample(RAYLEIGH, 5000, seed=1) > 0.0)

@@ -206,6 +206,15 @@ def test_pdf_series_curve_reports_hilbert_component():
     assert cf_curve.im_max is None
 
 
+def test_levy_pdf_reaches_past_the_per_node_kernel_overflow():
+    # |Im gamma| up to 520: a per-node kernel (ix)^(gamma-1) leaves double
+    # range past |Im gamma| ~ 451 while its weight underflows, and used to
+    # make this curve a DomainError; the Horner sum forms no power of z
+    grid = _grid(LEVY, 1300, rho=0.9, delta=0.4)
+    curve = sample_curve(grid, "pdf", np.linspace(0.1, 10.0, 100), exact_spec=LEVY)
+    assert np.all(curve.abs_err <= 1e-8)  # measured 3.55e-9
+
+
 # ----------------------------------------------------------------------
 # classical Taylor baseline
 # ----------------------------------------------------------------------
@@ -362,33 +371,27 @@ def test_sample_curve_rejects_non_vector_points(kind, abscissae):
         sample_curve(_grid(CAUCHY, 5), kind, abscissae)
 
 
-def test_pdf_curve_peak_memory_is_one_kernel():
-    # the signed-power kernel is the only points x nodes array: its
-    # exponent is formed once and exponentiated in place
+def _curve_peak_bytes(kind, points):
     grid = _grid(CAUCHY, 200, delta=0.2)
-    x = np.linspace(-10.0, 10.0, 2000)
-    sample_curve(grid, "pdf", x)
+    x = np.linspace(-10.0, 10.0, points)
+    sample_curve(grid, kind, x)
     tracemalloc.start()
     try:
-        sample_curve(grid, "pdf", x)
-        peak = tracemalloc.get_traced_memory()[1]
+        sample_curve(grid, kind, x)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * x.size * (2 * 200 + 1) * 16
+
+
+def test_pdf_curve_builds_no_points_by_nodes_array():
+    # the node ladder keeps a few arrays of one value per point; the
+    # points x nodes kernel it replaced took 64.6 MB here
+    assert _curve_peak_bytes("pdf", 10_000) <= 5e6
 
 
 def test_cf_curve_builds_no_points_by_nodes_array():
     # the node ladder keeps a few arrays of one value per point
-    grid = _grid(CAUCHY, 200, delta=0.2)
-    x = np.linspace(-10.0, 10.0, 2000)
-    sample_curve(grid, "cf", x)
-    tracemalloc.start()
-    try:
-        sample_curve(grid, "cf", x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.1 * x.size * (2 * 200 + 1) * 16
+    assert _curve_peak_bytes("cf", 2000) <= 0.1 * 2000 * (2 * 200 + 1) * 16
 
 
 def _direct_cf(grid, x):

@@ -307,7 +307,7 @@ def test_signed_power_broadcast_equals_scalar_calls(xs, gammas, sign):
 @settings(max_examples=100)
 def test_signed_power_equals_modulus_plus_phase_form(xs, gammas, sign):
     # g ln|x| + s g (i pi/2) sgn x, with log|x| and sgn x as separate
-    # arrays: the form the PDF kernel values are pinned to, bit for bit
+    # arrays, bit for bit
     x, g = np.array(xs)[:, None], np.array(gammas, dtype=complex)
     s = 1.0 if sign == "plus" else -1.0
     want = np.exp(g * np.log(np.abs(x)) + s * g * (1j * math.pi / 2.0) * np.sign(x))
