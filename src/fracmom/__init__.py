@@ -136,9 +136,11 @@ __all__ = [
     "rl_integral_at_zero",
     "sample",
     "sample_curve",
+    "signed_complex_power",
     "spec_from_config",
     "suggest_truncation",
     "working_strip",
     "write_curve_csv",
+    "write_grid_csv",
     "__version__",
 ]

@@ -6,8 +6,9 @@ Subcommands: ``moments`` (tabulate a grid to CSV), ``reconstruct-cf`` /
 ``strip`` (print the usable line-abscissa interval) and ``figures``
 (one-shot emission of every reproduction curve with pinned parameters).
 
-Each command accepts only the flags it reads; any other flag is an
-``unrecognized arguments`` error::
+Each command accepts only the flags of its groups below; any other flag
+is an ``unrecognized arguments`` error.  ``verify`` accepts ``--sign``
+and ignores it, since it checks both signs::
 
     command               dist  grid  build  own flags
     moments                x     x     x

@@ -81,8 +81,20 @@ class FundamentalStrip:
     def is_empty(self) -> bool:
         return not self.lo < self.hi
 
-    def __contains__(self, rho: float) -> bool:
-        return self.lo < float(rho) < self.hi
+    def require(self, re, name: str, kind: str, owner: str | None = None) -> None:
+        """Raise :class:`StripError` unless every real part in ``re`` (a
+        scalar or an array) lies inside this open strip.
+
+        The message names the first offending value in array order:
+        ``"{name} = {value} outside {kind} strip {self}"``, followed by
+        ``" of {owner}"`` when an owner is given.
+        """
+        values = np.asarray(re, dtype=float)
+        outside = ~((values > self.lo) & (values < self.hi))
+        if outside.any():
+            of = "" if owner is None else f" of {owner}"
+            raise StripError(f"{name} = {float(values[outside][0])} outside "
+                             f"{kind} strip {self}{of}")
 
     def intersect(self, other: "FundamentalStrip") -> "FundamentalStrip":
         return FundamentalStrip(max(self.lo, other.lo), min(self.hi, other.hi))
@@ -416,16 +428,6 @@ def exact_cf(spec: DistributionSpec, theta):
 # ----------------------------------------------------------------------
 
 
-def _require_in_strip(spec: DistributionSpec, gamma: np.ndarray) -> None:
-    strip = spec.moment_strip
-    outside = ~((gamma.real > strip.lo) & (gamma.real < strip.hi))
-    if outside.any():
-        raise StripError(
-            f"Re(gamma) = {float(gamma.real[outside][0])} outside moment strip "
-            f"{strip} of {spec.label()}"
-        )
-
-
 def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
     """Exact value of E[(s i X)^(-gamma)], s = +1 ("plus") or -1 ("minus").
 
@@ -444,7 +446,7 @@ def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
     """
     sign_value(sign)  # validates before the strip check
     g = np.atleast_1d(np.asarray(gamma, dtype=complex))
-    _require_in_strip(spec, g)
+    spec.moment_strip.require(g.real, "Re(gamma)", "moment", spec.label())
     with np.errstate(over="ignore", invalid="ignore"):
         value = spec.record.moment(spec.params, g, sign)
     bad = ~np.isfinite(value)

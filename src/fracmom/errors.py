@@ -31,8 +31,11 @@ class PoleError(DomainError):
 
 
 class StripError(DomainError):
-    """A real part falls outside the strip where the moment integral of
-    the given distribution converges."""
+    """A real part falls outside the open strip where an operation is
+    admissible: a distribution's moment strip, a grid line's usable
+    strip, the identity suite's, or an operator's.  All of them but the
+    empty strip below come from
+    :meth:`fracmom.distributions.FundamentalStrip.require`."""
 
 
 class EmptyStripError(StripError):

@@ -49,7 +49,9 @@ family's sinc) the ``oscillation`` hint switches the part beyond
 xi = 1 to integration between consecutive zeros with
 repeated-averaging (Euler) acceleration, accurate to ~1e-11 even at
 Re(gamma) close to 1.  Whenever any order's error estimate exceeds
-``tol`` a :class:`QuadratureError` naming that order is raised.
+1e-7 a :class:`QuadratureError` naming that order is raised.  An order
+outside an operator's strip of real parts raises :class:`StripError`
+before any quadrature.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .distributions import DistributionSpec, FundamentalStrip, exact_cf, exact_pdf
-from .errors import DomainError, StripError
-from .moments import GridParams, half_line_integrals
+from .errors import DomainError
+from .moments import MOMENT_TOL, GridParams, half_line_integrals
 from .quadrature import Estimate, require
 from .special import complex_gamma, cosine_normaliser, sign_value
 
@@ -69,9 +71,10 @@ ComplexFunc = Callable[[np.ndarray], np.ndarray]
 
 # error target of every operator value
 _TOL = 1e-7
-# error target of the density-quadrature oracle, as in moment_quadrature
-_ORACLE_TOL = 1e-9
 _SIDES = ("plus", "minus")
+# real parts of the fractional integral, the Marchaud derivative and
+# the composition check's combined order
+_UNIT = FundamentalStrip(0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -86,15 +89,6 @@ def _orders(gamma) -> np.ndarray:
 def _shaped(gamma, values: np.ndarray):
     # a scalar order gives a complex, an array of orders an array
     return complex(values[0]) if np.ndim(gamma) == 0 else values
-
-
-def _require_unit_strip(gamma: np.ndarray, what: str) -> None:
-    outside = ~((gamma.real > 0.0) & (gamma.real < 1.0))
-    if outside.any():
-        raise DomainError(
-            f"{what} implemented for 0 < Re(gamma) < 1 only, "
-            f"got {complex(gamma[outside][0])}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -114,18 +108,17 @@ def _half_line(
     return half_line_integrals(f, (lo, hi), order, oscillation=oscillation).positive
 
 
-def _fractional_integral(mellin: Estimate, gamma, tol: float) -> np.ndarray:
-    # the Mellin integral over Gamma(gamma), held to tol
+def _fractional_integral(mellin: Estimate, gamma) -> np.ndarray:
+    # the Mellin integral over Gamma(gamma), held to the operators' tol
     gam = complex_gamma(gamma)
     result = Estimate(mellin.value / gam, mellin.error / np.abs(gam))
-    require(result, tol, "fractional integral",
+    require(result, _TOL, "fractional integral",
             np.broadcast_to(gamma, result.error.shape))
     return result.value
 
 
 def _marchaud(
-    cf: ComplexFunc, gamma: np.ndarray, side: str, tol: float,
-    oscillation: float | None,
+    cf: ComplexFunc, gamma: np.ndarray, side: str, oscillation: float | None
 ) -> np.ndarray:
     c0 = complex(cf(0.0))
     head = _half_line(lambda t: c0 - cf(t), 0.0, 1.0, side, 1.0 + gamma)
@@ -135,7 +128,7 @@ def _marchaud(
         front * (head.value + c0 / gamma - tail.value),
         (head.error + tail.error) * np.abs(front),
     )
-    require(result, tol, "Marchaud derivative", gamma)
+    require(result, _TOL, "Marchaud derivative", gamma)
     return result.value
 
 
@@ -153,7 +146,6 @@ def rl_integral_at_zero(
     gamma,
     side: str,
     *,
-    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Fractional integral of order ``gamma`` of ``cf``, evaluated at 0.
@@ -164,12 +156,12 @@ def rl_integral_at_zero(
     xi^(gamma-1) endpoint singularity, the outer part the decay of the
     CF (with the ``oscillation`` hint when the tail rings).  Raises
     :class:`QuadratureError` when the error estimate of any returned
-    value exceeds ``tol``.
+    value exceeds 1e-7.
     """
     g = _orders(gamma)
-    _require_unit_strip(g, "fractional integral")
+    _UNIT.require(g.real, "Re(gamma)", "fractional-integral")
     mellin = _half_line(cf, 0.0, math.inf, side, 1.0 - g, oscillation)
-    return _shaped(gamma, _fractional_integral(mellin, g, tol))
+    return _shaped(gamma, _fractional_integral(mellin, g))
 
 
 def marchaud_derivative_at_zero(
@@ -177,7 +169,6 @@ def marchaud_derivative_at_zero(
     gamma,
     side: str,
     *,
-    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Marchaud fractional derivative of ``cf`` at 0, order in (0, 1).
@@ -190,15 +181,14 @@ def marchaud_derivative_at_zero(
     the CF term needs quadrature.
     """
     g = _orders(gamma)
-    _require_unit_strip(g, "Marchaud derivative")
-    return _shaped(gamma, _marchaud(cf, g, side, tol, oscillation))
+    _UNIT.require(g.real, "Re(gamma)", "Marchaud-derivative")
+    return _shaped(gamma, _marchaud(cf, g, side, oscillation))
 
 
 def riesz_derivative_at_zero(
     cf: ComplexFunc,
     gamma,
     *,
-    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Riesz fractional derivative of ``cf`` at 0: the two Marchaud
@@ -209,7 +199,7 @@ def riesz_derivative_at_zero(
     """
     g = _orders(gamma)
     plus, minus = (
-        marchaud_derivative_at_zero(cf, g, side, tol=tol, oscillation=oscillation)
+        marchaud_derivative_at_zero(cf, g, side, oscillation=oscillation)
         for side in _SIDES
     )
     return _shaped(gamma, -_riesz(plus, minus, g))
@@ -219,7 +209,6 @@ def riesz_integral_at_zero(
     cf: ComplexFunc,
     gamma,
     *,
-    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Riesz fractional integral of ``cf`` at 0: both one-sided
@@ -227,7 +216,7 @@ def riesz_integral_at_zero(
     """
     g = _orders(gamma)
     plus, minus = (
-        rl_integral_at_zero(cf, g, side, tol=tol, oscillation=oscillation)
+        rl_integral_at_zero(cf, g, side, oscillation=oscillation)
         for side in _SIDES
     )
     return _shaped(gamma, _riesz(plus, minus, g))
@@ -238,7 +227,6 @@ def mellin_forward(
     gamma,
     side: str,
     *,
-    tol: float = _TOL,
     oscillation: float | None = None,
 ):
     """Forward Mellin transform int_0^inf xi^(gamma-1) f(-s xi) d xi.
@@ -251,13 +239,9 @@ def mellin_forward(
     ``f`` and is reported through the quadrature error estimate instead.
     """
     g = _orders(gamma)
-    if not (g.real > 0.0).all():
-        raise StripError(
-            f"Mellin transform needs Re(gamma) > 0, "
-            f"got {complex(g[~(g.real > 0.0)][0])}"
-        )
+    FundamentalStrip(0.0, math.inf).require(g.real, "Re(gamma)", "Mellin")
     result = _half_line(f, 0.0, math.inf, side, 1.0 - g, oscillation)
-    require(result, tol, "Mellin transform", g)
+    require(result, _TOL, "Mellin transform", g)
     return _shaped(gamma, result.value)
 
 
@@ -286,11 +270,9 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     moment strip, its mirror image and (0, 1) raises
     :class:`StripError` before any quadrature.
     """
-    allowed = spec.moment_strip.intersect(-spec.moment_strip).intersect(
-        FundamentalStrip(0.0, 1.0))
-    if params.rho not in allowed:
-        raise StripError(f"rho = {params.rho} outside identity-suite strip "
-                         f"{allowed} of {spec.label()}")
+    strip = spec.moment_strip
+    strip.intersect(-strip).intersect(_UNIT).require(
+        params.rho, "rho", "identity-suite", spec.label())
     cf = lambda t: exact_cf(spec, t)  # noqa: E731
     pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
     osc = spec.record.oscillation(spec.params)
@@ -303,7 +285,7 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     above = half_line_integrals(pdf, spec.support, -g)
 
     def oracle(estimate: Estimate) -> np.ndarray:
-        require(estimate, _ORACLE_TOL, "moment quadrature", g)
+        require(estimate, MOMENT_TOL, "moment quadrature", g)
         return estimate.value
 
     mom = {side: oracle(below.signed(g, side)) for side in _SIDES}
@@ -314,8 +296,8 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     mellin = {
         side: _half_line(cf, 0.0, math.inf, side, 1.0 - g, osc) for side in _SIDES
     }
-    rl = {side: _fractional_integral(mellin[side], g, _TOL) for side in _SIDES}
-    ma = {side: _marchaud(cf, g, side, _TOL, osc) for side in _SIDES}
+    rl = {side: _fractional_integral(mellin[side], g) for side in _SIDES}
+    ma = {side: _marchaud(cf, g, side, osc) for side in _SIDES}
 
     def dev(got: np.ndarray, want: np.ndarray) -> float:
         return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
@@ -357,7 +339,7 @@ def _weyl_integral(g: complex, func: ComplexFunc, y, s: int) -> np.ndarray:
     halves = half_line_integrals(
         lambda v: func(y[..., None] - s * v), (0.0, math.inf), 1.0 - g
     )
-    return _fractional_integral(halves.positive, g, _TOL)
+    return _fractional_integral(halves.positive, g)
 
 
 def composition_check(
@@ -378,16 +360,15 @@ def composition_check(
     engine result (the direct integral, the outer nested one and each
     inner block) must meet the operators' error target of 1e-7, or
     :class:`QuadratureError` is raised; the deviation itself carries
-    no error estimate.
+    no error estimate.  Each order needs a nonnegative real part
+    (:class:`DomainError`), and their sum one in (0, 1)
+    (:class:`StripError`).
     """
     gamma1, gamma2 = complex(gamma1), complex(gamma2)
     if gamma1.real < 0.0 or gamma2.real < 0.0:
         raise DomainError("composition orders need nonnegative real part")
     total = gamma1 + gamma2
-    if not 0.0 < total.real < 1.0:
-        raise DomainError(
-            f"combined order must satisfy 0 < Re < 1, got {total}"
-        )
+    _UNIT.require(total.real, "Re(gamma1 + gamma2)", "composition")
     s = sign_value(side)
 
     def inner(t: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
     EmptyStripError,
     FracmomError,
-    StripError,
 )
 from .quadrature import Estimate, integrate, require
 from .special import (
@@ -57,6 +56,10 @@ _BLOCK = 1 << 16
 # nodes per run of the Monte Carlo node ladder: one exact power, then a
 # step per node
 _LADDER_RUN = 16
+
+# error target of every moment by quadrature of a density: the
+# quadrature grids and the identity suite's oracle
+MOMENT_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +191,6 @@ def moment_quadrature(
     support: tuple[float, float],
     gamma,
     sign: str,
-    *,
-    tol: float = 1e-9,
 ):
     """E[(s i X)^(-gamma)] by quadrature of the defining integral.
 
@@ -199,14 +200,14 @@ def moment_quadrature(
     every order in ``gamma`` at once, calling ``pdf`` on arrays of
     abscissae.  Each half's error estimate is scaled by its phase
     magnitude, so the combined estimate is an estimate of the returned
-    value's error; if it exceeds ``tol`` at any order a
+    value's error; if it exceeds 1e-9 at any order a
     :class:`QuadratureError` naming that order and carrying its
     estimate is raised.  A scalar ``gamma`` gives a complex result, an
     array of orders an array.
     """
     g = np.atleast_1d(np.asarray(gamma, dtype=complex))
     result = half_line_integrals(pdf, support, g).signed(g, sign)
-    require(result, tol, "moment quadrature", g)
+    require(result, MOMENT_TOL, "moment quadrature", g)
     return complex(result.value[0]) if np.ndim(gamma) == 0 else result.value
 
 
@@ -334,11 +335,8 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
 def require_usable_rho(spec: DistributionSpec, rho: float) -> None:
     """Raise :class:`StripError` unless a grid line at ``rho`` lies in
     the family's moment strip intersected with the positive axis."""
-    allowed = spec.moment_strip.intersect(FundamentalStrip(0.0, math.inf))
-    if rho not in allowed:
-        raise StripError(
-            f"rho = {rho} outside usable strip {allowed} of {spec.label()}"
-        )
+    spec.moment_strip.intersect(FundamentalStrip(0.0, math.inf)).require(
+        rho, "rho", "usable", spec.label())
 
 
 def make_grid(

@@ -11,11 +11,12 @@ per-element scalar calls exactly.
 ``loggamma``, which stays finite far from the real axis where Gamma
 itself decays like exp(-pi |Im z| / 2).
 
-``reflection_product`` is Gamma(g) Gamma(1 - g) written as
-pi / sin(pi g), independently of ``complex_gamma`` so the two can be
-checked against each other.  Past |Im g| = 100, before sin(pi g) would
-overflow (around |Im g| ~ 225), it switches to log space with the
-asymptotic expansion of log sin(pi g).
+``reflection_product`` is Gamma(g) Gamma(1 - g) = pi / sin(pi g),
+independently of ``complex_gamma`` so the two can be checked against
+each other.  It is evaluated as 2 pi i s w / expm1(2 pi i s g) with
+w = exp(i pi s g) and s the sign of Im g (+1 on the real axis), one
+formula at every Im g: |w| <= 1, so nothing overflows where
+sin(pi g) itself would (around |Im g| ~ 225).
 
 ``signed_log`` is the one statement of the signed-power branch,
 
@@ -44,11 +45,6 @@ from .errors import ArgumentError, DomainError, PoleError
 
 _POLE_TOL = 1e-12
 
-# Beyond this |Im z| the reflection product switches to log space.  The
-# direct path would still be exact up to ~225 but there is no reason to
-# run close to the cliff.
-_LOG_REFLECTION_IMAG = 100.0
-
 _SIGN_VALUES = {"plus": 1, "minus": -1}
 
 
@@ -65,22 +61,6 @@ def sign_value(sign: str) -> int:
 def _shaped(values: np.ndarray):
     # a scalar in gives a complex out, an array an array
     return complex(values) if values.ndim == 0 else values
-
-
-def _log_sin_pi(z: np.ndarray) -> np.ndarray:
-    # Asymptotic form of log sin(pi z) for |Im z| >> 1: the dominant
-    # exponential is pulled out so nothing overflows.  The remaining
-    # factor 1 - exp(2i pi z s) has |exp(...)| < exp(-2 pi * 100) on
-    # this branch, far below double-precision resolution, so the plain
-    # log is exact here.
-    s = np.where(z.imag >= 0.0, 1.0, -1.0)
-    correction = 1.0 - np.exp(2j * math.pi * z * s)
-    return (
-        -math.log(2.0)
-        + 1j * s * math.pi / 2.0
-        - 1j * s * math.pi * z
-        + np.log(correction)
-    )
 
 
 def complex_gamma(z):
@@ -111,11 +91,11 @@ def reflection_product(gamma):
         raise PoleError(
             f"reflection product has a pole at integer order {int(n[poles][0])}"
         )
-    near = np.abs(g.imag) <= _LOG_REFLECTION_IMAG
-    out = np.empty(g.shape, dtype=complex)
-    out[near] = math.pi / np.sin(math.pi * g[near])
-    out[~near] = math.pi * np.exp(-_log_sin_pi(g[~near]))
-    return _shaped(out)
+    # with w = exp(i pi s g), pi / sin(pi g) = 2 pi i s w / (w^2 - 1);
+    # |w| = exp(-pi |Im g|) <= 1, so nothing overflows
+    s = np.where(g.imag < 0.0, -1.0, 1.0)
+    phase = 1j * math.pi * s * g
+    return _shaped(2j * math.pi * s * np.exp(phase) / np.expm1(2.0 * phase))
 
 
 def signed_log(x, sign: str):

@@ -131,8 +131,11 @@ def test_moment_strips():
 
 def test_strip_behaviour():
     s = FundamentalStrip(-1.0, 1.0)
-    assert 0.4 in s and 0.999 in s
-    assert 1.0 not in s and -1.0 not in s  # open interval
+    s.require(np.array([0.4, 0.999, -0.999]), "x", "test")
+    for edge in (1.0, -1.0, math.nan):  # open interval
+        message = rf"^x = {edge} outside test strip \(-1, 1\)$"
+        with pytest.raises(StripError, match=message):
+            s.require(edge, "x", "test")
     assert s.intersect(FundamentalStrip(0.0, 3.0)) == FundamentalStrip(0.0, 1.0)
     assert str(FundamentalStrip(0.0, math.inf)) == "(0, inf)"
     assert str(s) == "(-1, 1)"
@@ -318,7 +321,8 @@ def test_moment_conjugation_symmetry(spec, rho, eta):
     """conj E[(-iX)^(-g)] = E[(+iX)^(-conj g)] — from conjugating the
     defining integral."""
     g = complex(rho, eta)
-    if g.real not in spec.moment_strip:
+    strip = spec.moment_strip
+    if not strip.lo < g.real < strip.hi:
         return
     lhs = closed_form_moment(spec, g, "minus").conjugate()
     rhs = closed_form_moment(spec, g.conjugate(), "plus")

@@ -25,7 +25,7 @@ from fracmom.fracops import (
     riesz_integral_at_zero,
     rl_integral_at_zero,
 )
-from fracmom.moments import GridParams, half_line_integrals, moment_quadrature
+from fracmom.moments import GridParams, half_line_integrals, make_grid, moment_quadrature
 from fracmom.quadrature import integrate
 from fracmom.special import complex_gamma, sign_value
 
@@ -78,9 +78,11 @@ def test_rl_outside_unit_strip():
 
 
 def test_rl_unreachable_tolerance():
+    # the point-mass CF never decays; without its oscillation hint the
+    # tail cannot converge, and the estimate is reported, not dropped
     with pytest.raises(QuadratureError) as info:
-        rl_integral_at_zero(_RAYLEIGH_CF, 0.4, "minus", tol=1e-16)
-    assert info.value.achieved > 1e-16
+        rl_integral_at_zero(_POINT_MASS_CF, 0.5, "minus")
+    assert info.value.achieved > 1e-7
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +259,61 @@ def test_composition_validation():
         composition_check(-0.1, 0.3, lambda u: np.exp(-u))
     with pytest.raises(DomainError):
         composition_check(0.6, 0.6, lambda u: np.exp(-u))  # sum >= 1
+
+
+# ----------------------------------------------------------------------
+# strip checks
+# ----------------------------------------------------------------------
+
+
+def _untouched(t):
+    # a CF that must not be integrated: every strip check comes first
+    pytest.fail("integrated an order outside the strip")
+
+
+# orders whose first offender in array order is the middle one
+_ORDERS = np.array([0.4 + 1j, 1.3, -0.2 - 1j])
+
+_STRIP_SITES = {
+    "closed_form_moment": (
+        lambda: closed_form_moment(CAUCHY, np.array([0.4, 1.3, -1.2]), "plus"),
+        "Re(gamma) = 1.3 outside moment strip (-1, 1) of cauchy"),
+    "make_grid": (
+        lambda: make_grid(CAUCHY, GridParams(rho=1.3, delta=0.4, m=2)),
+        "rho = 1.3 outside usable strip (0, 1) of cauchy"),
+    "rl_integral": (
+        lambda: rl_integral_at_zero(_untouched, _ORDERS, "minus"),
+        "Re(gamma) = 1.3 outside fractional-integral strip (0, 1)"),
+    "marchaud_derivative": (
+        lambda: marchaud_derivative_at_zero(_untouched, _ORDERS, "plus"),
+        "Re(gamma) = 1.3 outside Marchaud-derivative strip (0, 1)"),
+    "riesz_derivative": (
+        lambda: riesz_derivative_at_zero(_untouched, _ORDERS),
+        "Re(gamma) = 1.3 outside Marchaud-derivative strip (0, 1)"),
+    "riesz_integral": (
+        lambda: riesz_integral_at_zero(_untouched, _ORDERS),
+        "Re(gamma) = 1.3 outside fractional-integral strip (0, 1)"),
+    "mellin_forward": (
+        lambda: mellin_forward(_untouched, np.array([0.4, -0.3, -0.5]), "minus"),
+        "Re(gamma) = -0.3 outside Mellin strip (0, inf)"),
+    "identity_suite": (
+        lambda: identity_suite(make_spec("levy"), GridParams(rho=0.7, delta=0.4, m=2)),
+        "rho = 0.7 outside identity-suite strip (0, 0.5) of levy"),
+    "composition_check": (
+        lambda: composition_check(0.5, 0.8 + 1j, _untouched),
+        "Re(gamma1 + gamma2) = 1.3 outside composition strip (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("site", _STRIP_SITES)
+def test_every_strip_site_raises_one_strip_error(site):
+    """Each operation's strip check raises :class:`StripError` naming
+    the first offending real part in array order, before any
+    quadrature, with the message of ``FundamentalStrip.require``."""
+    call, message = _STRIP_SITES[site]
+    with pytest.raises(StripError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ----------------------------------------------------------------------

@@ -715,11 +715,13 @@ def test_csv_read_accepts_hand_written_eta():
 
 def test_moment_quadrature_array_unreachable_tol():
     """Over a node array, one order missing the target is enough to
-    raise, and the error carries the estimate it achieved."""
-    nodes = GridParams(rho=0.4, delta=0.4, m=3).nodes()
+    raise, and the error carries the estimate it achieved.  The nodes
+    reach |Im gamma| = 12, past the |Im gamma| ~ 8 where the phase
+    e^(pi |Im gamma| / 2) lifts the estimate above 1e-9."""
+    nodes = GridParams(rho=0.4, delta=0.4, m=30).nodes()
     with pytest.raises(QuadratureError) as info:
         moment_quadrature(lambda x: exact_pdf(GAUSS21, x), GAUSS21.support,
-                          nodes, "minus", tol=1e-18)
+                          nodes, "minus")
     assert info.value.achieved is not None
-    assert info.value.achieved > 1e-18
+    assert info.value.achieved > 1e-9
     assert "gamma = " in str(info.value)

@@ -1,11 +1,14 @@
 """Smoke tests of the scripts in ``scripts/``: each runs through its
 ``run()`` entry point, so a library change that breaks a script fails
-here rather than at its next manual run."""
+here rather than at its next manual run.  Also a static check of the
+package's imports, read with ``ast``, since no linter is configured."""
 
+import ast
 import runpy
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PACKAGE = SCRIPTS.parent / "src" / "fracmom"
 
 
 def _run_script(name, argv, capsys):
@@ -83,3 +86,33 @@ def test_compare_outputs_reports_the_largest_deviation():
     assert compare("a\n", "a\nb\n") == "text differs at line 2: '<none>' -> 'b'"
     assert (compare("a 1\n", "a 1") == compare("a 1\r\n", "a 1\n")
             == "text differs in line endings or trailing newline")
+
+
+def _imported_names(tree):
+    # the local name each import binds, wherever it stands; __future__
+    # imports bind none
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_exports_every_import_and_keeps_no_unused_one():
+    """``__init__`` lists every name it imports in ``__all__``, and no
+    module of the package imports a name it never uses."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert sorted(set(_imported_names(init)) - _all_names(init)) == []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused = set(_imported_names(tree)) - used - _all_names(tree)
+        assert sorted(unused) == [], path.name

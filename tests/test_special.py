@@ -94,14 +94,15 @@ def test_gamma_conjugation(re, im):
 
 @given(
     st.floats(min_value=-5.0, max_value=5.0),
-    st.floats(min_value=-120.0, max_value=120.0),
+    st.floats(min_value=-220.0, max_value=220.0),
 )
 @settings(max_examples=150)
 def test_gamma_reflection_identity(re, im):
     """Gamma(z)*Gamma(1-z) equals the sine reflection product.
 
-    The imaginary range deliberately straddles the switch to the
-    log-space branch around |Im z| = 100.
+    The imaginary range reaches close to |Im z| ~ 225, where sin(pi z)
+    itself would overflow and the product nears the bottom of double
+    range.
     """
     z = complex(re, im)
     if abs(im) < 1e-3 and abs(re - round(re)) < 1e-3:
@@ -123,7 +124,8 @@ def test_gamma_large_imaginary_no_overflow():
     # far beyond where sin(pi z) would overflow in double precision
     val = complex_gamma(complex(-0.3, 250.0))
     assert math.isfinite(val.real) and math.isfinite(val.imag)
-    # continuity across the log-branch threshold
+    # and continuous far from the real axis: a step of 0.002 in Im z
+    # moves it by much less than its size
     lo = complex_gamma(complex(-0.3, 99.999))
     hi = complex_gamma(complex(-0.3, 100.001))
     assert abs(lo - hi) <= 1e-2 * abs(lo)
