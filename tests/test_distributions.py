@@ -5,8 +5,10 @@ plus extended-precision evaluation of each closed form — two independent
 routes agreeing to 1e-13 before a value was frozen here.
 """
 
+import logging
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from fracmom import distributions
 from fracmom.distributions import (
     FAMILIES,
     DistributionSpec,
@@ -398,12 +401,18 @@ def test_gaussian_shared_pairs_equal_scalar_calls(sign):
         assert np.array_equal(_bits(got), _bits(scalar))
 
 
+def _decline_double_paths(monkeypatch):
+    # with no double-precision path every node takes the 30-digit formula
+    monkeypatch.setattr(distributions, "_GAUSSIAN_PATHS", ())
+
+
 @pytest.mark.parametrize("sign", ["plus", "minus"])
-def test_gaussian_conjugated_factors_equal_direct_evaluation(sign):
+def test_gaussian_conjugated_factors_equal_direct_evaluation(sign, monkeypatch):
     # mpmath's D_{conj v}(r) and Gamma(conj z) are the exact conjugates
     # of D_v(r) and Gamma(z), so nodes below the axis, which take their
     # factors from the node above it, agree bit for bit with the
     # unshared 30-digit formula
+    _decline_double_paths(monkeypatch)
     nodes = np.array([0.4 - 0.2j, 0.4 - 7.4j, 0.9 - 33.0j, -1.5 - 120.6j])
     with mpmath.workdps(30):
         r = mpmath.mpf(2.0) / 1.0
@@ -418,7 +427,7 @@ def test_gaussian_conjugated_factors_equal_direct_evaluation(sign):
     assert np.array_equal(_bits(got), _bits(want))
 
 
-def test_gaussian_pcfd_once_per_conjugate_pair(monkeypatch):
+def _count_pcfd(monkeypatch):
     calls = []
     pcfd = mpmath.pcfd
 
@@ -427,10 +436,106 @@ def test_gaussian_pcfd_once_per_conjugate_pair(monkeypatch):
         return pcfd(*args)
 
     monkeypatch.setattr(mpmath, "pcfd", counting)
+    return calls
+
+
+def test_gaussian_pcfd_once_per_conjugate_pair(monkeypatch):
+    calls = _count_pcfd(monkeypatch)
     m = 10
-    closed_form_moment(GAUSS21, GridParams(0.4, 0.2, m).nodes(), "minus")
-    # D_{g-1}(-r) and D_{g-1}(r) for the real node and each of m pairs
+    grid = GridParams(0.4, 0.2, m).nodes()
+    # every node of this grid passes a double-precision path
+    closed_form_moment(GAUSS21, grid, "minus")
+    assert calls == []
+    # Re g <= 0 is never tried in double precision: two pairs, one of
+    # them the real node, cost D_{g-1}(-r) and D_{g-1}(r) each
+    closed_form_moment(GAUSS21, np.array([-0.5 + 1j, 0.4 + 2j, -0.5 - 1j, -0.3]), "minus")
+    assert len(calls) == 2 * 2
+    calls.clear()
+    _decline_double_paths(monkeypatch)
+    closed_form_moment(GAUSS21, grid, "minus")
+    # the real node and each of m pairs
     assert len(calls) == 2 * (m + 1)
+
+
+def _pcfd_moments(nodes, mu, sigma):
+    """The 30-digit formula for both signs, one pcfd trio per node."""
+    out = {"plus": [], "minus": []}
+    with mpmath.workdps(30):
+        r = mpmath.mpf(mu) / sigma
+        for gamma in nodes:
+            g = mpmath.mpc(gamma)
+            d_minus, d_plus = mpmath.pcfd(g - 1, -r), mpmath.pcfd(g - 1, r)
+            front = (mpmath.power(sigma, -g) * mpmath.gamma(1 - g)
+                     * mpmath.exp(-r * r / 4) / mpmath.sqrt(2 * mpmath.pi))
+            for sign, s in (("plus", 1), ("minus", -1)):
+                t = mpmath.exp(-s * 1j * g * mpmath.pi / 2)
+                out[sign].append(complex(front * (t * d_minus + d_plus / t)))
+    return {sign: np.array(v) for sign, v in out.items()}
+
+
+def _relative_error(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@pytest.mark.parametrize("rho", [0.4, 0.9])
+@pytest.mark.parametrize("mu", [0.0, 2.0])
+def test_gaussian_double_precision_matches_30_digits(mu, rho):
+    """Every node of the benchmark-sized grids, both signs, within 1e-12
+    of the 30-digit formula; the grid is its own conjugate, so one pcfd
+    trio per pair serves both signs."""
+    spec = make_spec("gaussian", mu=mu, sigma=1.0)
+    nodes = GridParams(rho, 0.2, 200).nodes()
+    upper = _pcfd_moments(nodes[200:], mu, 1.0)
+    for sign, other in (("plus", "minus"), ("minus", "plus")):
+        # E_s(conj g) = conj E_(-s)(g)
+        want = np.concatenate([np.conj(upper[other][:0:-1]), upper[sign]])
+        got = closed_form_moment(spec, nodes, sign)
+        assert _relative_error(got, want) <= 1e-12, sign
+
+
+@given(
+    mu=st.floats(-3.0, 3.0),
+    sigma=st.floats(0.5, 2.0),
+    rho=st.floats(0.01, 0.99),
+    eta=st.floats(-60.0, 60.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_gaussian_double_precision_random_nodes(mu, sigma, rho, eta):
+    gamma = complex(rho, eta)
+    want = _pcfd_moments([gamma], mu, sigma)
+    spec = make_spec("gaussian", mu=mu, sigma=sigma)
+    for sign in ("plus", "minus"):
+        got = closed_form_moment(spec, gamma, sign)
+        assert abs(got - want[sign][0]) <= 1e-12 * abs(want[sign][0]), sign
+
+
+@pytest.mark.parametrize("sigma", [2.0 / 30.0, 1e-3])
+def test_gaussian_far_mean_bounded_work_and_exact(sigma):
+    # r = mu/sigma = 30 and 2000: no path's work may grow with r^2, and
+    # whatever path a node takes, it matches the 30-digit formula
+    spec = make_spec("gaussian", mu=2.0, sigma=sigma)
+    nodes = GridParams(0.4, 0.2, 20).nodes()
+    want = _pcfd_moments(nodes, 2.0, sigma)
+    tracemalloc.start()
+    try:
+        got = {sign: closed_form_moment(spec, nodes, sign) for sign in want}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    for sign in want:
+        assert _relative_error(got[sign], want[sign]) <= 1e-12, sign
+
+
+def test_gaussian_logs_node_counts_by_path(caplog):
+    nodes = np.concatenate([GridParams(0.4, 0.2, 10).nodes(), [-0.5 + 1j, -0.5 - 1j]])
+    with caplog.at_level(logging.DEBUG, logger="fracmom"):
+        closed_form_moment(GAUSS21, nodes, "minus")
+    [line] = [r.getMessage() for r in caplog.records if r.name == "fracmom.distributions"]
+    counts = re.fullmatch(r"gaussian closed form: 23 nodes, (\d+) contour, (\d+) series, "
+                          r"2 mpmath in 1 pcfd pairs", line)
+    assert counts is not None, line
+    assert int(counts[1]) + int(counts[2]) == 21
 
 
 def test_symmetric_families_sign_invariant():

@@ -536,8 +536,7 @@ _SEARCH_CASES = [
     # GAUSS01 is symmetric, so its two signs give the same moments
     for sign in (("minus",) if spec is GAUSS01 else ("minus", "plus"))
 ] + [
-    # a pcfd pair at mu != 0 costs about 8 ms, so one delta suffices
-    (GAUSS21, 0.4, 0.4, sign) for sign in ("minus", "plus")
+    (GAUSS21, 0.4, delta, sign) for delta in (0.4, 0.2, 0.05) for sign in ("minus", "plus")
 ]
 
 
