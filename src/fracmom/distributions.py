@@ -248,7 +248,7 @@ _ROUNDING = 5e-13    # bound on the exponent's rounding, relative
 _CANCEL = 30.0       # sum of |parts| at most this times |sum|
 _SERIES_R_MAX = 4.0  # past |mu/sig| = 4 the series cancels too deeply
 _LEFT = math.inf     # end class of a path that leaves through the power term
-_BLOCK = 256         # nodes per pass: a path at h = 0.025 holds 4 MB per array
+_BLOCK = 64          # nodes per pass: a path array at h = 0.025 holds 1 MB
 
 
 def _expm1_pair(v):
