@@ -7,7 +7,10 @@ inside a scratch working directory of the tree's own, so files written
 by one command can be read by a later one.  The corpus:
 
 * ``verify`` for every family and both signs, and ``strip``;
-* ``moments`` by closed form, quadrature and Monte Carlo;
+* ``moments`` by closed form, quadrature and Monte Carlo, and two
+  gaussian closed-form grids whose nodes the double-precision paths
+  decline: every node at mu/sigma = 30, and the nodes past
+  |Im gamma| ~ 300 on a wide grid;
 * ``reconstruct-cf`` and ``reconstruct-pdf`` curves with their summary
   lines, one of them from a grid CSV, and a levy density out to
   |Im gamma| = 520;
@@ -58,6 +61,11 @@ def corpus() -> list[tuple[str, list[str]]]:
             if method == "mc":
                 argv += ["--n-samples", "20000", "--seed", "1"]
             out.append((f"moments-{fam}-{method}", argv))
+    for label, extra in (("far-mean", ["--param", "sigma=0.0666", "--m", "20"]),
+                         ("far-out", ["--m", "400", "--delta", "0.8"])):
+        out.append((f"moments-gaussian-{label}",
+                    ["moments", "--family", "gaussian", "--method", "closed", *extra,
+                     "--out", f"moments-gaussian-{label}.csv"]))
     for fam in FAMILIES:
         out.append((f"cf-{fam}", ["reconstruct-cf", "--family", fam, "--m", "25",
                                   "--range", "0.1:10:200", "--out", f"cf-{fam}.csv"]))

@@ -8,9 +8,8 @@ everything the package knows about it: parameter defaults, moment
 strip, support and symmetry test; an exact density, an exact CF, a
 closed-form value of E[(s i X)^(-gamma)] for s = +/-1, and a seeded
 sampler; and the facts other modules need beyond these (the integer
-moments of the Taylor baseline, the CF's oscillation frequency, and a
-reconstruction strip that differs from the default).  Adding a family
-means adding one record.  The record's pdf, cf, moment and sampler are
+moments of the Taylor baseline and the CF's oscillation frequency).
+Adding a family means adding one record.  The record's pdf, cf, moment and sampler are
 reached only through the module functions :func:`exact_pdf`,
 :func:`exact_cf`, :func:`closed_form_moment` and :func:`sample`, so the
 three moment estimators in :mod:`fracmom.moments` can be cross-checked
@@ -52,8 +51,10 @@ decays through the power term alone and its right end lies in the
 valley |Im w| < pi/4.  Where no single path joins the two, two paths
 do, through both saddles and a valley between them.  A node is
 accepted when its Newton steps have converged, its sums at h and 2h
-agree to 1e-13, and the rounding of its exponent stays below 5e-13;
-nodes that fail at h = 0.1 are retried at h = 0.05 and 0.025.  Before
+agree to 1e-13, and the rounding of its exponent stays below 5e-13.
+The path classes and the rounding do not depend on h, so a node that
+fails them declines after the coarse trace; nodes that fail at h = 0.1
+are retried at h = 0.05 and 0.025.  Before
 the contour, a Taylor series in r takes the nodes near the real axis
 whose terms cancel by at most 30x (tried only for r <= 4; at mu = 0 it
 is exact in one term).  On the grids rho in {0.4, 0.9}, delta = 0.2,
@@ -79,7 +80,6 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Mapping
 
 import mpmath
@@ -151,9 +151,7 @@ class Family:
     classical Taylor baseline, None for a family without finite integer
     moments.  ``oscillation(p)`` is the frequency of an undamped
     oscillation of the CF, which the fractional operators integrate
-    with a Fourier rule (None: no such oscillation).  ``working_strip``,
-    when set, replaces the moment strip intersected with (0, 1) as the
-    reconstruction strip.
+    with a Fourier rule (None: no such oscillation).
     """
 
     defaults: Mapping[str, float]
@@ -166,7 +164,6 @@ class Family:
     symmetric: Callable[[Mapping[str, float]], bool] = lambda p: False
     integer_moment: Callable | None = None
     oscillation: Callable = lambda p: None
-    working_strip: FundamentalStrip | None = None
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +246,11 @@ _CANCEL = 30.0       # sum of |parts| at most this times |sum|
 _SERIES_R_MAX = 4.0  # past |mu/sig| = 4 the series cancels too deeply
 _LEFT = math.inf     # end class of a path that leaves through the power term
 _BLOCK = 64          # nodes per pass: a path array at h = 0.025 holds 1 MB
+# the sign of tau along each direction of a path, on the (direction) axis
+_AHEAD = np.array([1.0, -1.0]).reshape(1, 1, 2, 1)
+# trapezoid steps in tau, each tried on the nodes the coarser ones declined;
+# the finer ones where a second saddle sits close to the path
+_STEPS = (0.1, 0.05, 0.025)
 
 
 def _expm1_pair(v):
@@ -275,7 +277,7 @@ def _path_newton(saddle, v, tau, iterations=3):
     return v, moved
 
 
-def _contour(g: np.ndarray, c: complex, log_front: np.ndarray, step: float) -> np.ndarray:
+def _contour(g: np.ndarray, c: complex, log_front: np.ndarray) -> np.ndarray:
     # Steepest-descent paths psi(w* + v(tau)) = psi(w*) - tau^2 through
     # both saddles w*; along one the integral is
     # exp(psi*) int exp(-tau^2) v'(tau) dtau, summed by the trapezoid rule.
@@ -297,17 +299,16 @@ def _contour(g: np.ndarray, c: complex, log_front: np.ndarray, step: float) -> n
     psi = (gn * w - half_u2 + cu)[..., 0, 0]
     slope0 = np.sqrt(-2.0 / (cu - 2.0 * u2))
     slope0 = np.where(slope0.real < 0.0, -slope0, slope0)  # left to right
-    ahead = np.array([1.0, -1.0]).reshape(1, 1, 2, 1)
 
     # coarse trace: Heun predictor, Newton corrector
     v = np.zeros((n, 2, 2, 1), dtype=complex)
     dv = np.repeat(slope0, 2, axis=2)
     vs, dvs = [v], [dv]
     for j in range(1, round(_REACH / _COARSE) + 1):
-        tau = ahead * (_COARSE * j)
-        guess = v + (ahead * _COARSE) * dv
+        tau = _AHEAD * (_COARSE * j)
+        guess = v + (_AHEAD * _COARSE) * dv
         mean = dv + _path_slope(saddle, guess, tau)
-        v, _ = _path_newton(saddle, v + (ahead * 0.5 * _COARSE) * mean, tau)
+        v, _ = _path_newton(saddle, v + (_AHEAD * 0.5 * _COARSE) * mean, tau)
         dv = _path_slope(saddle, v, tau)
         vs.append(v)
         dvs.append(dv)
@@ -341,37 +342,49 @@ def _contour(g: np.ndarray, c: complex, log_front: np.ndarray, step: float) -> n
         use[:, b] |= chain
         turns[:, a] = np.where(chain, (start[:, b] - end[:, a]) / 2, turns[:, a])
 
-    # every node at step h, on the nodes with a usable path: a Hermite
-    # guess inside its coarse interval, then Newton
-    keep = np.flatnonzero(use.any(axis=1))
-    saddle = tuple(x[keep] for x in saddle)
-    v, dv = (np.concatenate(xs, axis=3)[keep, ..., None] for xs in (vs, dvs))
+    # the path and the exponent's rounding do not depend on the step h:
+    # a node without a usable path, or rounded past 5e-13, declines here
+    gturns = 2j * math.pi * turns * g[:, None]
+    exponent = np.where(use, psi + gturns + log_front[:, None], -np.inf)
+    front = np.where(flip, -1.0, 1.0) * np.exp(exponent)
+    rounding = np.finfo(float).eps * np.where(use, np.abs(psi) + np.abs(log_front[:, None]), 0.0)
+    keep = np.flatnonzero(use.any(axis=1) & (rounding.max(axis=1) <= _ROUNDING))
+    path = tuple(np.concatenate(xs, axis=3)[..., None] for xs in (vs, dvs))
+    out = np.full(n, np.nan, dtype=complex)
+    for step in _STEPS:
+        if not keep.size:
+            break
+        sums, converged = _refine(tuple(x[keep] for x in saddle),
+                                  *(x[keep] for x in path), slope0[keep, :, 0, 0], step)
+        parts = front[keep] * np.where(use[keep], sums, 0.0)
+        value, coarse = parts[0, :, 0] + parts[0, :, 1], parts[1, :, 0] + parts[1, :, 1]
+        ok = (~(use[keep] & ~converged).any(axis=1) & np.isfinite(value)
+              & (np.abs(value - coarse) <= _AGREE * np.abs(value))
+              & (np.abs(parts[0, :, 0]) + np.abs(parts[0, :, 1]) <= _CANCEL * np.abs(value)))
+        out[keep[ok]] = value[ok]
+        keep = keep[~ok]
+    return out
+
+
+def _refine(saddle, v, dv, slope0, step: float):
+    # every node of a traced path at step h: a Hermite guess inside its
+    # coarse interval, then Newton; gives the trapezoid sums at h and 2h
+    # and whether each path's Newton steps converged
+    k = slope0.shape[0]
     t = np.arange(1, round(_COARSE / step) + 1) / round(_COARSE / step)
-    dtau = ahead[..., None] * _COARSE
+    dtau = _AHEAD[..., None] * _COARSE
     guess = ((1 + 2 * t) * (1 - t) ** 2 * v[..., :-1, :] + t * (1 - t) ** 2 * dtau * dv[..., :-1, :]
              + t * t * (3 - 2 * t) * v[..., 1:, :] + t * t * (t - 1) * dtau * dv[..., 1:, :])
     steps = round(_REACH / step)
-    tau = ahead * step * np.arange(1, steps + 1)
-    v, moved = _path_newton(saddle, guess.reshape(keep.size, 2, 2, steps), tau)
-    converged = np.zeros((n, 2), dtype=bool)
-    converged[keep] = (np.abs(moved) <= _NEWTON_TOL * (1.0 + np.abs(v))).all(axis=(2, 3))
+    tau = _AHEAD * step * np.arange(1, steps + 1)
+    v, moved = _path_newton(saddle, guess.reshape(k, 2, 2, steps), tau)
+    converged = (np.abs(moved) <= _NEWTON_TOL * (1.0 + np.abs(v))).all(axis=(2, 3))
     dv = _path_slope(saddle, v, tau)
     weighted = np.exp(-tau * tau) * dv
-    sums = np.zeros((2, n, 2), dtype=complex)  # at h and at 2h
-    sums[0, keep] = step * (slope0[keep, :, 0, 0] + weighted.reshape(keep.size, 2, 2 * steps).sum(axis=-1))
-    sums[1, keep] = 2.0 * step * (slope0[keep, :, 0, 0]
-                                  + weighted[..., 1::2].reshape(keep.size, 2, steps // 2 * 2).sum(axis=-1))
-
-    gturns = 2j * math.pi * turns * g[:, None]
-    exponent = np.where(use, psi + gturns + log_front[:, None], -np.inf)
-    parts = np.where(flip, -1.0, 1.0) * np.exp(exponent) * np.where(use, sums, 0.0)
-    value, coarse = parts[0, :, 0] + parts[0, :, 1], parts[1, :, 0] + parts[1, :, 1]
-    rounding = np.finfo(float).eps * np.where(use, np.abs(psi) + np.abs(log_front[:, None]), 0.0)
-    ok = (use.any(axis=1) & ~(use & ~converged).any(axis=1) & np.isfinite(value)
-          & (np.abs(value - coarse) <= _AGREE * np.abs(value))
-          & (rounding.max(axis=1) <= _ROUNDING)
-          & (np.abs(parts[0, :, 0]) + np.abs(parts[0, :, 1]) <= _CANCEL * np.abs(value)))
-    return np.where(ok, value, np.nan)
+    sums = np.empty((2, k, 2), dtype=complex)  # at h and at 2h
+    sums[0] = step * (slope0 + weighted.reshape(k, 2, 2 * steps).sum(axis=-1))
+    sums[1] = 2.0 * step * (slope0 + weighted[..., 1::2].reshape(k, 2, steps // 2 * 2).sum(axis=-1))
+    return sums, converged
 
 
 def _series(g: np.ndarray, c: complex, log_front: np.ndarray) -> np.ndarray:
@@ -397,14 +410,8 @@ def _series(g: np.ndarray, c: complex, log_front: np.ndarray) -> np.ndarray:
 
 # the double-precision paths, each tried on the nodes the earlier ones
 # declined: the series near the real axis (exact in one term at mu = 0),
-# then the contour at h = 0.1, and at h = 0.05 and 0.025 where a second
-# saddle sits close to the path and slows the trapezoid rule
-_GAUSSIAN_PATHS = (
-    ("series", _series),
-    ("contour", partial(_contour, step=0.1)),
-    ("contour", partial(_contour, step=0.05)),
-    ("contour", partial(_contour, step=0.025)),
-)
+# then the contour
+_GAUSSIAN_PATHS = (("series", _series), ("contour", _contour))
 
 
 def _gaussian_moment(p, g: np.ndarray, sign: str) -> np.ndarray:
@@ -540,8 +547,6 @@ _CATALOG: dict[str, Family] = {
         sample=lambda p, rng, n: rng.normal(p["mu"], p["sigma"], size=n),
         symmetric=lambda p: p["mu"] == 0.0,
         integer_moment=_gaussian_integer_moment,
-        # the rapidly decaying CF continues analytically past Re g = 1
-        working_strip=FundamentalStrip(0.0, math.inf),
     ),
 }
 

@@ -23,10 +23,9 @@ integrates f(+xi) over xi in (0, inf).  With that pairing,
 for s = +1 ("plus") / -1 ("minus"), which is verified numerically in the
 test suite for every catalog family.
 
-Every integral here is one half of
-:func:`fracmom.moments.half_line_integrals`, the integral of
-u^(-order) f(+/-u) over a stretch of the half-line that also gives the
-quadrature moments:
+Every integral here is one call of :func:`fracmom.moments.power_integral`,
+the integral of u^(-order) f(u) over a stretch of the half-line, which
+also gives the quadrature moments:
 
 * the Mellin integral J_s = int_0^inf xi^(gamma-1) cf(-s xi) d xi is
   order 1 - gamma on (0, inf), and the fractional integral is
@@ -63,7 +62,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, FundamentalStrip, exact_cf, exact_pdf
 from .errors import DomainError
-from .moments import MOMENT_TOL, GridParams, half_line_integrals
+from .moments import MOMENT_TOL, GridParams, half_line_integrals, power_integral
 from .quadrature import Estimate, require
 from .special import complex_gamma, cosine_normaliser, sign_value
 
@@ -100,12 +99,9 @@ def _half_line(
     f: ComplexFunc, lo: float, hi: float, side: str, order,
     oscillation: float | None = None,
 ) -> Estimate:
-    # int_lo^hi xi^(-order) f(-s xi) d xi with 0 <= lo < hi: the half
-    # of half_line_integrals on which f(-s xi) lies
-    if sign_value(side) > 0:
-        halves = half_line_integrals(f, (-hi, -lo), order, oscillation=oscillation)
-        return halves.negative
-    return half_line_integrals(f, (lo, hi), order, oscillation=oscillation).positive
+    # int_lo^hi xi^(-order) f(-s xi) d xi with 0 <= lo < hi
+    s = sign_value(side)
+    return power_integral(lambda xi: f(-s * xi), order, lo, hi, oscillation=oscillation)
 
 
 def _fractional_integral(mellin: Estimate, gamma) -> np.ndarray:
@@ -336,10 +332,8 @@ def _weyl_integral(g: complex, func: ComplexFunc, y, s: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if g == 0:
         return np.asarray(func(y), dtype=complex)
-    halves = half_line_integrals(
-        lambda v: func(y[..., None] - s * v), (0.0, math.inf), 1.0 - g
-    )
-    return _fractional_integral(halves.positive, g)
+    mellin = power_integral(lambda v: func(y[..., None] - s * v), 1.0 - g, 0.0, math.inf)
+    return _fractional_integral(mellin, g)
 
 
 def composition_check(

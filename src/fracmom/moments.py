@@ -148,42 +148,40 @@ class HalfLineIntegrals(NamedTuple):
         )
 
 
-def half_line_integrals(
-    pdf: Callable[[np.ndarray], np.ndarray],
-    support: tuple[float, float],
-    gamma,
-    *,
-    oscillation: float | None = None,
-) -> HalfLineIntegrals:
-    """Both half-line integrals of u^(-gamma) pdf(+/-u), one engine call
-    per half of the support that is not empty; ``gamma`` may be a
-    scalar or an array of orders, and ``pdf`` is called on arrays.
-
-    ``pdf`` may be any function, not only a density: the fractional
-    operators pass a characteristic function and a ``support`` that
-    marks the stretch of one half-line they need.  ``oscillation`` is
-    handed to :func:`~fracmom.quadrature.integrate`.
+def power_integral(f: Callable[[np.ndarray], np.ndarray], gamma, a: float, b: float,
+                   *, oscillation: float | None = None) -> Estimate:
+    """int_a^b u^(-gamma) f(u) du for every order in ``gamma`` (a scalar
+    or an array), ``0 <= a < b <= inf``, in one engine call; ``f`` is
+    called on arrays of abscissae, and ``oscillation`` is handed to
+    :func:`~fracmom.quadrature.integrate`.  An empty range (``b <= a``)
+    gives zeros with zero error.
     """
     g = np.asarray(gamma, dtype=complex)
-    lo, hi = support
-    halves = []
+    if not b > a:
+        return Estimate(np.zeros(g.shape, dtype=complex), np.zeros(g.shape))
 
-    def integrand(u, orient):
-        density = pdf(orient * u)
+    def integrand(u):
+        values = f(u)
         # far out in Re gamma the power overflows near u = 0; the
         # resulting non-finite estimate is reported by ``require``
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(np.multiply.outer(-g, np.log(u))) * density
+            return np.exp(np.multiply.outer(-g, np.log(u))) * values
 
-    for a, b, orient in ((max(lo, 0.0), hi, 1.0), (max(0.0, -hi), -lo, -1.0)):
-        if b > a:
-            halves.append(integrate(
-                lambda u: integrand(u, orient), a, b, oscillation=oscillation
-            ))
-        else:
-            zero = np.zeros(g.shape)
-            halves.append(Estimate(zero + 0j, zero))
-    return HalfLineIntegrals(*halves)
+    return integrate(integrand, a, b, oscillation=oscillation)
+
+
+def half_line_integrals(pdf: Callable[[np.ndarray], np.ndarray],
+                        support: tuple[float, float], gamma) -> HalfLineIntegrals:
+    """Both half-line integrals of u^(-gamma) pdf(+/-u) over the density's
+    ``support``, one :func:`power_integral` per half that is not empty;
+    ``gamma`` may be a scalar or an array of orders, and ``pdf`` is
+    called on arrays.
+    """
+    lo, hi = support
+    return HalfLineIntegrals(
+        power_integral(pdf, gamma, max(lo, 0.0), hi),
+        power_integral(lambda u: pdf(-1.0 * u), gamma, max(0.0, -hi), -lo),
+    )
 
 
 def moment_quadrature(
@@ -431,14 +429,9 @@ def convert_moment(
 
 
 def working_strip(spec: DistributionSpec) -> FundamentalStrip:
-    """Guaranteed-usable line abscissas for reconstruction.
-
-    The moment strip intersected with (0, 1), unless the family's
-    record sets its own (the Gaussian's extends over the whole positive
-    axis by analytic continuation of its rapidly decaying CF).
-    """
-    strip = spec.record.working_strip or spec.moment_strip.intersect(
-        FundamentalStrip(0.0, 1.0))
+    """Guaranteed-usable line abscissas for reconstruction: the moment
+    strip intersected with (0, 1)."""
+    strip = spec.moment_strip.intersect(FundamentalStrip(0.0, 1.0))
     if strip.is_empty:
         raise EmptyStripError(
             f"no admissible line abscissa for {spec.label()}"

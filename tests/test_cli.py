@@ -333,7 +333,7 @@ def test_strip_output(capsys):
     code, out, _ = _run(["strip", "--family", "cauchy"], capsys)
     assert code == 0 and out.strip() == "(0, 1)"
     code, out, _ = _run(["strip", "--family", "gaussian"], capsys)
-    assert code == 0 and out.strip() == "(0, inf)"
+    assert code == 0 and out.strip() == "(0, 1)"
 
 
 def test_verify_cauchy_table(capsys):

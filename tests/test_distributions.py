@@ -527,6 +527,31 @@ def test_gaussian_far_mean_bounded_work_and_exact(sigma):
         assert _relative_error(got[sign], want[sign]) <= 1e-12, sign
 
 
+def test_gaussian_declined_nodes_are_traced_once(monkeypatch, caplog):
+    """Where no node has a usable path (r = mu/sigma = 30), the coarse
+    trace runs once per block of nodes and no node is refined at any
+    step h: every node goes straight to the 30-digit formula."""
+    spec = make_spec("gaussian", mu=2.0, sigma=0.0666)
+    nodes = GridParams(0.4, 0.4, 20).nodes()
+    newton = distributions._path_newton
+    coarse, refined = [], []
+
+    def spy(saddle, v, tau, *args):
+        # a coarse step solves one tau per direction, a refinement all
+        (coarse if tau.shape[-1] == 1 else refined).append(v.shape[0])
+        return newton(saddle, v, tau, *args)
+
+    monkeypatch.setattr(distributions, "_path_newton", spy)
+    with caplog.at_level(logging.DEBUG, logger="fracmom"):
+        closed_form_moment(spec, nodes, "minus")
+    [line] = [r.getMessage() for r in caplog.records if r.name == "fracmom.distributions"]
+    assert line == "gaussian closed form: 41 nodes, 0 contour, 0 series, 41 mpmath in 21 pcfd pairs"
+    blocks = -(-nodes.size // distributions._BLOCK)
+    steps = round(distributions._REACH / distributions._COARSE)
+    assert len(coarse) == blocks * steps
+    assert refined == []
+
+
 def test_gaussian_logs_node_counts_by_path(caplog):
     nodes = np.concatenate([GridParams(0.4, 0.2, 10).nodes(), [-0.5 + 1j, -0.5 - 1j]])
     with caplog.at_level(logging.DEBUG, logger="fracmom"):

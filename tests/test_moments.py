@@ -7,6 +7,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +30,9 @@ from fracmom.moments import (
     make_grid,
     moment_monte_carlo,
     moment_quadrature,
+    power_integral,
     read_grid_csv,
+    require_usable_rho,
     suggest_truncation,
     working_strip,
     write_grid_csv,
@@ -368,6 +371,42 @@ def test_quadrature_failure_is_reported():
     assert info.value.achieved > 1e-9
 
 
+# orders on both sides of the origin, with and without an imaginary part
+_POWER_ORDERS = np.array([0.3, 0.5 + 2j, -1.5 + 0.7j, 2.5 - 1j])
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 3.0), (2.0, 2.5), (1.0, math.inf)])
+def test_power_integral_against_incomplete_gamma(a, b):
+    """int_a^b u^(-g) e^(-u) du is the incomplete gamma function
+    Gamma(1 - g, a) - Gamma(1 - g, b), in mpmath at 30 digits."""
+    got = power_integral(lambda u: np.exp(-u), _POWER_ORDERS, a, b)
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.gammainc(1 - mpmath.mpc(g), a, b))
+                         for g in _POWER_ORDERS])
+    assert np.all(np.abs(got.value - want) <= 1e-14 * np.abs(want))
+    assert np.all(got.error <= 1e-13 * np.abs(want))
+
+
+def test_power_integral_array_equals_per_order_calls():
+    f = lambda u: np.exp(-u) * np.cos(u)  # noqa: E731
+    for a, b in ((0.0, 1.0), (0.5, 3.0), (1.0, math.inf), (0.0, math.inf)):
+        whole = power_integral(f, _POWER_ORDERS, a, b)
+        each = [power_integral(f, g, a, b) for g in _POWER_ORDERS]
+        for got, want in zip(whole, zip(*each)):
+            assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (0.0, -0.0)])
+def test_power_integral_empty_range_is_zero(a, b):
+    def never(u):
+        raise AssertionError("integrand evaluated")
+
+    value, error = power_integral(never, _POWER_ORDERS, a, b)
+    assert value.dtype == complex and value.shape == error.shape == (4,)
+    assert not value.any() and not error.any()
+    assert power_integral(never, 0.5, a, b) == (0j, 0.0)
+
+
 def test_moment_quadrature_plus_minus_conjugation():
     g = 0.4 + 0.8j
     pdf = lambda x: exact_pdf(GAUSS21, x)  # noqa: E731
@@ -437,12 +476,22 @@ class TestConvertMoment:
 
 
 def test_working_strips():
-    assert str(working_strip(GAUSS21)) == "(0, inf)"
+    assert str(working_strip(GAUSS21)) == "(0, 1)"
     assert str(working_strip(CAUCHY)) == "(0, 1)"
     assert str(working_strip(UNIFORM)) == "(0, 1)"
     assert str(working_strip(LEVY)) == "(0, 1)"
     for spec in (UNIFORM, RAYLEIGH, CAUCHY, LEVY, GAUSS21):
         assert not working_strip(spec).is_empty
+
+
+@pytest.mark.parametrize("spec", [UNIFORM, RAYLEIGH, CAUCHY, LEVY, GAUSS21],
+                         ids=lambda s: s.family)
+def test_working_strip_ends_are_usable(spec):
+    """``fracmom strip`` prints the working strip; a grid line just inside
+    either end of it must pass the check that ``moments`` applies."""
+    strip = working_strip(spec)
+    for rho in (np.nextafter(strip.lo, strip.hi), np.nextafter(strip.hi, strip.lo)):
+        require_usable_rho(spec, float(rho))
 
 
 def test_suggest_truncation_frozen():
