@@ -47,7 +47,6 @@ from .errors import (
     AllSamplesDegenerateError,
     ArgumentError,
     DomainError,
-    EmptyStripError,
     FracmomError,
     PoleError,
     QuadratureError,
@@ -99,7 +98,6 @@ __all__ = [
     "CurveResult",
     "DistributionSpec",
     "DomainError",
-    "EmptyStripError",
     "FAMILIES",
     "FracmomError",
     "FundamentalStrip",

@@ -3,8 +3,9 @@
 Subcommands: ``moments`` (tabulate a grid to CSV), ``reconstruct-cf`` /
 ``reconstruct-pdf`` (evaluate the series on a point range), ``verify``
 (identity suite of the fractional operators against quadrature moments),
-``strip`` (print the usable line-abscissa interval) and ``figures``
-(one-shot emission of every reproduction curve with pinned parameters).
+``strip`` (print the usable strip, where a grid line may sit) and
+``figures`` (one-shot emission of every reproduction curve with pinned
+parameters).
 
 Each command accepts only the flags of its groups below; any other flag
 is an ``unrecognized arguments`` error.  ``verify`` accepts ``--sign``
@@ -23,7 +24,11 @@ and ignores it, since it checks both signs::
 
 ``--grid-in`` reads the distribution and the grid from the grid CSV, so
 it cannot be combined with the dist or grid flags, nor with a build flag
-but ``--out`` (not even one passed at its default value).  ``verify``
+but ``--out`` (not even one passed at its default value).  ``moments``,
+``reconstruct-cf/-pdf`` and ``--grid-in`` need rho inside the usable
+strip that ``strip`` prints: the family's moment strip intersected with
+(0, inf), or (0, inf) itself for a grid CSV without a ``# family:``
+line.  ``verify``
 needs rho inside the family's moment strip, its mirror image and
 (0, 1), because its oracle integrates the density at u^(-gamma) and
 u^(+gamma).
@@ -72,7 +77,6 @@ from .moments import (
     MomentGrid,
     make_grid,
     read_grid_csv,
-    require_usable_rho,
     working_strip,
     write_grid_csv,
 )
@@ -295,8 +299,7 @@ def _cmd_moments(args) -> int:
     spec = _require_spec(args)
     grid = _build_grid(args, spec, params)
     buf = io.StringIO()
-    write_grid_csv(grid, buf, family=spec.family, params=spec.params,
-                   method=_METHODS[_flag(args, "method")])
+    write_grid_csv(grid, buf, method=_METHODS[_flag(args, "method")])
     _emit(args.out, buf.getvalue())
     return 0
 
@@ -305,9 +308,7 @@ def _cmd_reconstruct(args, kind: str) -> int:
     params = _grid_params(args) if args.grid_in is None else None
     abscissae = _parse_range(args.range_)
     if args.grid_in is None:
-        spec = _require_spec(args)
-        family = spec.family
-        grid = _build_grid(args, spec, params)
+        grid = _build_grid(args, _require_spec(args), params)
     else:
         # the spec is still read first, so a bad one keeps its own error
         if _load_spec(args) is not None or args.param:
@@ -321,18 +322,13 @@ def _cmd_reconstruct(args, kind: str) -> int:
                                 f"{', '.join(passed)}")
         try:
             with open(args.grid_in) as handle:
-                grid, meta = read_grid_csv(handle)
+                grid = read_grid_csv(handle)[0]
         except OSError as exc:
             raise ArgumentError(f"cannot read {args.grid_in}: {exc}") from None
-        family = meta.get("family")
-        spec = None
-        if family is not None:
-            spec = DistributionSpec(str(family), meta.get("params", {}))
-            require_usable_rho(spec, grid.params.rho)
 
-    curve = sample_curve(grid, kind, abscissae, exact_spec=spec)
+    curve = sample_curve(grid, kind, abscissae)
     buf = io.StringIO()
-    write_curve_csv(curve, buf, family=family)
+    write_curve_csv(curve, buf)
     _emit(args.out, buf.getvalue())
     if curve.abs_err is not None and curve.abs_err.size:
         print(f"{kind}: {curve.abscissae.size} points, "
@@ -370,11 +366,11 @@ def _cmd_figures(args) -> int:
     out_dir = args.out_dir
     cf_range = np.round(np.arange(0.1, 10.0 + 1e-9, 0.05), 10)
 
-    def curve_csv(name: str, curve, family: str, panel: str | None = None):
+    def curve_csv(name: str, curve, panel: str | None = None):
         buf = io.StringIO()
         if panel is not None:
             buf.write(f"# panel: {panel}\n")
-        write_curve_csv(curve, buf, family=family)
+        write_curve_csv(curve, buf)
         _atomic_write(out_dir / f"{name}.csv", buf.getvalue())
         err = float(np.max(curve.abs_err)) if curve.abs_err is not None else math.nan
         print(f"{name}.csv  n={curve.abscissae.size}  max_abs_err={err:.6e}")
@@ -399,10 +395,10 @@ def _cmd_figures(args) -> int:
         points = np.round(np.arange(lo, hi + 1e-9, step), 10)
         points = points[points != 0.0]
         grid = make_grid(spec, GridParams(rho=rho, delta=0.4, m=m, sign="minus"))
-        curve = sample_curve(grid, kind, points, exact_spec=spec)
+        curve = sample_curve(grid, kind, points)
         for panel in panels:
             label = {"a": "real", "b": "imag"}.get(panel)
-            curve_csv(f"{name}{panel}", curve, spec.family, panel=label)
+            curve_csv(f"{name}{panel}", curve, panel=label)
 
     rayleigh = DistributionSpec("rayleigh", {"sigma": 2.0})
     gaussian = DistributionSpec("gaussian", {"mu": 2.0, "sigma": 1.0})

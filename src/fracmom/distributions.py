@@ -5,7 +5,7 @@ Five families are supported: symmetric uniform on (-a, a), Rayleigh,
 standard Cauchy, standard Levy (one-sided stable 1/2), and Gaussian.
 Each is one :class:`Family` record in the catalog, which holds
 everything the package knows about it: parameter defaults, moment
-strip, support and symmetry test; an exact density, an exact CF, a
+strip and support; an exact density, an exact CF, a
 closed-form value of E[(s i X)^(-gamma)] for s = +/-1, and a seeded
 sampler; and the facts other modules need beyond these (the integer
 moments of the Taylor baseline and the CF's oscillation frequency).
@@ -103,10 +103,6 @@ class FundamentalStrip:
     lo: float
     hi: float
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.lo < self.hi
-
     def require(self, re, name: str, kind: str, owner: str | None = None) -> None:
         """Raise :class:`StripError` unless every real part in ``re`` (a
         scalar or an array) lies inside this open strip.
@@ -161,7 +157,6 @@ class Family:
     cf: Callable
     moment: Callable
     sample: Callable
-    symmetric: Callable[[Mapping[str, float]], bool] = lambda p: False
     integer_moment: Callable | None = None
     oscillation: Callable = lambda p: None
 
@@ -501,7 +496,6 @@ _CATALOG: dict[str, Family] = {
         moment=lambda p, g, sign: (np.exp(-g * math.log(p["a"]))
                                    * np.cos(g * math.pi / 2.0) / (1.0 - g)),
         sample=lambda p, rng, n: rng.uniform(-p["a"], p["a"], size=n),
-        symmetric=lambda p: True,
         integer_moment=lambda p, j: 0.0 if j % 2 else p["a"] ** j / (j + 1),
         # the sinc's undamped sin(a t) / t
         oscillation=lambda p: p["a"],
@@ -525,7 +519,6 @@ _CATALOG: dict[str, Family] = {
         cf=lambda p, t: np.exp(-np.abs(t)).astype(complex),
         moment=lambda p, g, sign: np.ones(g.shape, dtype=complex),
         sample=lambda p, rng, n: rng.standard_cauchy(size=n),
-        symmetric=lambda p: True,
     ),
     "levy": Family(
         defaults={},
@@ -545,7 +538,6 @@ _CATALOG: dict[str, Family] = {
         cf=lambda p, t: np.exp(1j * p["mu"] * t - 0.5 * (p["sigma"] * t) ** 2),
         moment=_gaussian_moment,
         sample=lambda p, rng, n: rng.normal(p["mu"], p["sigma"], size=n),
-        symmetric=lambda p: p["mu"] == 0.0,
         integer_moment=_gaussian_integer_moment,
     ),
 }
@@ -611,10 +603,6 @@ class DistributionSpec:
     @property
     def support(self) -> tuple[float, float]:
         return self.record.support(self.params)
-
-    @property
-    def symmetric(self) -> bool:
-        return self.record.symmetric(self.params)
 
     def label(self) -> str:
         if not self.params:

@@ -33,14 +33,8 @@ class PoleError(DomainError):
 class StripError(DomainError):
     """A real part falls outside the open strip where an operation is
     admissible: a distribution's moment strip, a grid line's usable
-    strip, the identity suite's, or an operator's.  All of them but the
-    empty strip below come from
-    :meth:`fracmom.distributions.FundamentalStrip.require`."""
-
-
-class EmptyStripError(StripError):
-    """A strip intersection came out empty, so no admissible real part
-    exists at all."""
+    strip, the identity suite's, or an operator's.  All of them come
+    from :meth:`fracmom.distributions.FundamentalStrip.require`."""
 
 
 class UnsupportedError(FracmomError):

@@ -30,7 +30,6 @@ from .errors import (
     AllSamplesDegenerateError,
     ArgumentError,
     DomainError,
-    EmptyStripError,
     FracmomError,
 )
 from .quadrature import Estimate, integrate, require
@@ -95,10 +94,17 @@ class GridParams:
 
 @dataclass(frozen=True)
 class MomentGrid:
-    """2m+1 moment values tabulated on the nodes of ``params``."""
+    """2m+1 moment values tabulated on the nodes of ``params``, with the
+    distribution they are moments of when it is known.
+
+    The line must lie in :func:`working_strip` of ``spec`` (of no family
+    when ``spec`` is None), or :class:`StripError` is raised.  A grid
+    with a ``spec`` carries its exact reference and its CSV family lines.
+    """
 
     params: GridParams
     values: np.ndarray
+    spec: DistributionSpec | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -106,6 +112,8 @@ class MomentGrid:
             raise ArgumentError(
                 f"grid needs {2 * self.params.m + 1} values, got shape {vals.shape}"
             )
+        owner = None if self.spec is None else self.spec.label()
+        working_strip(self.spec).require(self.params.rho, "rho", "usable", owner)
         object.__setattr__(self, "values", vals)
 
     def value(self, k: int) -> complex:
@@ -330,13 +338,6 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     return MonteCarloMoment(value, stderr, x.size - n)
 
 
-def require_usable_rho(spec: DistributionSpec, rho: float) -> None:
-    """Raise :class:`StripError` unless a grid line at ``rho`` lies in
-    the family's moment strip intersected with the positive axis."""
-    spec.moment_strip.intersect(FundamentalStrip(0.0, math.inf)).require(
-        rho, "rho", "usable", spec.label())
-
-
 def make_grid(
     spec: DistributionSpec,
     params: GridParams,
@@ -344,23 +345,23 @@ def make_grid(
     *,
     samples=None,
 ) -> MomentGrid:
-    """Tabulate the moment grid by one of the three estimators.
+    """Tabulate the moment grid of ``spec`` by one of the three estimators.
 
-    ``rho`` must lie in the family's moment strip intersected with the
-    positive axis.  ``samples`` is required (nonempty) for the
-    ``monte_carlo`` method and ignored otherwise.
+    ``rho`` must lie in :func:`working_strip` of ``spec``, which is
+    checked before any moment is estimated.  ``samples`` is required
+    (nonempty) for the ``monte_carlo`` method and ignored otherwise.
     """
     if method not in GRID_METHODS:
         raise ArgumentError(
             f"method must be one of {GRID_METHODS}, got {method!r}"
         )
-    require_usable_rho(spec, params.rho)
+    working_strip(spec).require(params.rho, "rho", "usable", spec.label())
 
     if method == "monte_carlo":
         if samples is None or np.asarray(samples).size == 0:
             raise ArgumentError("monte_carlo needs a nonempty samples array")
         estimate = moment_monte_carlo(samples, params, params.sign)
-        return MomentGrid(params, estimate.value)
+        return MomentGrid(params, estimate.value, spec)
 
     if method == "closed_form":
         values = closed_form_moment(spec, params.nodes(), params.sign)
@@ -369,7 +370,7 @@ def make_grid(
             lambda x: exact_pdf(spec, x), spec.support, params.nodes(),
             params.sign,
         )
-    return MomentGrid(params, values)
+    return MomentGrid(params, values, spec)
 
 
 # ----------------------------------------------------------------------
@@ -428,15 +429,17 @@ def convert_moment(
 # ----------------------------------------------------------------------
 
 
-def working_strip(spec: DistributionSpec) -> FundamentalStrip:
-    """Guaranteed-usable line abscissas for reconstruction: the moment
-    strip intersected with (0, 1)."""
-    strip = spec.moment_strip.intersect(FundamentalStrip(0.0, 1.0))
-    if strip.is_empty:
-        raise EmptyStripError(
-            f"no admissible line abscissa for {spec.label()}"
-        )
-    return strip
+def working_strip(spec: DistributionSpec | None) -> FundamentalStrip:
+    """The usable strip: where a grid line Re gamma = rho may sit.
+
+    It is the family's moment strip intersected with (0, inf), or
+    (0, inf) itself when no family is known (``spec`` is None).  This is
+    the one statement of the rule: :class:`MomentGrid`, :func:`make_grid`
+    and :func:`suggest_truncation` check a line against it, and
+    ``fracmom strip`` prints it.
+    """
+    positive = FundamentalStrip(0.0, math.inf)
+    return positive if spec is None else spec.moment_strip.intersect(positive)
 
 
 class TruncationSuggestion(NamedTuple):
@@ -463,12 +466,14 @@ def suggest_truncation(
     replaces, it takes that stop test to hold at every m past the first
     that meets it.  It answers ``capped=True`` with m = 10^4 when the
     target is unreachable, or when an endpoint moment stops being
-    evaluable before the target is met.
+    evaluable before the target is met.  A ``rho`` outside
+    :func:`working_strip` raises :class:`StripError` before the search.
     """
     if not tol > 0.0:
         raise ArgumentError("tol must be > 0")
     if not delta > 0.0:
         raise ArgumentError("delta must be > 0")
+    working_strip(spec).require(rho, "rho", "usable", spec.label())
 
     def envelope(m: int) -> float:
         eta = m * delta
@@ -507,23 +512,16 @@ def suggest_truncation(
 # ----------------------------------------------------------------------
 
 
-def write_grid_csv(
-    grid: MomentGrid,
-    out: TextIO,
-    *,
-    family: str | None = None,
-    params: dict | None = None,
-    method: str | None = None,
-) -> None:
+def write_grid_csv(grid: MomentGrid, out: TextIO, *, method: str | None = None) -> None:
     """Write a grid as `k,rho,eta,re,im` rows with `#` metadata lines.
 
-    Floats are written with ``repr`` so the read side reproduces them
-    bit for bit.
+    A grid with a ``spec`` gets `# family:` and `# params:` lines, and
+    ``method`` a `# method:` line.  Floats are written with ``repr`` so
+    the read side reproduces them bit for bit.
     """
-    if family is not None:
-        out.write(f"# family: {family}\n")
-    if params is not None:
-        out.write(f"# params: {json.dumps(params, sort_keys=True)}\n")
+    if grid.spec is not None:
+        out.write(f"# family: {grid.spec.family}\n")
+        out.write(f"# params: {json.dumps(grid.spec.params, sort_keys=True)}\n")
     out.write(f"# sign: {grid.params.sign}\n")
     if method is not None:
         out.write(f"# method: {method}\n")
@@ -539,9 +537,13 @@ def read_grid_csv(lines) -> tuple[MomentGrid, dict]:
     """Parse a grid written by :func:`write_grid_csv`.
 
     Accepts an iterable of lines (a file object works).  Returns the
-    grid plus a metadata dict with whatever `#` keys were present.
-    Raises :class:`ArgumentError` unless the rows cover k = -m..m with
-    m >= 1, every value is finite, and eta = k * delta on every row.
+    grid plus a metadata dict with whatever `#` keys were present.  A
+    `# family:` line (with its `# params:` line, if any) becomes the
+    grid's ``spec``.  Raises :class:`ArgumentError` unless the rows
+    cover k = -m..m with m >= 1, every value is finite, eta = k * delta
+    on every row and the family lines name a valid distribution, and
+    :class:`StripError` when rho lies outside :func:`working_strip` of
+    that distribution (of no family without a `# family:` line).
     """
     meta: dict[str, object] = {}
     rows: list[tuple[int, float, float, complex]] = []
@@ -607,4 +609,7 @@ def read_grid_csv(lines) -> tuple[MomentGrid, dict]:
                 f"(delta = {delta!r} from k = 1)"
             )
     values = np.array([r[3] for r in rows], dtype=complex)
-    return MomentGrid(params, values), meta
+    spec = None
+    if "family" in meta:
+        spec = DistributionSpec(str(meta["family"]), meta.get("params", {}))
+    return MomentGrid(params, values, spec), meta

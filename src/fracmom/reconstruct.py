@@ -168,7 +168,8 @@ def residue_partial_sum(
 
 @dataclass(frozen=True)
 class CurveResult:
-    """A reconstructed curve, optionally with a pointwise exact reference.
+    """A reconstructed curve, with a pointwise exact reference when its
+    grid's distribution ``spec`` is known.
 
     ``im_max`` is a diagnostic on density curves: the largest |imaginary
     part| of the series *before* the real-part projection.  It is of the
@@ -184,6 +185,7 @@ class CurveResult:
     params: GridParams
     kind: str
     im_max: float | None = None
+    spec: DistributionSpec | None = None
 
 
 def _ladder_sum(weights: np.ndarray, step: np.ndarray):
@@ -231,16 +233,12 @@ def _series(grid: MomentGrid, kind: str, x: np.ndarray) -> np.ndarray:
     return np.where(mirrored, np.conj(values), values)
 
 
-def sample_curve(
-    grid: MomentGrid,
-    kind: str,
-    abscissae: Sequence[float],
-    exact_spec: DistributionSpec | None = None,
-) -> CurveResult:
+def sample_curve(grid: MomentGrid, kind: str, abscissae: Sequence[float]) -> CurveResult:
     """Evaluate the CF or PDF series on a one-dimensional array of points.
 
-    Points must exclude the origin.  When ``exact_spec`` is given, the
-    matching exact curve and pointwise absolute errors are attached.
+    Points must exclude the origin.  When the grid carries its
+    distribution (``grid.spec``), the matching exact curve and pointwise
+    absolute errors are attached, and the result carries the spec.
     An empty abscissae array produces an empty result (the grid is
     still checked).  A point's value does not depend on the other
     points in ``abscissae``.  A series that
@@ -271,9 +269,9 @@ def sample_curve(
         im_max = float(np.max(np.abs(series.imag), initial=0.0))
         values = series.real.astype(complex)
     exact = None
-    if exact_spec is not None:
+    if grid.spec is not None:
         exact_fn = exact_cf if kind == "cf" else exact_pdf
-        exact = np.asarray(exact_fn(exact_spec, x), dtype=complex)
+        exact = np.asarray(exact_fn(grid.spec, x), dtype=complex)
     abs_err = np.abs(values - exact) if exact is not None else None
     return CurveResult(
         abscissae=x,
@@ -283,19 +281,21 @@ def sample_curve(
         params=grid.params,
         kind=kind,
         im_max=im_max,
+        spec=grid.spec,
     )
 
 
-def write_curve_csv(result: CurveResult, out, *, family: str | None = None) -> None:
+def write_curve_csv(result: CurveResult, out) -> None:
     """Write `x,re,im,exact_re,exact_im,abs_err` rows with `#` metadata.
 
-    Exact columns are left empty when the curve carries no reference.
-    Floats use ``repr`` for bit-exact round-tripping.
+    A curve with a ``spec`` gets a `# family:` line.  Exact columns are
+    left empty when the curve carries no reference.  Floats use ``repr``
+    for bit-exact round-tripping.
     """
     p = result.params
     out.write(f"# kind: {result.kind}\n")
-    if family is not None:
-        out.write(f"# family: {family}\n")
+    if result.spec is not None:
+        out.write(f"# family: {result.spec.family}\n")
     out.write(f"# rho: {p.rho!r}\n")
     out.write(f"# delta: {p.delta!r}\n")
     out.write(f"# m: {p.m}\n")

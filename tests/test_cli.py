@@ -7,6 +7,7 @@ back in through ``--grid-in``.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,9 @@ import pytest
 
 import fracmom
 from fracmom.cli import _parse_range, main
-from fracmom.errors import ArgumentError
+from fracmom.distributions import FAMILIES, DistributionSpec
+from fracmom.errors import ArgumentError, StripError
+from fracmom.moments import suggest_truncation
 
 
 def _run(argv, capsys):
@@ -230,6 +233,55 @@ def test_reconstruct_checks_grid_csv_rho_against_strip(tmp_path, capsys, kind):
                          "--range", "0.5:3:6"], capsys)
     assert code == 1
     assert err.startswith("error: rho = 1.5 outside usable strip")
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.0])
+@pytest.mark.parametrize("kind", ["cf", "pdf"])
+def test_grid_csv_without_family_needs_a_positive_line(tmp_path, capsys, kind, rho):
+    """With no family line the usable strip is (0, inf).  At rho = -0.5
+    such a grid used to rebuild CF - 1 with exit 0."""
+    grid = _cauchy_grid_csv(tmp_path, rho, family_line=False)
+    code, out, err = _run([f"reconstruct-{kind}", "--grid-in", str(grid),
+                           "--range", "0.5:3:6"], capsys)
+    assert _one_error_line(code, out, err)
+    assert err == f"error: rho = {rho} outside usable strip (0, inf)\n"
+
+
+def _grid_csv(path, family, rho):
+    rows = [f"{k},{rho!r},{0.4 * k!r},1.0,0.0" for k in range(-2, 3)]
+    path.write_text(f"# family: {family}\n# sign: minus\nk,rho,eta,re,im\n"
+                    + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_strip_bounds_every_line_check(family, tmp_path, capsys):
+    """``strip`` prints the usable strip.  Nudged inward, both of its
+    ends are accepted by ``moments --rho``, by ``--grid-in`` and by
+    suggest_truncation; nudged outward, each of the three refuses them.
+    An infinite end stands in as 4 past the other end inward, and as
+    inf itself outward."""
+    code, out, _ = _run(["strip", "--family", family], capsys)
+    assert code == 0
+    lo, hi = (float(end) for end in out.strip()[1:-1].split(", "))
+    spec = DistributionSpec(family)
+    nudge = 1e-6
+    grid = tmp_path / "grid.csv"
+    for rho in (lo + nudge, (hi if math.isfinite(hi) else lo + 4.0) - nudge):
+        code, _, err = _run(["moments", "--family", family, f"--rho={rho!r}",
+                             "--out", str(grid)], capsys)
+        assert (code, err) == (0, ""), rho
+        code, _, err = _run(["reconstruct-cf", "--grid-in", str(grid),
+                             "--range", "0.5:3:6"], capsys)
+        assert (code, err) == (0, ""), rho
+        suggest_truncation(spec, rho, 0.4, "minus", 1e-6)
+    for rho in (lo - nudge, hi + nudge):
+        argv = ["moments", "--family", family, f"--rho={rho!r}"]
+        assert _one_error_line(*_run(argv, capsys)), rho
+        argv = ["reconstruct-cf", "--grid-in", str(_grid_csv(grid, family, rho))]
+        assert _one_error_line(*_run(argv, capsys)), rho
+        with pytest.raises(StripError):
+            suggest_truncation(spec, rho, 0.4, "minus", 1e-6)
 
 
 @pytest.mark.parametrize("case", ["pdf_csv_rho_300", "csv_rho_180"])

@@ -93,7 +93,7 @@ def test_spec_parameters_accept_any_finite_real():
 def test_gaussian_mu_zero_allowed():
     # location may be any real, including zero and negatives
     assert make_spec("gaussian", mu=0.0).params["mu"] == 0.0
-    assert make_spec("gaussian", mu=-3.5).symmetric is False
+    assert make_spec("gaussian", mu=-3.5).params["mu"] == -3.5
 
 
 def test_spec_from_config_roundtrip():
@@ -120,7 +120,7 @@ def test_labels():
 
 
 # ----------------------------------------------------------------------
-# strips and symmetry flags
+# strips
 # ----------------------------------------------------------------------
 
 
@@ -142,13 +142,6 @@ def test_strip_behaviour():
     assert s.intersect(FundamentalStrip(0.0, 3.0)) == FundamentalStrip(0.0, 1.0)
     assert str(FundamentalStrip(0.0, math.inf)) == "(0, inf)"
     assert str(s) == "(-1, 1)"
-    assert FundamentalStrip(2.0, 1.0).is_empty
-
-
-def test_symmetry_flags():
-    assert UNIFORM.symmetric and CAUCHY.symmetric
-    assert GAUSS01.symmetric
-    assert not GAUSS21.symmetric and not RAYLEIGH.symmetric and not LEVY.symmetric
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracmom.distributions import closed_form_moment, exact_pdf, make_spec, sample
+from fracmom.distributions import (
+    FAMILIES,
+    DistributionSpec,
+    closed_form_moment,
+    exact_pdf,
+    make_spec,
+    sample,
+)
 from fracmom.errors import (
     AllSamplesDegenerateError,
     ArgumentError,
@@ -32,7 +39,6 @@ from fracmom.moments import (
     moment_quadrature,
     power_integral,
     read_grid_csv,
-    require_usable_rho,
     suggest_truncation,
     working_strip,
     write_grid_csv,
@@ -476,22 +482,35 @@ class TestConvertMoment:
 
 
 def test_working_strips():
+    """The moment strip cut to (0, inf), or (0, inf) with no family."""
     assert str(working_strip(GAUSS21)) == "(0, 1)"
     assert str(working_strip(CAUCHY)) == "(0, 1)"
     assert str(working_strip(UNIFORM)) == "(0, 1)"
-    assert str(working_strip(LEVY)) == "(0, 1)"
-    for spec in (UNIFORM, RAYLEIGH, CAUCHY, LEVY, GAUSS21):
-        assert not working_strip(spec).is_empty
+    assert str(working_strip(LEVY)) == "(0, inf)"
+    assert str(working_strip(RAYLEIGH)) == "(0, 2)"
+    assert str(working_strip(None)) == "(0, inf)"
 
 
 @pytest.mark.parametrize("spec", [UNIFORM, RAYLEIGH, CAUCHY, LEVY, GAUSS21],
                          ids=lambda s: s.family)
 def test_working_strip_ends_are_usable(spec):
     """``fracmom strip`` prints the working strip; a grid line just inside
-    either end of it must pass the check that ``moments`` applies."""
+    either end of it must pass the check every grid of ``spec`` makes."""
     strip = working_strip(spec)
     for rho in (np.nextafter(strip.lo, strip.hi), np.nextafter(strip.hi, strip.lo)):
-        require_usable_rho(spec, float(rho))
+        MomentGrid(GridParams(rho=float(rho), delta=0.4, m=1), np.ones(3), spec)
+
+
+@pytest.mark.parametrize("spec, rho", [(CAUCHY, 1.2), (LEVY, -0.45), (None, 0.0),
+                                       (None, -0.5)])
+def test_moment_grid_checks_its_line(spec, rho):
+    """A grid's line must lie in the usable strip of its distribution,
+    or of no family when it has none."""
+    gp = GridParams(rho=rho, delta=0.4, m=1)
+    of = "" if spec is None else f" of {spec.label()}"
+    with pytest.raises(StripError, match=rf"^rho = {rho} outside usable strip "
+                                         rf"\(0, .+\){of}$"):
+        MomentGrid(gp, np.ones(3), spec)
 
 
 def test_suggest_truncation_frozen():
@@ -648,28 +667,47 @@ def test_suggest_truncation_validation():
         suggest_truncation(CAUCHY, 0.4, 0.4, "minus", 0.0)
 
 
+@pytest.mark.parametrize("rho", [1.5, -0.5, math.nan])
+def test_suggest_truncation_checks_the_line(rho):
+    """A line outside the usable strip used to answer m = 10^4 capped
+    (rho = 1.5) or m = 68 (rho = -0.5, a line make_grid refuses)."""
+    with pytest.raises(StripError, match=rf"^rho = {rho} outside usable strip "
+                                         r"\(0, 1\) of cauchy$"):
+        suggest_truncation(CAUCHY, rho, 0.4, "minus", 1e-6)
+
+
 # ----------------------------------------------------------------------
 # CSV round-trip
 # ----------------------------------------------------------------------
 
 
-def _roundtrip(grid, **meta):
+def _roundtrip(grid, method=None):
     buf = io.StringIO()
-    write_grid_csv(grid, buf, **meta)
+    write_grid_csv(grid, buf, method=method)
     return read_grid_csv(io.StringIO(buf.getvalue()))
 
 
 def test_csv_roundtrip_bitwise():
     gp = GridParams(rho=0.4, delta=0.4, m=4, sign="plus")
     grid = make_grid(RAYLEIGH, gp, "closed_form")
-    back, meta = _roundtrip(
-        grid, family="rayleigh", params={"sigma": 2.0}, method="closed_form"
-    )
+    back, meta = _roundtrip(grid, method="closed_form")
     assert back.params == gp
+    assert back.spec == RAYLEIGH
     assert np.array_equal(back.values, grid.values)  # bit-exact via repr
     assert meta["family"] == "rayleigh"
     assert meta["params"] == {"sigma": 2.0}
     assert meta["method"] == "closed_form"
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_PARAM_VALUES = {"a": _POSITIVE, "sigma": _POSITIVE,
+                 "mu": st.floats(allow_nan=False, allow_infinity=False)}
+
+
+def _random_spec(family):
+    names = DistributionSpec(family).params
+    params = st.fixed_dictionaries({name: _PARAM_VALUES[name] for name in names})
+    return params.map(lambda p: DistributionSpec(family, p))
 
 
 @given(
@@ -677,23 +715,25 @@ def test_csv_roundtrip_bitwise():
     delta=st.floats(min_value=0.01, max_value=2.0),
     m=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=2**31),
+    spec=st.sampled_from(FAMILIES).flatmap(_random_spec),
 )
 @settings(max_examples=40, deadline=None)
-def test_csv_roundtrip_random_values(rho, delta, m, seed):
+def test_csv_roundtrip_random_values(rho, delta, m, seed, spec):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
-    grid = MomentGrid(GridParams(rho=rho, delta=delta, m=m), vals)
-    back, _ = _roundtrip(grid, family="cauchy", params={}, method="closed_form")
+    grid = MomentGrid(GridParams(rho=rho, delta=delta, m=m), vals, spec)
+    back, _ = _roundtrip(grid, method="closed_form")
     assert back.params.rho == rho and back.params.m == m
     assert back.params.delta == delta
+    assert back.spec == spec
     assert np.array_equal(back.values, vals)
 
 
 def test_csv_read_rejects_malformed():
     gp = GridParams(rho=0.4, delta=0.4, m=1)
-    grid = MomentGrid(gp, np.ones(3, dtype=complex))
+    grid = MomentGrid(gp, np.ones(3, dtype=complex), CAUCHY)
     buf = io.StringIO()
-    write_grid_csv(grid, buf, family="cauchy", params={}, method="closed_form")
+    write_grid_csv(grid, buf, method="closed_form")
     text = buf.getvalue()
 
     # header tampering
@@ -711,8 +751,7 @@ def test_csv_read_rejects_malformed():
 def _grid_text(m=2, delta=0.4):
     gp = GridParams(rho=0.4, delta=delta, m=m)
     buf = io.StringIO()
-    write_grid_csv(make_grid(CAUCHY, gp, "closed_form"), buf,
-                   family="cauchy", params={}, method="closed_form")
+    write_grid_csv(make_grid(CAUCHY, gp, "closed_form"), buf, method="closed_form")
     return buf.getvalue()
 
 

@@ -41,6 +41,11 @@ def _grid(spec, m, rho=0.4, delta=0.4, sign="minus"):
     return make_grid(spec, GridParams(rho=rho, delta=delta, m=m, sign=sign))
 
 
+def _unlabelled(grid):
+    # the same nodes and values with no distribution, so no reference
+    return MomentGrid(grid.params, grid.values)
+
+
 # ----------------------------------------------------------------------
 # CF series
 # ----------------------------------------------------------------------
@@ -211,8 +216,17 @@ def test_levy_pdf_reaches_past_the_per_node_kernel_overflow():
     # range past |Im gamma| ~ 451 while its weight underflows, and used to
     # make this curve a DomainError; the Horner sum forms no power of z
     grid = _grid(LEVY, 1300, rho=0.9, delta=0.4)
-    curve = sample_curve(grid, "pdf", np.linspace(0.1, 10.0, 100), exact_spec=LEVY)
+    curve = sample_curve(grid, "pdf", np.linspace(0.1, 10.0, 100))
     assert np.all(curve.abs_err <= 1e-8)  # measured 3.55e-9
+
+
+def test_levy_grid_right_of_one_rebuilds_cf_and_pdf():
+    # levy's usable strip is (0, inf), so a line past 1 is a grid too;
+    # frozen first-run errors 2.97e-14 (CF) and 8.9e-16 (PDF)
+    grid = _grid(LEVY, 200, rho=1.5, delta=0.2)
+    points = np.linspace(0.1, 10.0, 200)
+    assert np.max(sample_curve(grid, "cf", points).abs_err) <= 1.5 * 2.97e-14
+    assert np.max(sample_curve(grid, "pdf", points).abs_err) <= 1.5 * 8.9e-16
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +337,8 @@ def test_residue_requires_standard_normal():
 def test_sample_curve_attaches_exact_reference():
     grid = _grid(CAUCHY, 10)
     xs = np.array([0.5, 1.0, 3.0])
-    curve = sample_curve(grid, "cf", xs, exact_spec=CAUCHY)
+    curve = sample_curve(grid, "cf", xs)
+    assert curve.spec == CAUCHY
     assert curve.exact is not None and curve.abs_err is not None
     assert np.all(curve.abs_err >= 0.0)
     want = np.exp(-np.abs(xs))
@@ -331,8 +346,9 @@ def test_sample_curve_attaches_exact_reference():
 
 
 def test_sample_curve_without_reference():
-    grid = _grid(CAUCHY, 5)
+    grid = _unlabelled(_grid(CAUCHY, 5))
     curve = sample_curve(grid, "pdf", np.array([1.0, 2.0]))
+    assert curve.spec is None
     assert curve.exact is None and curve.abs_err is None
 
 
@@ -349,8 +365,8 @@ def test_sample_curve_validation():
 @pytest.mark.parametrize("kind", ["cf", "pdf"])
 @pytest.mark.parametrize("exact", [True, False])
 def test_sample_curve_empty_input(kind, exact):
-    spec = CAUCHY if exact else None
-    curve = sample_curve(_grid(CAUCHY, 5), kind, [], exact_spec=spec)
+    grid = _grid(CAUCHY, 5)
+    curve = sample_curve(grid if exact else _unlabelled(grid), kind, [])
     assert curve.abscissae.dtype == float and curve.abscissae.shape == (0,)
     assert curve.values.dtype == complex and curve.values.shape == (0,)
     if exact:
@@ -505,9 +521,9 @@ def test_cauchy_pdf_figure_points_are_independent_of_the_batch():
 def test_curve_csv_roundtrip_text():
     grid = _grid(RAYLEIGH, 6)
     xs = np.array([0.5, 1.5, 2.5])
-    curve = sample_curve(grid, "cf", xs, exact_spec=RAYLEIGH)
+    curve = sample_curve(grid, "cf", xs)
     buf = io.StringIO()
-    write_curve_csv(curve, buf, family="rayleigh")
+    write_curve_csv(curve, buf)
     text = buf.getvalue()
     assert text.startswith("# kind: cf\n# family: rayleigh\n")
     lines = text.strip().split("\n")
@@ -526,7 +542,7 @@ def test_curve_csv_rows_are_per_value_reprs(exact):
     """The column-wise writer gives the bytes of a row-by-row repr."""
     grid = _grid(CAUCHY, 4)
     xs = np.array([-3.0, -1e-7, 0.25, 1.0 / 3.0, 7.5])
-    curve = sample_curve(grid, "pdf", xs, exact_spec=CAUCHY if exact else None)
+    curve = sample_curve(grid if exact else _unlabelled(grid), "pdf", xs)
     buf = io.StringIO()
     write_curve_csv(curve, buf)
     want = []
@@ -542,7 +558,7 @@ def test_curve_csv_rows_are_per_value_reprs(exact):
 
 
 def test_curve_csv_empty_reference_columns():
-    grid = _grid(CAUCHY, 4)
+    grid = _unlabelled(_grid(CAUCHY, 4))
     curve = sample_curve(grid, "pdf", np.array([1.0]))
     buf = io.StringIO()
     write_curve_csv(curve, buf)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PACKAGE = SCRIPTS.parent / "src" / "fracmom"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def _run_script(name, argv, capsys):
@@ -59,6 +60,16 @@ def test_code_lines_total_is_the_sum_of_the_rows(capsys):
     assert "reconstruct.py" in {name for name, _ in rows}
     assert total[0] == "total"
     assert int(total[1]) == sum(int(n) for _, n in rows) > 0
+
+
+def test_benchmark_tracer_resolves_every_layer_name():
+    """The traced benchmark wraps the public names its ``LAYERS`` table
+    lists; a renamed one fails here, not only in a traced run."""
+    tracing = runpy.run_path(str(PERFBENCH / "tracing.py"))
+    resolved = tracing["resolve_boundaries"]()
+    listed = [name for names in tracing["LAYERS"].values() for name in names]
+    assert [name for _, name, _ in resolved] == listed
+    assert len(resolved) == 27
 
 
 def test_compare_outputs_tiny_corpus(tmp_path):
