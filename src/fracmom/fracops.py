@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import DistributionSpec, FundamentalStrip, exact_cf, exact_pdf
+from .distributions import DistributionSpec, FundamentalStrip, exact_cf
 from .errors import DomainError
 from .moments import MOMENT_TOL, GridParams, half_line_integrals, power_integral
 from .quadrature import Estimate, require
@@ -254,11 +254,11 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     ``marchaud_plus``, ``marchaud_minus``, ``riesz_derivative``,
     ``riesz_integral`` and ``mellin_two_path``, each the maximum over
     the nodes of |got - want| / (1 + |want|).  The oracle is the pair
-    of :func:`~fracmom.moments.half_line_integrals` passes at
-    u^(-gamma) and u^(+gamma); each signed and absolute moment drawn
-    from them must meet 1e-9.  Each operator integral (J_+, J_-, and
-    the Marchaud K_+, K_-) is integrated once and must meet the
-    operators' 1e-7.  The Riesz rows combine the one-sided values, and
+    of :func:`~fracmom.moments.half_line_integrals` passes of ``spec``
+    at u^(-gamma) and u^(+gamma), which read its density and support;
+    each signed and absolute moment drawn from them must meet 1e-9.
+    Each operator integral (J_+, J_-, and the Marchaud K_+, K_-) is
+    integrated once and must meet the operators' 1e-7.  The Riesz rows combine the one-sided values, and
     ``mellin_two_path`` compares J_- with Gamma(gamma) times the
     fractional integral made from it.  A missed target raises
     :class:`QuadratureError`.  The oracle needs both E|X|^(-rho) and
@@ -270,15 +270,14 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     strip.intersect(-strip).intersect(_UNIT).require(
         params.rho, "rho", "identity-suite", spec.label())
     cf = lambda t: exact_cf(spec, t)  # noqa: E731
-    pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
     osc = spec.record.oscillation(spec.params)
     g = params.nodes()
 
     # Independent oracle: quadrature of the density.  The half-line
     # integrals of u^(-g) and u^(+g) give all four signed moments and
     # both absolute ones; none of their error estimates is dropped.
-    below = half_line_integrals(pdf, spec.support, g)
-    above = half_line_integrals(pdf, spec.support, -g)
+    below = half_line_integrals(spec, g)
+    above = half_line_integrals(spec, -g)
 
     def oracle(estimate: Estimate) -> np.ndarray:
         require(estimate, MOMENT_TOL, "moment quadrature", g)

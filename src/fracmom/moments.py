@@ -2,10 +2,14 @@
 
 A grid is the family of values E[(s i X)^(-gamma_k)] on the vertical
 line gamma_k = rho + i k delta, k = -m..m.  Three interchangeable
-estimators are provided — catalog closed forms, vectorised quadrature
-of the defining integral, and a Monte Carlo average over samples — plus
-conversion between signed / plain / absolute moment flavors, strip
-arithmetic, a truncation heuristic, and a CSV round-trip format.
+estimators are provided.  Two take the distribution: catalog closed
+forms (:func:`~fracmom.distributions.closed_form_moment`) and
+vectorised quadrature of the defining integral over its density
+(:func:`moment_quadrature`), both called as ``(spec, gamma, sign)``.
+The third is a Monte Carlo average over samples
+(:func:`moment_monte_carlo`).  The module also provides conversion
+between signed / plain / absolute moment flavors, strip arithmetic, a
+truncation heuristic, and a CSV round-trip format.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import bisect
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TextIO
@@ -68,7 +73,13 @@ MOMENT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GridParams:
-    """Line abscissa, imaginary step, half-width and sign of a grid."""
+    """Line abscissa, imaginary step, half-width and sign of a grid.
+
+    ``rho`` and ``delta`` are stored as ``float`` and ``m`` as ``int``
+    (NumPy scalars are accepted), so every writer prints plain numbers.
+    An ``m`` that is not an integer or is a bool, and a ``rho`` or
+    ``delta`` that is not a real number, raise :class:`ArgumentError`.
+    """
 
     rho: float
     delta: float
@@ -77,6 +88,12 @@ class GridParams:
 
     def __post_init__(self):
         sign_value(self.sign)  # validates
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise ArgumentError(f"m must be an integer, got {self.m!r}")
+        if not all(isinstance(v, numbers.Real) for v in (self.rho, self.delta)):
+            raise ArgumentError("rho and delta must be real numbers")
+        for name, kind in (("rho", float), ("delta", float), ("m", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         if not 0.0 < self.delta < math.inf:
             raise ArgumentError("delta must be finite and > 0")
         if not 1 <= self.m <= _M_CAP:
@@ -178,41 +195,42 @@ def power_integral(f: Callable[[np.ndarray], np.ndarray], gamma, a: float, b: fl
     return integrate(integrand, a, b, oscillation=oscillation)
 
 
-def half_line_integrals(pdf: Callable[[np.ndarray], np.ndarray],
-                        support: tuple[float, float], gamma) -> HalfLineIntegrals:
-    """Both half-line integrals of u^(-gamma) pdf(+/-u) over the density's
-    ``support``, one :func:`power_integral` per half that is not empty;
-    ``gamma`` may be a scalar or an array of orders, and ``pdf`` is
-    called on arrays.
+def half_line_integrals(spec: DistributionSpec, gamma) -> HalfLineIntegrals:
+    """Both half-line integrals of u^(-gamma) pdf(+/-u) for the density
+    of ``spec`` over its support, one :func:`power_integral` per half
+    that is not empty; ``gamma`` may be a scalar or an array of orders.
+
+    This is the one place a moment quadrature reads a density
+    (:func:`~fracmom.distributions.exact_pdf`, on arrays) and its
+    support.  A density outside the catalog still has
+    :func:`power_integral`, and a :class:`HalfLineIntegrals` of two such
+    calls gives its signed and absolute moments.
     """
-    lo, hi = support
+    lo, hi = spec.support
     return HalfLineIntegrals(
-        power_integral(pdf, gamma, max(lo, 0.0), hi),
-        power_integral(lambda u: pdf(-1.0 * u), gamma, max(0.0, -hi), -lo),
+        power_integral(lambda u: exact_pdf(spec, u), gamma, max(lo, 0.0), hi),
+        power_integral(lambda u: exact_pdf(spec, -1.0 * u), gamma,
+                       max(0.0, -hi), -lo),
     )
 
 
-def moment_quadrature(
-    pdf: Callable[[np.ndarray], np.ndarray],
-    support: tuple[float, float],
-    gamma,
-    sign: str,
-):
-    """E[(s i X)^(-gamma)] by quadrature of the defining integral.
+def moment_quadrature(spec: DistributionSpec, gamma, sign: str):
+    """E[(s i X)^(-gamma)] by quadrature of the defining integral over
+    the density of ``spec``; the same arguments as
+    :func:`~fracmom.distributions.closed_form_moment`.
 
-    The integral is split at the origin.  On each half-line the phase
-    exp(-/+ s gamma i pi/2) is constant and is factored out, leaving
-    u^(-gamma) pdf(+/-u), which the vectorised engine integrates for
-    every order in ``gamma`` at once, calling ``pdf`` on arrays of
-    abscissae.  Each half's error estimate is scaled by its phase
-    magnitude, so the combined estimate is an estimate of the returned
-    value's error; if it exceeds 1e-9 at any order a
-    :class:`QuadratureError` naming that order and carrying its
-    estimate is raised.  A scalar ``gamma`` gives a complex result, an
-    array of orders an array.
+    The integral is split at the origin (:func:`half_line_integrals`).
+    On each half-line the phase exp(-/+ s gamma i pi/2) is constant and
+    is factored out, leaving u^(-gamma) pdf(+/-u), which the vectorised
+    engine integrates for every order in ``gamma`` at once.  Each
+    half's error estimate is scaled by its phase magnitude, so the
+    combined estimate is an estimate of the returned value's error; if
+    it exceeds 1e-9 at any order a :class:`QuadratureError` naming that
+    order and carrying its estimate is raised.  A scalar ``gamma`` gives
+    a complex result, an array of orders an array.
     """
     g = np.atleast_1d(np.asarray(gamma, dtype=complex))
-    result = half_line_integrals(pdf, support, g).signed(g, sign)
+    result = half_line_integrals(spec, g).signed(g, sign)
     require(result, MOMENT_TOL, "moment quadrature", g)
     return complex(result.value[0]) if np.ndim(gamma) == 0 else result.value
 
@@ -348,8 +366,10 @@ def make_grid(
     """Tabulate the moment grid of ``spec`` by one of the three estimators.
 
     ``rho`` must lie in :func:`working_strip` of ``spec``, which is
-    checked before any moment is estimated.  ``samples`` is required
-    (nonempty) for the ``monte_carlo`` method and ignored otherwise.
+    checked before any moment is estimated.  The two deterministic
+    methods take the same arguments, ``(spec, nodes, sign)``.
+    ``samples`` is required for the ``monte_carlo`` method (where
+    :func:`moment_monte_carlo` checks them) and ignored otherwise.
     """
     if method not in GRID_METHODS:
         raise ArgumentError(
@@ -358,18 +378,12 @@ def make_grid(
     working_strip(spec).require(params.rho, "rho", "usable", spec.label())
 
     if method == "monte_carlo":
-        if samples is None or np.asarray(samples).size == 0:
-            raise ArgumentError("monte_carlo needs a nonempty samples array")
-        estimate = moment_monte_carlo(samples, params, params.sign)
-        return MomentGrid(params, estimate.value, spec)
-
-    if method == "closed_form":
-        values = closed_form_moment(spec, params.nodes(), params.sign)
+        if samples is None:
+            raise ArgumentError("monte_carlo needs a samples array")
+        values = moment_monte_carlo(samples, params, params.sign).value
     else:
-        values = moment_quadrature(
-            lambda x: exact_pdf(spec, x), spec.support, params.nodes(),
-            params.sign,
-        )
+        estimator = closed_form_moment if method == "closed_form" else moment_quadrature
+        values = estimator(spec, params.nodes(), params.sign)
     return MomentGrid(params, values, spec)
 
 

@@ -119,15 +119,14 @@ def test_criterion_01_identity_suite():
     worst = 0.0
     for spec in ALL_SPECS:
         cf = lambda t: exact_cf(spec, t)  # noqa: E731
-        pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
         osc = spec.params["a"] if spec.family == "uniform" else None
         for k in range(-5, 6):
             g = _IDENTITY_GRID.node(k)
             for side in ("plus", "minus"):
-                mom = moment_quadrature(pdf, spec.support, g, side)
+                mom = moment_quadrature(spec, g, side)
                 rl = rl_integral_at_zero(cf, g, side, oscillation=osc)
                 worst = max(worst, _rel(rl, mom))
-                neg = moment_quadrature(pdf, spec.support, -g, side)
+                neg = moment_quadrature(spec, -g, side)
                 ma = marchaud_derivative_at_zero(cf, g, side, oscillation=osc)
                 worst = max(worst, _rel(ma, neg))
             rd = riesz_derivative_at_zero(cf, g, oscillation=osc)

@@ -247,6 +247,26 @@ def test_grid_csv_without_family_needs_a_positive_line(tmp_path, capsys, kind, r
     assert err == f"error: rho = {rho} outside usable strip (0, inf)\n"
 
 
+def test_grid_csv_without_family_has_no_reference(tmp_path, capsys):
+    """A grid CSV with no family line inside (0, inf) rebuilds a curve
+    with empty reference columns and says so."""
+    grid = _cauchy_grid_csv(tmp_path, 0.4, family_line=False)
+    out = tmp_path / "cf.csv"
+    code, stdout, err = _run(["reconstruct-cf", "--grid-in", str(grid),
+                              "--range", "0.5:3:6", "--out", str(out)], capsys)
+    assert (code, stdout, err) == (0, "cf: 6 points (no exact reference)\n", "")
+    body = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(body) == 6
+    assert all(row.endswith(",,,") for row in body)
+
+
+def test_grid_in_missing_file_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "nothere.csv"
+    code, out, err = _run(["reconstruct-cf", "--grid-in", str(missing)], capsys)
+    assert _one_error_line(code, out, err)
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
 def _grid_csv(path, family, rho):
     rows = [f"{k},{rho!r},{0.4 * k!r},1.0,0.0" for k in range(-2, 3)]
     path.write_text(f"# family: {family}\n# sign: minus\nk,rho,eta,re,im\n"
@@ -423,7 +443,7 @@ def test_far_rho_is_a_verify_strip_error_and_a_quiet_quadrature_nan(capsys):
     ``verify`` rejects that rho before any quadrature, and
     ``moment_quadrature`` reports its NaN estimate once, as a numerical
     failure; NumPy used to print four RuntimeWarnings before it."""
-    from fracmom import DistributionSpec, GridParams, exact_pdf, moment_quadrature
+    from fracmom import DistributionSpec, GridParams, moment_quadrature
     from fracmom.errors import QuadratureError
 
     levy = DistributionSpec("levy")
@@ -434,8 +454,7 @@ def test_far_rho_is_a_verify_strip_error_and_a_quiet_quadrature_nan(capsys):
                                "--m", "2"], capsys)
         with pytest.raises(QuadratureError,
                            match="^moment quadrature estimate nan"):
-            moment_quadrature(lambda x: exact_pdf(levy, x), levy.support, nodes,
-                              "minus")
+            moment_quadrature(levy, nodes, "minus")
     assert (code, out) == (1, "")
     assert err == "error: rho = 180.0 outside identity-suite strip (0, 0.5) of levy\n"
     assert caught == []
@@ -519,15 +538,17 @@ def test_non_finite_param_is_validation(capsys, family, param):
 
 
 def test_grid_csv_with_non_mapping_params_is_validation(tmp_path, capsys):
-    # used to end in TypeError: 'int' object is not iterable
+    # 5 used to end in TypeError: 'int' object is not iterable; a line
+    # that is not JSON is kept as its text, which is no mapping either
     rows = [f"{k},0.4,{0.4 * k!r},1.0,0.0" for k in range(-2, 3)]
     grid = tmp_path / "grid.csv"
-    grid.write_text("# family: cauchy\n# params: 5\n# sign: minus\n"
-                    "k,rho,eta,re,im\n" + "\n".join(rows) + "\n")
-    code, out, err = _run(["reconstruct-cf", "--grid-in", str(grid),
-                           "--range", "0.5:3:6"], capsys)
-    assert _one_error_line(code, out, err)
-    assert "params must be a mapping" in err
+    for params in ("5", "{sigma: 2"):
+        grid.write_text(f"# family: cauchy\n# params: {params}\n# sign: minus\n"
+                        "k,rho,eta,re,im\n" + "\n".join(rows) + "\n")
+        code, out, err = _run(["reconstruct-cf", "--grid-in", str(grid),
+                               "--range", "0.5:3:6"], capsys)
+        assert _one_error_line(code, out, err), params
+        assert "params must be a mapping" in err, params
 
 
 def test_rho_outside_strip_is_validation(capsys):
@@ -553,6 +574,27 @@ def test_numerical_failure_exit_two(tmp_path, capsys):
 def test_missing_dist_file(capsys):
     code, _, err = _run(["moments", "--dist", "/no/such/file.json"], capsys)
     assert code == 1
+
+
+def test_dist_file_of_invalid_json_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "d.json"
+    cfg.write_text("{family: cauchy")
+    code, out, err = _run(["moments", "--dist", str(cfg)], capsys)
+    assert _one_error_line(code, out, err)
+    assert err.startswith(f"error: {cfg}: invalid JSON (")
+
+
+def test_verify_row_over_tolerance_exits_two(monkeypatch, capsys):
+    """A row over 1e-4 is printed FAIL, and the suite ends in a
+    numerical failure that names it."""
+    rows = {"rl_integral_plus": 1e-9, "riesz_integral": 2e-4}
+    monkeypatch.setattr(fracmom.cli, "identity_suite", lambda spec, params: rows)
+    code, out, err = _run(["verify", "--family", "cauchy"], capsys)
+    assert code == 2
+    assert out.splitlines()[1:] == [
+        "  rl_integral_plus  max dev 1.000e-09  PASS",
+        "  riesz_integral    max dev 2.000e-04  FAIL"]
+    assert err == "numerical failure: identity suite failed for: riesz_integral\n"
 
 
 def test_help_exits_zero(capsys):

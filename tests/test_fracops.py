@@ -14,7 +14,7 @@ import pytest
 
 from fracmom import quadrature
 from fracmom.cli import main
-from fracmom.distributions import closed_form_moment, exact_cf, exact_pdf, make_spec
+from fracmom.distributions import closed_form_moment, exact_cf, make_spec
 from fracmom.errors import DomainError, QuadratureError, StripError
 from fracmom.fracops import (
     composition_check,
@@ -415,7 +415,6 @@ def test_identity_suite_matches_public_operators(name):
     quadrature moments, each transform integrated once."""
     spec, cf, osc = _family(name)
     g = _GRID.nodes()
-    pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
 
     def dev(got, want):
         return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
@@ -424,15 +423,15 @@ def test_identity_suite_matches_public_operators(name):
     for side in ("plus", "minus"):
         got = rl_integral_at_zero(cf, g, side, oscillation=osc)
         want[f"rl_integral_{side}"] = dev(
-            got, moment_quadrature(pdf, spec.support, g, side)
+            got, moment_quadrature(spec, g, side)
         )
     for side in ("plus", "minus"):
         got = marchaud_derivative_at_zero(cf, g, side, oscillation=osc)
         want[f"marchaud_{side}"] = dev(
-            got, moment_quadrature(pdf, spec.support, -g, side)
+            got, moment_quadrature(spec, -g, side)
         )
-    abs_plus = half_line_integrals(pdf, spec.support, -g).absolute().value
-    abs_minus = half_line_integrals(pdf, spec.support, g).absolute().value
+    abs_plus = half_line_integrals(spec, -g).absolute().value
+    abs_minus = half_line_integrals(spec, g).absolute().value
     got = riesz_derivative_at_zero(cf, g, oscillation=osc)
     want["riesz_derivative"] = dev(got, -abs_plus)
     got = riesz_integral_at_zero(cf, g, oscillation=osc)

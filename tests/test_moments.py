@@ -4,6 +4,7 @@ import functools
 import io
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -75,6 +76,9 @@ def test_grid_params_nodes():
         dict(rho=0.4, delta=0.4, m=0),
         dict(rho=0.4, delta=0.4, m=3, sign="up"),
         dict(rho=0.4, delta=math.inf, m=3),
+        # m = 2.5 used to give a 6-node grid, and m = True a 3-node one
+        dict(rho=0.4, delta=0.2, m=2.5),
+        dict(rho=0.4, delta=0.2, m=True),
     ],
 )
 def test_grid_params_validation(kwargs):
@@ -169,7 +173,7 @@ def test_signed_moment_is_phase_times_absolute_on_positive_support():
                     )[0],
                 )
             for side, s in (("plus", 1.0), ("minus", -1.0)):
-                signed = moment_quadrature(pdf, spec.support, order, side)
+                signed = moment_quadrature(spec, order, side)
                 want = np.exp(-s * 1j * order * np.pi / 2.0) * absolute
                 assert abs(signed - want) <= 1e-8, (spec.family, order, side)
 
@@ -194,6 +198,9 @@ def test_make_grid_monte_carlo_path():
     assert np.max(np.abs(g1.values - gc.values)) < 0.05
     with pytest.raises(ArgumentError):
         make_grid(CAUCHY, gp, "monte_carlo")  # samples missing
+    # the emptiness rule is moment_monte_carlo's alone
+    with pytest.raises(ArgumentError, match="^samples must be nonempty$"):
+        make_grid(CAUCHY, gp, "monte_carlo", samples=[])
 
 
 def test_monte_carlo_node_array_equals_scalar_calls():
@@ -352,6 +359,11 @@ def test_monte_carlo_degenerate_inputs():
     want = complex(math.sqrt(0.5), math.sqrt(0.5))
     assert est.value == pytest.approx(want, abs=1e-15)
     assert est.stderr == pytest.approx(0.0, abs=1e-16)
+    # one nonzero sample has no spread to measure: an infinite error
+    est = moment_monte_carlo(np.array([0.0, 2.0, 0.0]), 0.5, "minus")
+    assert (est.stderr, est.dropped) == (math.inf, 2)
+    est = moment_monte_carlo(np.array([2.0]), GridParams(0.4, 0.4, 2), "minus")
+    assert np.all(est.stderr == math.inf) and np.all(np.isfinite(est.value))
 
 
 def test_rho_outside_working_range():
@@ -367,12 +379,7 @@ def test_quadrature_failure_is_reported():
     # at Re gamma -> 1 the integrand x^(-rho) is barely integrable at
     # the origin and the requested tolerance cannot be met
     with pytest.raises(QuadratureError) as info:
-        moment_quadrature(
-            lambda x: exact_pdf(CAUCHY, x),
-            CAUCHY.support,
-            1.0 - 1e-9,
-            "minus",
-        )
+        moment_quadrature(CAUCHY, 1.0 - 1e-9, "minus")
     assert info.value.achieved is not None
     assert info.value.achieved > 1e-9
 
@@ -415,9 +422,8 @@ def test_power_integral_empty_range_is_zero(a, b):
 
 def test_moment_quadrature_plus_minus_conjugation():
     g = 0.4 + 0.8j
-    pdf = lambda x: exact_pdf(GAUSS21, x)  # noqa: E731
-    a = moment_quadrature(pdf, GAUSS21.support, g, "minus").conjugate()
-    b = moment_quadrature(pdf, GAUSS21.support, g.conjugate(), "plus")
+    a = moment_quadrature(GAUSS21, g, "minus").conjugate()
+    b = moment_quadrature(GAUSS21, g.conjugate(), "plus")
     assert abs(a - b) <= 1e-10
 
 
@@ -714,15 +720,24 @@ def _random_spec(family):
     rho=st.floats(min_value=0.05, max_value=0.95),
     delta=st.floats(min_value=0.01, max_value=2.0),
     m=st.integers(min_value=1, max_value=12),
+    types=st.tuples(st.sampled_from([float, np.float64]),
+                    st.sampled_from([float, np.float64]),
+                    st.sampled_from([int, np.int64, np.int32])),
     seed=st.integers(min_value=0, max_value=2**31),
     spec=st.sampled_from(FAMILIES).flatmap(_random_spec),
 )
 @settings(max_examples=40, deadline=None)
-def test_csv_roundtrip_random_values(rho, delta, m, seed, spec):
+def test_csv_roundtrip_random_values(rho, delta, m, types, seed, spec):
+    # NumPy scalars for rho, delta and m used to reach the CSV as
+    # np.float64(...) text, which read_grid_csv refused
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
-    grid = MomentGrid(GridParams(rho=rho, delta=delta, m=m), vals, spec)
+    rho_type, delta_type, m_type = types
+    params = GridParams(rho=rho_type(rho), delta=delta_type(delta), m=m_type(m))
+    assert (type(params.rho), type(params.delta), type(params.m)) == (float, float, int)
+    grid = MomentGrid(params, vals, spec)
     back, _ = _roundtrip(grid, method="closed_form")
+    assert back.params == params
     assert back.params.rho == rho and back.params.m == m
     assert back.params.delta == delta
     assert back.spec == spec
@@ -730,22 +745,33 @@ def test_csv_roundtrip_random_values(rho, delta, m, seed, spec):
 
 
 def test_csv_read_rejects_malformed():
-    gp = GridParams(rho=0.4, delta=0.4, m=1)
-    grid = MomentGrid(gp, np.ones(3, dtype=complex), CAUCHY)
-    buf = io.StringIO()
-    write_grid_csv(grid, buf, method="closed_form")
-    text = buf.getvalue()
-
-    # header tampering
-    with pytest.raises(ArgumentError):
-        read_grid_csv(io.StringIO(text.replace("k,rho,eta,re,im", "a,b,c,d,e")))
-    # drop a body row -> k coverage breaks
+    text = _grid_text()  # cauchy, rho = 0.4, delta = 0.4, m = 2
     lines = text.strip().split("\n")
-    with pytest.raises(ArgumentError):
-        read_grid_csv(io.StringIO("\n".join(lines[:-1])))
-    # remove the sign metadata
-    with pytest.raises(ArgumentError):
-        read_grid_csv(io.StringIO(text.replace("# sign: minus\n", "")))
+    row_one = next(ln for ln in lines if ln.startswith("1,"))
+
+    def with_row_one(new):
+        return text.replace(row_one, new)
+
+    cases = [
+        ("unexpected grid CSV header", text.replace("k,rho,eta,re,im", "a,b,c,d,e")),
+        # five rows less the last leave k = -2..1, which is no -m..m
+        ("cover k = -m..m", "\n".join(lines[:-1])),
+        # k = -1, 0, 2 passes the 3-row check and fails on the gap
+        ("cover k = -m..m", "\n".join(ln for ln in lines
+                                       if not ln.startswith(("-2,", "1,")))),
+        ("missing '# sign:'", text.replace("# sign: minus\n", "")),
+        ("malformed grid CSV row", with_row_one(row_one.rsplit(",", 1)[0])),
+        ("malformed grid CSV row", with_row_one(row_one + ",0.0")),
+        ("disagree on rho", with_row_one(row_one.replace(",0.4,", ",0.5,", 1))),
+    ]
+    for message, bad in cases:
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            read_grid_csv(io.StringIO(bad))
+    # blank lines between rows are skipped
+    spaced, _ = read_grid_csv(io.StringIO(text.replace("\n", "\n\n")))
+    plain, _ = read_grid_csv(io.StringIO(text))
+    assert spaced.params == plain.params and spaced.spec == plain.spec
+    assert np.array_equal(spaced.values, plain.values)
 
 
 def _grid_text(m=2, delta=0.4):
@@ -807,8 +833,7 @@ def test_moment_quadrature_array_unreachable_tol():
     e^(pi |Im gamma| / 2) lifts the estimate above 1e-9."""
     nodes = GridParams(rho=0.4, delta=0.4, m=30).nodes()
     with pytest.raises(QuadratureError) as info:
-        moment_quadrature(lambda x: exact_pdf(GAUSS21, x), GAUSS21.support,
-                          nodes, "minus")
+        moment_quadrature(GAUSS21, nodes, "minus")
     assert info.value.achieved is not None
     assert info.value.achieved > 1e-9
     assert "gamma = " in str(info.value)

@@ -72,6 +72,26 @@ def test_benchmark_tracer_resolves_every_layer_name():
     assert len(resolved) == 27
 
 
+def test_benchmark_gates_read_what_the_cli_writes(tmp_path, capsys):
+    """The benchmark's own gates, loaded read-only, accept the grid and
+    curve CSVs the CLI writes for cauchy, and recompute the curve error
+    the CLI prints; a change to either CSV format fails here, not only
+    in a benchmark run."""
+    from fracmom.cli import main
+
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    grid, curve = tmp_path / "grid.csv", tmp_path / "cf.csv"
+    code = main(["moments", "--family", "cauchy", "--delta", "0.2", "--m", "20",
+                 "--out", str(grid)])
+    assert workloads["grid_check"](grid, 20)(code, "") == []
+    code = main(["reconstruct-cf", "--grid-in", str(grid), "--range", "0.1:10:50",
+                 "--out", str(curve)])
+    printed = capsys.readouterr().out
+    assert code == 0
+    err = workloads["curve_error"](curve, "cf", "cauchy", 50)
+    assert printed == f"cf: 50 points, max abs error = {err:.6e}\n"
+
+
 def test_compare_outputs_tiny_corpus(tmp_path):
     script = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
     repo = SCRIPTS.parent
