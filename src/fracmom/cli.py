@@ -32,8 +32,9 @@ line.  ``verify``
 needs rho inside the family's moment strip, its mirror image and
 (0, 1), because its oracle integrates the density at u^(-gamma) and
 u^(+gamma).
-``--m`` is at most 10^4 and ``--n-samples`` at most 10^7 (the Monte
-Carlo ladder holds about 40 bytes per sample).
+``--m`` is at most 10^4 and ``--n-samples`` at most 10^7 (drawing takes
+8-16 bytes per sample; the Monte Carlo estimator adds about 1 MB of
+block buffers, whatever the sample count).
 
 Exit codes: 0 success, 1 argument/configuration problems (a path named
 by ``--out``/``--out-dir`` that cannot be written included) or a stdout

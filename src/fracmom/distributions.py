@@ -687,8 +687,8 @@ def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
 # ----------------------------------------------------------------------
 
 
-# Largest sample size: the Monte Carlo node ladder holds about 40 bytes
-# per sample, so 0.4 GB at the cap.
+# Largest sample size: drawing takes 8-16 bytes per sample, so 0.08-0.16
+# GB at the cap; the Monte Carlo estimator adds only block buffers.
 _N_CAP = 10_000_000
 
 

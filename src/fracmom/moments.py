@@ -54,8 +54,9 @@ GRID_METHODS = ("closed_form", "quadrature", "monte_carlo")
 # truncation search answers capped here
 _M_CAP = 10_000
 
-# samples per block of the Monte Carlo passes that need temporaries
-_BLOCK = 1 << 16
+# nonzero samples per block of the Monte Carlo estimator: a block's
+# branch, step, running power and centred copy stay in cache
+_BLOCK = 1 << 13
 
 # nodes per run of the Monte Carlo node ladder: one exact power, then a
 # step per node
@@ -245,72 +246,92 @@ class MonteCarloMoment(NamedTuple):
     dropped: int
 
 
-def _mean_stderr(vals: np.ndarray) -> tuple[complex, float]:
-    # the mean of one order's per-sample powers and its standard error;
-    # the two-pass sum of squares is centred one block at a time in a
-    # small buffer, so ``vals`` is left as it was
-    n = vals.size
-    mean = vals.mean()
-    if n == 1:
-        return mean, math.inf
-    buf = np.empty(min(n, _BLOCK), dtype=complex)
-    squares = 0.0
+def _block_moments(xs: np.ndarray, sign: str, count: int, powers):
+    # per-order mean and standard error of the per-sample powers that
+    # ``powers(branch)`` yields for one block's branch Log(s i x), as
+    # (order index, powers) pairs, one block of samples at a time.
+    # Within a block the sum of squares is two-pass, centred on the
+    # block's mean.  The blocks are merged in order by the pairwise
+    # update of Chan, Golub & LeVeque (Am. Stat. 37, 1983), on block
+    # means taken relative to the first block's and corrected by the sum
+    # of their centred powers, so a mean far larger than the spread
+    # costs no digits.  One block gives the full-array two-pass values.
+    n = xs.size
+    total = np.zeros(count, dtype=complex)
+    # every block but the last is full, so ``start`` samples are merged
     for start in range(0, n, _BLOCK):
-        part = buf[: min(_BLOCK, n - start)]
-        np.subtract(vals[start : start + _BLOCK], mean, out=part)
-        squares += np.vdot(part, part).real
-    return mean, math.sqrt(squares / (n - 1) / n)
+        branch = signed_log(xs[start : start + _BLOCK], sign)
+        size = branch.size
+        sums = np.empty(count, dtype=complex)
+        block_squares = np.empty(count)
+        drift = np.empty(count, dtype=complex)
+        centred = np.empty(size, dtype=complex)
+        for j, power in powers(branch):
+            sums[j] = power.sum()
+            np.subtract(power, sums[j] / size, out=centred)
+            block_squares[j] = np.vdot(centred, centred).real
+            drift[j] = centred.sum()
+        if start == 0:
+            first, mean, squares = sums / size, 0.0, 0.0
+        # the block's mean less the running mean, both relative to the
+        # first block's (for the first block, its drift alone)
+        gap = (sums / size - first) + drift / size - mean
+        squares = squares + block_squares + (gap.real**2 + gap.imag**2) * (
+            start * size / (start + size))
+        mean = mean + gap * (size / (start + size))
+        total += sums
+    value = total / n
+    stderr = np.sqrt(squares / (n - 1) / n) if n > 1 else np.full(count, math.inf)
+    return value, stderr
 
 
-def _sample_power(xs: np.ndarray, gamma: complex, sign: str, out: np.ndarray) -> None:
-    # (s i x)^gamma at every sample into ``out``, one block of samples at
-    # a time, so the branch and exponent temporaries stay block-sized
-    for start in range(0, xs.size, _BLOCK):
-        part = slice(start, start + _BLOCK)
-        out[part] = branch_power(signed_log(xs[part], sign), gamma)
-
-
-def _node_ladder(xs: np.ndarray, params: GridParams):
-    # per-node mean and standard error over the grid's nodes; returns
-    # them with the number of exact anchors
+def _ladder(params: GridParams):
+    # the node powers of one block in ladder order, and the number of
+    # exact anchors among them: outward from the centre, where the mean
+    # is largest against its standard error (so a step's rounding weighs
+    # least there), up from k = 0 by multiplying by the step z and down
+    # from k = -1 by dividing, with an exact power every _LADDER_RUN nodes
     m = params.m
-    value = np.empty(2 * m + 1, dtype=complex)
-    stderr = np.empty(2 * m + 1)
-    # the ratio z = exp(-i delta Log(s i x)) between consecutive nodes,
-    # and the running power exp(-gamma_k Log(s i x)): the only two
-    # sample-length arrays
-    step = np.empty(xs.shape, dtype=complex)
-    _sample_power(xs, -1j * params.delta, params.sign, step)
-    power = np.empty_like(step)
-    anchors = 0
-    # outward from the centre, where the mean is largest against its
-    # standard error (so a step's rounding weighs least there): up from
-    # k = 0 by multiplying by z, down from k = -1 by dividing
-    for k in (*range(m + 1), *range(-1, -m - 1, -1)):
-        if (k if k >= 0 else -1 - k) % _LADDER_RUN == 0:
-            _sample_power(xs, -params.node(k), params.sign, power)
-            anchors += 1
-        elif k > 0:
-            np.multiply(power, step, out=power)
-        else:
-            np.divide(power, step, out=power)
-        value[k + m], stderr[k + m] = _mean_stderr(power)
-    return value, stderr, anchors
+    order = (*range(m + 1), *range(-1, -m - 1, -1))
+    exact = {k for k in order if (k if k >= 0 else -1 - k) % _LADDER_RUN == 0}
+
+    def powers(branch):
+        step = branch_power(branch, -1j * params.delta)
+        for k in order:
+            if k in exact:
+                power = branch_power(branch, -params.node(k))
+            elif k > 0:
+                np.multiply(power, step, out=power)
+            else:
+                np.divide(power, step, out=power)
+            yield k + m, power
+
+    return powers, len(exact)
 
 
 def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     """Sample-average estimate of E[(s i X)^(-gamma)] with a standard error.
 
     ``gamma`` may be a scalar, an array of orders or a :class:`GridParams`
-    (whose sign must equal ``sign``).  Exact zeros are dropped (the
+    (whose sign must equal ``sign``).  Samples must be finite
+    (:class:`ArgumentError` otherwise).  Exact zeros are dropped (the
     integrand is singular there for Re gamma > 0) and counted in the
     result.  The standard error is the delete-one jackknife of the
     mean, which for a plain average is the classical sqrt(Var/n); for a
     complex estimate the variance is taken as E|V - mean|^2.
 
-    A scalar or array of orders takes the direct path: the branch
-    Log(s i x) of :func:`~fracmom.special.signed_log` is formed once per
-    sample, and each order is one exact exponential of it
+    Both paths run one block of 8192 nonzero samples at a time: the
+    branch Log(s i x) of :func:`~fracmom.special.signed_log` is formed
+    once per block, every order's powers of the block are summed and
+    their block-centred squares added, and the blocks are merged in
+    order by the exact pairwise update of Chan, Golub & LeVeque.  A grid
+    of at most 8192 nonzero samples gets the full-array two-pass mean
+    and standard error; a larger one differs from them by summation
+    order only.  For a contiguous float array of samples nothing
+    sample-length is allocated unless zeros are dropped.
+
+    A scalar or array of orders takes the direct path: each order is one
+    exact exponential of the branch
     (:func:`~fracmom.special.branch_power`).  A grid's nodes take the
     node ladder instead.  Consecutive nodes differ by i delta, so
     (s i x)^(-gamma_(k+1)) = (s i x)^(-gamma_k) z with
@@ -318,41 +339,43 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     divide by z.  The ladder walks outward from the centre, up from
     k = 0 by multiplying and down from k = -1 by dividing, and an exact
     exponential starts it again every 16 nodes, so no node is more than
-    15 steps from an exact power.  It holds two sample-length arrays,
-    the step and the running power.  Its values differ from the direct
+    15 steps from an exact power.  Its values differ from the direct
     path's by rounding only (about 1e-13 of a standard error at 2e5
     samples).  With ``FRACMOM_LOG=debug`` the ladder logs its samples,
     zeros, nodes, exact exponentials, multiplies (a divide counts as
-    one) and time.
+    one), blocks and time.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ArgumentError("samples must be nonempty")
-    nonzero = x != 0.0
-    n = int(np.count_nonzero(nonzero))
+    # min and max carry any NaN, and need no sample-length temporary
+    if not (math.isfinite(x.min()) and math.isfinite(x.max())):
+        raise ArgumentError("samples must be finite")
+    n = int(np.count_nonzero(x))
     if n == 0:
         raise AllSamplesDegenerateError(
             f"all {x.size} samples are exactly zero"
         )
-    xs = x.ravel() if n == x.size else x[nonzero]
-    if isinstance(gamma, GridParams):
-        if gamma.sign != sign:
-            raise ArgumentError(f"grid sign {gamma.sign!r} differs from sign {sign!r}")
-        start = time.perf_counter()
-        value, stderr, anchors = _node_ladder(xs, gamma)
-        log.debug("monte carlo grid: %d samples used, %d zeros dropped, %d nodes, "
-                  "%d exact exponentials, %d ladder multiplies, %.3f s",
-                  n, x.size - n, value.size, anchors + 1, value.size - anchors,
-                  time.perf_counter() - start)
-        return MonteCarloMoment(value, stderr, x.size - n)
-    branch = signed_log(xs, sign)
-    orders = np.asarray(gamma, dtype=complex)
-    value = np.empty(orders.shape, dtype=complex)
-    stderr = np.empty(orders.shape)
-    for i, g in np.ndenumerate(orders):
-        value[i], stderr[i] = _mean_stderr(branch_power(branch, -g))
-    if orders.ndim == 0:
-        value, stderr = complex(value), float(stderr)
+    xs = x.ravel() if n == x.size else x[x != 0.0]
+    if not isinstance(gamma, GridParams):
+        orders = np.asarray(gamma, dtype=complex)
+        value, stderr = _block_moments(xs, sign, orders.size, lambda branch: (
+            (i, branch_power(branch, -g)) for i, g in enumerate(orders.flat)))
+        if orders.ndim == 0:
+            return MonteCarloMoment(complex(value[0]), float(stderr[0]), x.size - n)
+        return MonteCarloMoment(value.reshape(orders.shape),
+                                stderr.reshape(orders.shape), x.size - n)
+    if gamma.sign != sign:
+        raise ArgumentError(f"grid sign {gamma.sign!r} differs from sign {sign!r}")
+    start = time.perf_counter()
+    powers, anchors = _ladder(gamma)
+    nodes = 2 * gamma.m + 1
+    value, stderr = _block_moments(xs, sign, nodes, powers)
+    blocks = -(-n // _BLOCK)
+    log.debug("monte carlo grid: %d samples used, %d zeros dropped, %d nodes, "
+              "%d exact exponentials, %d ladder multiplies, %d block%s, %.3f s",
+              n, x.size - n, nodes, anchors + 1, nodes - anchors,
+              blocks, "" if blocks == 1 else "s", time.perf_counter() - start)
     return MonteCarloMoment(value, stderr, x.size - n)
 
 

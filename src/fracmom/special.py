@@ -119,17 +119,18 @@ def branch_power(branch, gamma):
     formed beforehand: ``(s i x)^gamma`` without taking the logarithm again.
 
     ``branch`` and ``gamma`` broadcast against each other; the exponent
-    is the only array of the broadcast shape, exponentiated in place.
+    is the only complex array of the broadcast shape, exponentiated in
+    place.
     """
     g = np.asarray(gamma, dtype=complex)
     b = np.asarray(branch)
-    # gamma ln|x| +/- gamma i pi/2: each product has a zero real or
-    # imaginary part, so a fused multiply-add cannot round it otherwise
-    # and an array call equals the scalar calls bit for bit
-    power = np.asarray(g * b.real)
-    quarter_turn = g * (1j * math.pi / 2.0)
-    np.add(power, quarter_turn, out=power, where=b.imag > 0.0)
-    np.subtract(power, quarter_turn, out=power, where=b.imag < 0.0)
+    # the product gamma * branch in real arithmetic, every product and
+    # sum rounded once (a complex multiply may fuse them), so an array
+    # call equals the scalar calls bit for bit
+    re = g.real * b.real - g.imag * b.imag
+    power = np.empty(re.shape, dtype=complex)
+    power.real = re
+    power.imag = g.imag * b.real + g.real * b.imag
     return _shaped(np.exp(power, out=power))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fracmom import cli
 from fracmom.distributions import (
     FAMILIES,
     DistributionSpec,
@@ -44,6 +45,7 @@ from fracmom.moments import (
     working_strip,
     write_grid_csv,
 )
+from fracmom.special import branch_power, signed_log
 
 UNIFORM = make_spec("uniform", a=2.0)
 RAYLEIGH = make_spec("rayleigh", sigma=2.0)
@@ -219,16 +221,20 @@ def test_monte_carlo_node_array_equals_scalar_calls():
     assert np.all(np.abs(grid.values - est.value) <= 1e-12 * est.stderr)
 
 
+def _two_pass(vals):
+    # mean and standard error over the whole array at once, two-pass
+    mean = vals.mean()
+    centred = vals - mean
+    n = vals.size
+    return mean, math.sqrt(np.vdot(centred, centred).real / (n - 1) / n)
+
+
 def _monte_carlo_oracle(samples, gamma, sign):
     # the per-sample expression with separate log|x| and sgn(x) arrays
     s = 1.0 if sign == "plus" else -1.0
     x = samples[samples != 0.0]
-    vals = np.exp(-gamma * np.log(np.abs(x))
-                  - s * gamma * (1j * math.pi / 2.0) * np.sign(x))
-    mean = vals.mean()
-    centred = vals - mean
-    n = x.size
-    return mean, math.sqrt(np.vdot(centred, centred).real / (n - 1) / n)
+    return _two_pass(np.exp(-gamma * np.log(np.abs(x))
+                            - s * gamma * (1j * math.pi / 2.0) * np.sign(x)))
 
 
 @pytest.mark.parametrize("spec", [CAUCHY, LEVY, RAYLEIGH], ids=lambda s: s.family)
@@ -255,17 +261,113 @@ def test_monte_carlo_ladder_matches_per_sample_oracle(spec, sign):
         assert abs(est.stderr[i] - stderr) <= 1e-14 * stderr
 
 
-def _real_arithmetic_mean(x, gamma, sign):
-    # mean of (s i x)^(-gamma) with the exponent formed in real
-    # arithmetic: -gamma ln|x| -/+ s sgn(x) gamma i pi/2, every product
-    # and sum rounded once
-    g = -complex(gamma)
+def _full_array_ladder(x, params):
+    """The node ladder over every nonzero sample at once, each node's
+    mean and standard error two-pass over the whole array: the Monte
+    Carlo grid estimator without blocks."""
+    branch = signed_log(x[x != 0.0], params.sign)
+    step = branch_power(branch, -1j * params.delta)
+    m = params.m
+    moments = [None] * (2 * m + 1)
+    for k in (*range(m + 1), *range(-1, -m - 1, -1)):
+        if (k if k >= 0 else -1 - k) % 16 == 0:
+            power = branch_power(branch, -params.node(k))
+        else:
+            power = power * step if k > 0 else power / step
+        moments[k + m] = _two_pass(power)
+    value, stderr = zip(*moments)
+    return np.array(value), np.array(stderr)
+
+
+def _full_array_oracles(x, params):
+    # (estimate, oracle value, oracle stderr) for the ladder and the
+    # direct path; both oracles raise the same per-sample powers
+    branch = signed_log(x[x != 0.0], params.sign)
+    direct = [_two_pass(branch_power(branch, -g)) for g in params.nodes()]
+    return [
+        (moment_monte_carlo(x, params, params.sign), *_full_array_ladder(x, params)),
+        (moment_monte_carlo(x, params.nodes(), params.sign), *map(np.array, zip(*direct))),
+    ]
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 3 * 8192 + 5])
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_monte_carlo_blocks_merge_to_the_full_array_two_pass(n, sign):
+    # one block, one full block, a block of one, and a ragged fourth
+    x = sample(CAUCHY, n, seed=n)
+    for est, value, stderr in _full_array_oracles(x, GridParams(0.4, 0.4, 20, sign)):
+        if n <= 8192:
+            assert np.array_equal(est.value, value)
+            assert np.array_equal(est.stderr, stderr)
+        assert np.all(np.abs(est.value - value) <= 1e-12 * stderr)
+        assert np.all(np.abs(est.stderr - stderr) <= 1e-14 * stderr)
+
+
+def test_monte_carlo_grid_csv_of_one_block_is_the_full_array_ladder(tmp_path, capsys):
+    # a grid of at most 8192 samples writes the bytes of the estimator
+    # without blocks
+    out = tmp_path / "grid.csv"
+    assert cli.main(["moments", "--family", "cauchy", "--rho", "0.4", "--delta", "0.4",
+                     "--m", "20", "--method", "mc", "--n-samples", "8192",
+                     "--seed", "11", "--out", str(out)]) == 0
+    capsys.readouterr()
+    gp = GridParams(0.4, 0.4, 20)
+    value, _ = _full_array_ladder(sample(CAUCHY, 8192, seed=11), gp)
+    want = io.StringIO()
+    write_grid_csv(MomentGrid(gp, value, CAUCHY), want, method="monte_carlo")
+    assert out.read_text() == want.getvalue()
+
+
+def test_monte_carlo_block_merge_keeps_a_mean_far_above_the_spread():
+    # |mean| / spread ~ 1e7: each block mean's rounding, ~eps |mean|, is
+    # ~1e-7 of its distance from the running mean, which a merge on
+    # rounded means would carry into the standard error as ~1e-12
+    # relative
+    x = 3.0 + 1e-6 * np.random.default_rng(7).standard_normal(100_000)
+    for est, value, stderr in _full_array_oracles(x, GridParams(0.4, 0.4, 20, "minus")):
+        assert np.all(np.abs(est.stderr - stderr) <= 1e-14 * stderr)
+        # 1e-12 of a standard error is below one ulp of the mean, so
+        # the values agree to the rounding of the mean itself
+        assert np.all(np.abs(est.value - value) <= 4.0 * np.finfo(float).eps * np.abs(value))
+
+
+def _real_arithmetic_power(x, gamma, sign):
+    # (s i x)^(-gamma) with the exponent formed in real arithmetic:
+    # -gamma ln|x| -/+ s sgn(x) gamma i pi/2, every product and sum
+    # rounded once; x and gamma broadcast
+    g = -np.asarray(gamma, dtype=complex)
     a = np.log(np.abs(x))
     turn = (1.0 if sign == "plus" else -1.0) * np.sign(x)
-    exponent = np.empty(x.shape, dtype=complex)
+    exponent = np.empty(np.broadcast_shapes(np.shape(a), g.shape), dtype=complex)
     exponent.real = g.real * a - turn * (g.imag * (math.pi / 2.0))
     exponent.imag = g.imag * a + turn * (g.real * (math.pi / 2.0))
-    return np.exp(exponent).mean()
+    return np.exp(exponent)
+
+
+def _real_arithmetic_mean(x, gamma, sign):
+    return _real_arithmetic_power(x, gamma, sign).mean()
+
+
+_ORDERS = st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    xs=st.lists(st.floats(min_value=-1e6, max_value=1e6).filter(
+        lambda v: abs(v) >= 1e-6), min_size=1, max_size=20),
+    gamma=_ORDERS,
+    gammas=st.lists(_ORDERS, min_size=1, max_size=8),
+    sign=st.sampled_from(["plus", "minus"]),
+)
+@settings(max_examples=200)
+def test_branch_power_is_the_real_arithmetic_power(xs, gamma, gammas, sign):
+    # both signs of x in one array, and one branch against many orders
+    # the way HalfLineIntegrals.signed forms its half-line phases
+    x = np.array(xs)
+    got = branch_power(signed_log(x, sign), -gamma)
+    assert np.array_equal(got, _real_arithmetic_power(x, gamma, sign), equal_nan=True)
+    g = np.array(gammas, dtype=complex)
+    got = branch_power(signed_log(1.0, sign), -g)
+    assert np.array_equal(got, _real_arithmetic_power(1.0, g, sign), equal_nan=True)
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -315,19 +417,28 @@ def test_monte_carlo_ladder_matches_direct_path(rho, delta, m, n, spec, sign, se
         assert abs(ladder.stderr[i] - direct.stderr[i]) <= tol * unit
 
 
-def test_monte_carlo_ladder_holds_two_sample_arrays():
-    # the step and the running power; a third sample-length complex
-    # array would take the peak past 3
-    x = np.random.default_rng(4).standard_cauchy(1_000_000)
-    gp = GridParams(rho=0.4, delta=0.4, m=2)
-    moment_monte_carlo(x, gp, "minus")
+def _traced_peak(call):
+    call()
     tracemalloc.start()
     try:
-        moment_monte_carlo(x, gp, "minus")
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * x.size * 16
+
+
+@pytest.mark.parametrize("path", ["ladder", "direct"])
+def test_monte_carlo_peak_does_not_grow_with_samples(path):
+    # a few block-sized buffers (0.9 MB); one sample-length complex array
+    # at n = 1e6 would take 16 MB
+    gp = GridParams(rho=0.4, delta=0.4, m=2)
+    orders = gp if path == "ladder" else gp.nodes()
+    peaks = [
+        _traced_peak(lambda: moment_monte_carlo(x, orders, "minus"))
+        for x in (np.random.default_rng(4).standard_cauchy(n) for n in (200_000, 1_000_000))
+    ]
+    assert peaks[1] <= 2_000_000
+    assert peaks[1] - peaks[0] <= 16_384
 
 
 def test_monte_carlo_ladder_logs_its_cost(caplog):
@@ -339,13 +450,35 @@ def test_monte_carlo_ladder_logs_its_cost(caplog):
     # anchors at k = 0, 16, -1, -17 and the step; 41 - 4 ladder steps
     assert lines[0].startswith(
         "monte carlo grid: 1000 samples used, 2 zeros dropped, 41 nodes, "
-        "5 exact exponentials, 37 ladder multiplies, ")
+        "5 exact exponentials, 37 ladder multiplies, 1 block, ")
     assert lines[0].endswith(" s")
+    caplog.clear()
+    x = sample(LEVY, 2 * 8192 + 1, seed=2)
+    with caplog.at_level(logging.DEBUG, logger="fracmom"):
+        moment_monte_carlo(x, GridParams(rho=0.4, delta=0.4, m=2), "minus")
+    lines = [r.getMessage() for r in caplog.records if r.name == "fracmom.moments"]
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "monte carlo grid: 16385 samples used, 0 zeros dropped, 5 nodes, "
+        "3 exact exponentials, 3 ladder multiplies, 3 blocks, ")
 
 
 def test_monte_carlo_grid_sign_must_match():
     with pytest.raises(ArgumentError, match="sign"):
         moment_monte_carlo(np.ones(4), GridParams(0.4, 0.4, 2, "plus"), "minus")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_monte_carlo_samples_must_be_finite(bad):
+    # NaN used to give a NaN grid, and +/-inf NaN nodes on the ladder
+    # where the direct path was finite
+    x = np.array([1.0, bad, 2.0])
+    gp = GridParams(rho=0.4, delta=0.4, m=1)
+    for gamma in (gp, gp.nodes(), 0.4 + 0.4j):
+        with pytest.raises(ArgumentError, match="^samples must be finite$"):
+            moment_monte_carlo(x, gamma, "minus")
+    with pytest.raises(ArgumentError, match="^samples must be finite$"):
+        make_grid(CAUCHY, gp, "monte_carlo", samples=x)
 
 
 def test_monte_carlo_degenerate_inputs():
