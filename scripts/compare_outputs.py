@@ -14,13 +14,20 @@ by one command can be read by a later one.  The corpus:
 * ``reconstruct-cf`` and ``reconstruct-pdf`` curves with their summary
   lines, one of them from a grid CSV, and a levy density out to
   |Im gamma| = 520;
+* a Monte Carlo grid of 37 sample blocks and a 10,000-point CF curve,
+  which on a host with more than one CPU are computed in more than one
+  process;
 * ``figures`` and its CSVs;
 * argvs that must fail with one ``error:`` line.
 
 Each artifact (exit status, stdout, stderr, every file written) prints
 one line: ``identical``; or, when only numbers differ, the largest
 absolute and relative deviation among them; or the first line whose
-text differs, or a note that only line endings differ.  The exit status is 0 when every artifact is identical.
+text differs, or a note that only line endings differ.  The exit status
+is 0 when every artifact is identical.  In a CSV row, each pair of
+``re``/``im`` (or ``NAME_re``/``NAME_im``) columns counts as one complex
+number, whose deviation is relative to its modulus, so a small real or
+imaginary part does not magnify it; every other number counts alone.
 
     python scripts/compare_outputs.py OLD_TREE NEW_TREE
 """
@@ -75,6 +82,14 @@ def corpus() -> list[tuple[str, list[str]]]:
     out.append(("cf-grid-in", ["reconstruct-cf", "--grid-in",
                                "moments-levy-closed.csv", "--range", "0.1:10:50",
                                "--out", "cf-grid-in.csv"]))
+    # work split across processes: 37 blocks of samples, 10 chunks of rows
+    out.append(("moments-cauchy-mc-blocks",
+                ["moments", "--family", "cauchy", "--method", "mc", "--m", "4",
+                 "--n-samples", "300000", "--seed", "2",
+                 "--out", "moments-cauchy-mc-blocks.csv"]))
+    out.append(("cf-cauchy-long", ["reconstruct-cf", "--family", "cauchy", "--m", "25",
+                                   "--range", "0.1:10:10000",
+                                   "--out", "cf-cauchy-long.csv"]))
     # past |Im gamma| ~ 451, where a per-node PDF kernel leaves double range
     out.append(("pdf-levy-reach", ["reconstruct-pdf", "--family", "levy", "--rho", "0.9",
                                    "--m", "1300", "--delta", "0.4",
@@ -122,12 +137,42 @@ def _numbers(text: str) -> tuple[str, list[float]]:
     return _NUMBER.sub("#", text), [float(t) for t in _NUMBER.findall(text)]
 
 
+def _pairs(header: list[str]) -> list[tuple[int, int]]:
+    # (re, im) column index pairs of a CSV header: re/im and NAME_re/NAME_im
+    return [(i, header.index(name[:-2] + "im")) for i, name in enumerate(header)
+            if (name == "re" or name.endswith("_re")) and name[:-2] + "im" in header]
+
+
+def _quantities(old: str, new: str):
+    """(old, new) pairs of the numbers of two texts of one skeleton; the
+    (re, im) columns of a CSV row give one complex number each."""
+    header: list[str] = []
+    for line_old, line_new in zip(old.splitlines(), new.splitlines()):
+        cells_old, cells_new = line_old.split(","), line_new.split(",")
+        if line_old.startswith("#"):
+            yield from zip(_numbers(line_old)[1], _numbers(line_new)[1])
+            continue
+        if len(cells_old) > 1 and not _NUMBER.search(line_old):
+            header = cells_old
+            continue
+        if len(cells_old) == len(header):
+            paired = set()
+            for i, j in _pairs(header):
+                if cells_old[i] and cells_old[j]:
+                    yield (complex(float(cells_old[i]), float(cells_old[j])),
+                           complex(float(cells_new[i]), float(cells_new[j])))
+                    paired |= {i, j}
+            line_old = ",".join(c for k, c in enumerate(cells_old) if k not in paired)
+            line_new = ",".join(c for k, c in enumerate(cells_new) if k not in paired)
+        yield from zip(_numbers(line_old)[1], _numbers(line_new)[1])
+
+
 def compare_text(old: str, new: str) -> str:
     """``identical``, the deviations of the numbers, or the first text change."""
     if old == new:
         return "identical"
-    skel_old, nums_old = _numbers(old)
-    skel_new, nums_new = _numbers(new)
+    skel_old = _numbers(old)[0]
+    skel_new = _numbers(new)[0]
     if skel_old != skel_new:
         old_lines, new_lines = old.splitlines(), new.splitlines()
         for i in range(max(len(old_lines), len(new_lines))):
@@ -137,10 +182,14 @@ def compare_text(old: str, new: str) -> str:
                 return f"text differs at line {i + 1}: {a!r} -> {b!r}"
         return "text differs in line endings or trailing newline"
     worst_abs = worst_rel = 0.0
-    for a, b in zip(nums_old, nums_new):
-        if a == b or (math.isnan(a) and math.isnan(b)):
+    for a, b in _quantities(old, new):
+        if a == b or (a != a and b != b):
             continue
         dev = abs(a - b)
+        if not math.isfinite(dev):
+            # NaN or an infinity on one side only
+            worst_abs = worst_rel = math.inf
+            continue
         worst_abs = max(worst_abs, dev)
         worst_rel = max(worst_rel, dev / max(abs(a), abs(b)))
     return f"max abs {worst_abs:.3e}  max rel {worst_rel:.3e}"

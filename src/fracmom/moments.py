@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
+from ._forkjoin import fork_join
 from .distributions import (
     DistributionSpec,
     FundamentalStrip,
@@ -249,40 +250,55 @@ class MonteCarloMoment(NamedTuple):
 def _block_moments(xs: np.ndarray, sign: str, count: int, powers):
     # per-order mean and standard error of the per-sample powers that
     # ``powers(branch)`` yields for one block's branch Log(s i x), as
-    # (order index, powers) pairs, one block of samples at a time.
-    # Within a block the sum of squares is two-pass, centred on the
-    # block's mean.  The blocks are merged in order by the pairwise
-    # update of Chan, Golub & LeVeque (Am. Stat. 37, 1983), on block
-    # means taken relative to the first block's and corrected by the sum
-    # of their centred powers, so a mean far larger than the spread
-    # costs no digits.  One block gives the full-array two-pass values.
+    # (order index, powers) pairs, one block of samples at a time, and
+    # the number of processes the blocks ran in.  Within a block the sum
+    # of squares is two-pass, centred on the block's mean.  A block's
+    # statistics depend on that block alone, so the blocks are computed
+    # by :func:`~fracmom._forkjoin.fork_join` and merged in block order
+    # by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37,
+    # 1983), on block means taken relative to the first block's and
+    # corrected by the sum of their centred powers, so a mean far larger
+    # than the spread costs no digits.  One block gives the full-array
+    # two-pass values.
     n = xs.size
-    total = np.zeros(count, dtype=complex)
-    # every block but the last is full, so ``start`` samples are merged
-    for start in range(0, n, _BLOCK):
-        branch = signed_log(xs[start : start + _BLOCK], sign)
+
+    def block(b: int) -> bytes:
+        branch = signed_log(xs[b * _BLOCK : (b + 1) * _BLOCK], sign)
         size = branch.size
-        sums = np.empty(count, dtype=complex)
-        block_squares = np.empty(count)
-        drift = np.empty(count, dtype=complex)
+        # rows: the block sums, the centred sums of squares (real) and
+        # the centred sums
+        stats = np.zeros((3, count), dtype=complex)
         centred = np.empty(size, dtype=complex)
         for j, power in powers(branch):
-            sums[j] = power.sum()
-            np.subtract(power, sums[j] / size, out=centred)
-            block_squares[j] = np.vdot(centred, centred).real
-            drift[j] = centred.sum()
-        if start == 0:
+            stats[0, j] = power.sum()
+            np.subtract(power, stats[0, j] / size, out=centred)
+            stats[1, j] = np.vdot(centred, centred).real
+            stats[2, j] = centred.sum()
+        return stats.tobytes()
+
+    total = np.zeros(count, dtype=complex)
+    first = mean = squares = None
+
+    def merge(b: int, frame: bytes) -> None:
+        nonlocal first, mean, squares
+        sums, block_squares, drift = np.frombuffer(frame, dtype=complex).reshape(3, count)
+        # every block but the last is full, so ``start`` samples are merged
+        start = b * _BLOCK
+        size = min(_BLOCK, n - start)
+        if b == 0:
             first, mean, squares = sums / size, 0.0, 0.0
         # the block's mean less the running mean, both relative to the
         # first block's (for the first block, its drift alone)
         gap = (sums / size - first) + drift / size - mean
-        squares = squares + block_squares + (gap.real**2 + gap.imag**2) * (
+        squares = squares + block_squares.real + (gap.real**2 + gap.imag**2) * (
             start * size / (start + size))
         mean = mean + gap * (size / (start + size))
-        total += sums
+        np.add(total, sums, out=total)
+
+    processes = fork_join(-(-n // _BLOCK), block, merge)
     value = total / n
     stderr = np.sqrt(squares / (n - 1) / n) if n > 1 else np.full(count, math.inf)
-    return value, stderr
+    return value, stderr, processes
 
 
 def _ladder(params: GridParams):
@@ -327,8 +343,13 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     order by the exact pairwise update of Chan, Golub & LeVeque.  A grid
     of at most 8192 nonzero samples gets the full-array two-pass mean
     and standard error; a larger one differs from them by summation
-    order only.  For a contiguous float array of samples nothing
-    sample-length is allocated unless zeros are dropped.
+    order only.  Blocks are dealt round-robin to one process per CPU
+    (:func:`~fracmom._forkjoin.fork_join`, at least two blocks per
+    process), and since each block's statistics depend on that block
+    alone and the merge runs in block order, the result does not depend
+    on the number of processes, bit for bit.  For a contiguous float
+    array of samples nothing sample-length is allocated unless zeros are
+    dropped, in any process.
 
     A scalar or array of orders takes the direct path: each order is one
     exact exponential of the branch
@@ -343,7 +364,7 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     path's by rounding only (about 1e-13 of a standard error at 2e5
     samples).  With ``FRACMOM_LOG=debug`` the ladder logs its samples,
     zeros, nodes, exact exponentials, multiplies (a divide counts as
-    one), blocks and time.
+    one), blocks, processes and time.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -359,7 +380,7 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     xs = x.ravel() if n == x.size else x[x != 0.0]
     if not isinstance(gamma, GridParams):
         orders = np.asarray(gamma, dtype=complex)
-        value, stderr = _block_moments(xs, sign, orders.size, lambda branch: (
+        value, stderr, _ = _block_moments(xs, sign, orders.size, lambda branch: (
             (i, branch_power(branch, -g)) for i, g in enumerate(orders.flat)))
         if orders.ndim == 0:
             return MonteCarloMoment(complex(value[0]), float(stderr[0]), x.size - n)
@@ -370,12 +391,13 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     start = time.perf_counter()
     powers, anchors = _ladder(gamma)
     nodes = 2 * gamma.m + 1
-    value, stderr = _block_moments(xs, sign, nodes, powers)
+    value, stderr, processes = _block_moments(xs, sign, nodes, powers)
     blocks = -(-n // _BLOCK)
     log.debug("monte carlo grid: %d samples used, %d zeros dropped, %d nodes, "
-              "%d exact exponentials, %d ladder multiplies, %d block%s, %.3f s",
-              n, x.size - n, nodes, anchors + 1, nodes - anchors,
-              blocks, "" if blocks == 1 else "s", time.perf_counter() - start)
+              "%d exact exponentials, %d ladder multiplies, %d block%s in %d process%s, "
+              "%.3f s", n, x.size - n, nodes, anchors + 1, nodes - anchors,
+              blocks, "" if blocks == 1 else "s", processes,
+              "" if processes == 1 else "es", time.perf_counter() - start)
     return MonteCarloMoment(value, stderr, x.size - n)
 
 

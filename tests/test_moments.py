@@ -4,6 +4,7 @@ import functools
 import io
 import logging
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracmom import cli
+from fracmom import cli, moments
 from fracmom.distributions import (
     FAMILIES,
     DistributionSpec,
@@ -381,6 +382,64 @@ def test_monte_carlo_direct_path_is_the_real_arithmetic_power(sign):
         assert np.array_equal(np.atleast_1d(est.value), want)
 
 
+# rounding of one complex exponential and of one complex multiply or
+# divide, relative, in units of eps
+_EXP_ROUNDING = 2.0
+_PRODUCT_ROUNDING = 4.0
+
+
+def _ladder_excess(rho, delta, m, n, spec, sign, seed):
+    """The largest ratio, over the nodes, of the ladder's distance from
+    the direct path to the rounding bound below; values and standard
+    errors alike.
+
+    For sample x_j, with a_j = ln|x_j|, the power at node k is
+    V_jk = exp(E_jk) with E_jk = -(rho + i k delta)(a_j + i s sgn(x_j) pi/2),
+    so |Re E_jk| + |Im E_jk| <= (rho + |k| delta)(|a_j| + pi/2).
+    * The direct path forms E_jk in real arithmetic, each product and
+      sum rounded once, and takes one exponential: a relative error of
+      at most eps ((rho + |k| delta)(|a_j| + pi/2) + _EXP_ROUNDING).
+    * The ladder takes the exact power at its last anchor k0 and then
+      r <= _LADDER_RUN - 1 products by the step z_j, whose exponent
+      delta (|a_j| + pi/2) rounds like any other.  The exponent terms add
+      up to (rho + |k0| delta + r delta)(|a_j| + pi/2), the direct path's,
+      plus r (_EXP_ROUNDING + _PRODUCT_ROUNDING) for the rounding of each
+      z_j and of each product.
+    So the two powers differ by at most eps w_jk |V_jk|, with
+    w_jk = 2 (rho + |k| delta)(|a_j| + pi/2) + 2 _EXP_ROUNDING
+           + 15 (_EXP_ROUNDING + _PRODUCT_ROUNDING),
+    the means by the average of that, and the standard errors, which
+    move by at most the root-mean-square change of the centred powers,
+    by eps sqrt(sum w_jk^2 |V_jk|^2 / (n (n - 1))).  Summing the block
+    adds 1e-14 of mean |V_jk| (or of sqrt(sum |V_jk|^2 / (n (n - 1)))):
+    about 2 log2(8192) eps for the two paths' pairwise sums.  The
+    bound holds per sample, with no cancellation between samples; 15
+    is _LADDER_RUN - 1 as the ladder is built, so with its anchors gone
+    the ladder's own rounding grows past it.
+    """
+    m = min(m, int(200.0 / delta))
+    x = sample(spec, n, seed=seed)
+    gp = GridParams(rho=rho, delta=delta, m=m, sign=sign)
+    ladder = moment_monte_carlo(x, gp, sign)
+    direct = moment_monte_carlo(x, gp.nodes(), sign)
+    eps = np.finfo(float).eps
+    a = np.log(np.abs(x))
+    turn = (1.0 if sign == "plus" else -1.0) * np.sign(x) * (math.pi / 2.0)
+    excess = 0.0
+    for i, k in enumerate(range(-m, m + 1)):
+        size = np.exp(k * delta * turn - rho * a)
+        weight = eps * (2.0 * (rho + abs(k) * delta) * (np.abs(a) + math.pi / 2.0)
+                        + 2.0 * _EXP_ROUNDING
+                        + 15.0 * (_EXP_ROUNDING + _PRODUCT_ROUNDING))
+        value_bound = 1e-14 * np.mean(size) + np.mean(weight * size)
+        stderr_bound = (1e-14 * math.sqrt(np.sum(size * size) / (n * (n - 1)))
+                        + math.sqrt(np.sum((weight * size) ** 2) / (n * (n - 1))))
+        excess = max(excess,
+                     abs(ladder.value[i] - direct.value[i]) / value_bound,
+                     abs(ladder.stderr[i] - direct.stderr[i]) / stderr_bound)
+    return excess
+
+
 @given(
     rho=st.floats(min_value=0.05, max_value=0.95),
     delta=st.floats(min_value=0.01, max_value=0.4),
@@ -393,28 +452,25 @@ def test_monte_carlo_direct_path_is_the_real_arithmetic_power(sign):
 # two near-equal samples: a rounding-level 3.4e-14 of |M| = 1.9e42 at
 # node 324 is 1.24e-12 of the stderr 5.2e40 there
 @example(rho=0.5, delta=0.390625, m=162, n=2, spec=LEVY, sign="plus", seed=0)
+# node k = -47, 14 divides from its anchor at k = -33: the ladder is off
+# by 115 eps mean |V| there and the direct path by 49, past a bound
+# that left out the ladder's products
+@example(rho=0.75, delta=0.2935230291554545, m=47, n=199, spec=CAUCHY, sign="plus",
+         seed=3709)
 @settings(max_examples=30, deadline=None)
 def test_monte_carlo_ladder_matches_direct_path(rho, delta, m, n, spec, sign, seed):
-    m = min(m, int(200.0 / delta))
-    x = sample(spec, n, seed=seed)
-    gp = GridParams(rho=rho, delta=delta, m=m, sign=sign)
-    ladder = moment_monte_carlo(x, gp, sign)
-    direct = moment_monte_carlo(x, gp.nodes(), sign)
-    # Either path rounds each power to a relative error of a few eps
-    # times the exponent, |Re exponent| <= rho |ln|x|| + m delta pi/2
-    # (~7e-14 at m delta = 200), so values and standard errors are
-    # compared in the units that rounding scales with, the mean |V| and
+    # compared in the units that rounding scales with, |V| and
     # sqrt(sum |V|^2 / (n (n-1))): against the standard error or their
     # own size, close samples would magnify it without bound
-    a = np.log(np.abs(x))
-    turn = (1.0 if sign == "plus" else -1.0) * np.sign(x) * (math.pi / 2.0)
-    reach = rho * float(np.max(np.abs(a))) + m * delta * math.pi / 2.0
-    tol = 1e-14 + 4.0 * np.finfo(float).eps * reach
-    for i, k in enumerate(range(-m, m + 1)):
-        size = np.exp(k * delta * turn - rho * a)
-        assert abs(ladder.value[i] - direct.value[i]) <= tol * np.mean(size)
-        unit = math.sqrt(np.sum(size * size) / (n * (n - 1)))
-        assert abs(ladder.stderr[i] - direct.stderr[i]) <= tol * unit
+    assert _ladder_excess(rho, delta, m, n, spec, sign, seed) <= 1.0
+
+
+@pytest.mark.parametrize("n", [2, 20])
+def test_monte_carlo_ladder_bound_fails_without_anchors(monkeypatch, n):
+    # a single run from k = 0 of 2000 products at delta = 0.01: each
+    # z_j's own rounding is carried into every node above it
+    monkeypatch.setattr(moments, "_LADDER_RUN", 10**9)
+    assert _ladder_excess(0.5, 0.01, 2000, n, RAYLEIGH, "minus", 1) > 1.0
 
 
 def _traced_peak(call):
@@ -441,7 +497,9 @@ def test_monte_carlo_peak_does_not_grow_with_samples(path):
     assert peaks[1] - peaks[0] <= 16_384
 
 
-def test_monte_carlo_ladder_logs_its_cost(caplog):
+def test_monte_carlo_ladder_logs_its_cost(caplog, monkeypatch):
+    # two CPUs, whatever the host has: blocks // 2 processes, at most two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     x = np.concatenate([[0.0, 0.0], sample(LEVY, 1_000, seed=2)])
     with caplog.at_level(logging.DEBUG, logger="fracmom"):
         make_grid(LEVY, GridParams(rho=0.4, delta=0.4, m=20), "monte_carlo", samples=x)
@@ -450,17 +508,19 @@ def test_monte_carlo_ladder_logs_its_cost(caplog):
     # anchors at k = 0, 16, -1, -17 and the step; 41 - 4 ladder steps
     assert lines[0].startswith(
         "monte carlo grid: 1000 samples used, 2 zeros dropped, 41 nodes, "
-        "5 exact exponentials, 37 ladder multiplies, 1 block, ")
+        "5 exact exponentials, 37 ladder multiplies, 1 block in 1 process, ")
     assert lines[0].endswith(" s")
-    caplog.clear()
-    x = sample(LEVY, 2 * 8192 + 1, seed=2)
-    with caplog.at_level(logging.DEBUG, logger="fracmom"):
-        moment_monte_carlo(x, GridParams(rho=0.4, delta=0.4, m=2), "minus")
-    lines = [r.getMessage() for r in caplog.records if r.name == "fracmom.moments"]
-    assert len(lines) == 1
-    assert lines[0].startswith(
-        "monte carlo grid: 16385 samples used, 0 zeros dropped, 5 nodes, "
-        "3 exact exponentials, 3 ladder multiplies, 3 blocks, ")
+    for n, blocks in ((2 * 8192 + 1, "3 blocks in 1 process"),
+                      (3 * 8192 + 1, "4 blocks in 2 processes")):
+        caplog.clear()
+        x = sample(LEVY, n, seed=2)
+        with caplog.at_level(logging.DEBUG, logger="fracmom"):
+            moment_monte_carlo(x, GridParams(rho=0.4, delta=0.4, m=2), "minus")
+        lines = [r.getMessage() for r in caplog.records if r.name == "fracmom.moments"]
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"monte carlo grid: {n} samples used, 0 zeros dropped, 5 nodes, "
+            f"3 exact exponentials, 3 ladder multiplies, {blocks}, ")
 
 
 def test_monte_carlo_grid_sign_must_match():

@@ -113,6 +113,14 @@ def test_compare_outputs_reports_the_largest_deviation():
     assert compare("x,1.0\n", "x,1.0\n") == "identical"
     assert (compare("x,1.0,2e-3,-4\n", "x,1.5,2e-3,-4.0\n")
             == "max abs 5.000e-01  max rel 3.333e-01")
+    # an (re, im) pair is one complex number, relative to its modulus;
+    # k stays a number of its own
+    assert (compare("# m: 1\nk,re,im\n1,1.0,1e-3\n", "# m: 1\nk,re,im\n1,1.0,1.1e-3\n")
+            == "max abs 1.000e-04  max rel 1.000e-04")
+    assert (compare("x,exact_re,exact_im,abs_err\n2.0,0.0,1e-3,\n",
+                    "x,exact_re,exact_im,abs_err\n2.0,0.0,-1e-3,\n")
+            == "max abs 2.000e-03  max rel 2.000e+00")
+    assert compare("v 1.0\n", "v nan\n") == "max abs inf  max rel inf"
     assert compare("a\nb 1\n", "a\nc 1\n") == "text differs at line 2: 'b 1' -> 'c 1'"
     assert compare("a\n", "a\nb\n") == "text differs at line 2: '<none>' -> 'b'"
     assert (compare("a 1\n", "a 1") == compare("a 1\r\n", "a 1\n")
