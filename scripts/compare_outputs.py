@@ -14,9 +14,8 @@ by one command can be read by a later one.  The corpus:
 * ``reconstruct-cf`` and ``reconstruct-pdf`` curves with their summary
   lines, one of them from a grid CSV, and a levy density out to
   |Im gamma| = 520;
-* a Monte Carlo grid of 37 sample blocks and a 10,000-point CF curve,
-  which on a host with more than one CPU are computed in more than one
-  process;
+* a Monte Carlo grid of 62 sample blocks at m = 10, which on a host
+  with more than one CPU is computed in two processes;
 * ``figures`` and its CSVs;
 * argvs that must fail with one ``error:`` line.
 
@@ -82,14 +81,12 @@ def corpus() -> list[tuple[str, list[str]]]:
     out.append(("cf-grid-in", ["reconstruct-cf", "--grid-in",
                                "moments-levy-closed.csv", "--range", "0.1:10:50",
                                "--out", "cf-grid-in.csv"]))
-    # work split across processes: 37 blocks of samples, 10 chunks of rows
+    # blocks of samples split across processes: about 0.1 s of work, well
+    # above the share that pays for a fork
     out.append(("moments-cauchy-mc-blocks",
-                ["moments", "--family", "cauchy", "--method", "mc", "--m", "4",
-                 "--n-samples", "300000", "--seed", "2",
+                ["moments", "--family", "cauchy", "--method", "mc", "--m", "10",
+                 "--n-samples", "500000", "--seed", "2",
                  "--out", "moments-cauchy-mc-blocks.csv"]))
-    out.append(("cf-cauchy-long", ["reconstruct-cf", "--family", "cauchy", "--m", "25",
-                                   "--range", "0.1:10:10000",
-                                   "--out", "cf-cauchy-long.csv"]))
     # past |Im gamma| ~ 451, where a per-node PDF kernel leaves double range
     out.append(("pdf-levy-reach", ["reconstruct-pdf", "--family", "levy", "--rho", "0.9",
                                    "--m", "1300", "--delta", "0.4",

@@ -34,8 +34,8 @@ needs rho inside the family's moment strip, its mirror image and
 u^(+gamma).
 ``--m`` is at most 10^4 and ``--n-samples`` at most 10^7 (drawing takes
 8-16 bytes per sample; the Monte Carlo estimator adds about 1 MB of
-block buffers per process, whatever the sample count, and runs one
-process per CPU; the bytes written do not depend on the CPU count).
+block buffers per process, whatever the sample count, and runs up to
+two processes; the bytes written do not depend on the CPU count).
 
 Exit codes: 0 success, 1 argument/configuration problems (a path named
 by ``--out``/``--out-dir`` that cannot be written included) or a stdout

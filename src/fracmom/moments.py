@@ -343,9 +343,9 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     order by the exact pairwise update of Chan, Golub & LeVeque.  A grid
     of at most 8192 nonzero samples gets the full-array two-pass mean
     and standard error; a larger one differs from them by summation
-    order only.  Blocks are dealt round-robin to one process per CPU
-    (:func:`~fracmom._forkjoin.fork_join`, at least two blocks per
-    process), and since each block's statistics depend on that block
+    order only.  Blocks are dealt round-robin to up to two processes
+    (:func:`~fracmom._forkjoin.fork_join`, when the blocks' work pays
+    for a fork), and since each block's statistics depend on that block
     alone and the merge runs in block order, the result does not depend
     on the number of processes, bit for bit.  For a contiguous float
     array of samples nothing sample-length is allocated unless zeros are

@@ -70,15 +70,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._forkjoin import fork_join
 from .distributions import DistributionSpec, exact_cf, exact_pdf
 from .errors import ArgumentError, DomainError, UnsupportedError
 from .moments import GridParams, MomentGrid
 from .special import complex_gamma, reflection_product, signed_log
-
-# rows per formatted chunk of a curve CSV (about 8 ms of ``repr`` each)
-_CSV_CHUNK = 1024
-
 
 # ----------------------------------------------------------------------
 # scalar series evaluation
@@ -295,10 +290,7 @@ def write_curve_csv(result: CurveResult, out) -> None:
 
     A curve with a ``spec`` gets a `# family:` line.  Exact columns are
     left empty when the curve carries no reference.  Floats use ``repr``
-    for bit-exact round-tripping.  Rows are formatted in chunks of 1024,
-    on one process per CPU when there are at least two chunks per
-    process (:func:`~fracmom._forkjoin.fork_join`), and written in
-    order, so the text does not depend on the number of processes.
+    for bit-exact round-tripping.
     """
     p = result.params
     out.write(f"# kind: {result.kind}\n")
@@ -309,23 +301,17 @@ def write_curve_csv(result: CurveResult, out) -> None:
     out.write(f"# m: {p.m}\n")
     out.write(f"# sign: {p.sign}\n")
     out.write("x,re,im,exact_re,exact_im,abs_err\n")
-    x = np.asarray(result.abscissae, dtype=float)
+    x = np.asarray(result.abscissae, dtype=float).tolist()
     values = np.asarray(result.values, dtype=complex)
-    columns = [x, values.real, values.imag]
-    if result.exact is not None:
-        exact = np.asarray(result.exact, dtype=complex)
-        columns += [exact.real, exact.imag, np.asarray(result.abs_err, dtype=float)]
-
-    def rows(i: int) -> bytes:
-        chunk = [c[i * _CSV_CHUNK : (i + 1) * _CSV_CHUNK].tolist() for c in columns]
-        if len(chunk) == 3:
-            text = "".join(f"{a!r},{b!r},{c!r},,,\n" for a, b, c in zip(*chunk))
-        else:
-            text = "".join(f"{a!r},{b!r},{c!r},{d!r},{e!r},{f!r}\n"
-                           for a, b, c, d, e, f in zip(*chunk))
-        return text.encode()
-
-    # ``out`` gets one write per row: a StringIO grown by whole chunks
-    # peaked about 1 MB higher over a run of 10k-row curves
-    fork_join(-(-x.size // _CSV_CHUNK), rows,
-              lambda i, text: out.writelines(text.decode().splitlines(keepends=True)))
+    real, imag = values.real.tolist(), values.imag.tolist()
+    if result.exact is None:
+        out.writelines(f"{a!r},{b!r},{c!r},,,\n" for a, b, c in zip(x, real, imag))
+        return
+    exact = np.asarray(result.exact, dtype=complex)
+    err = np.asarray(result.abs_err, dtype=float).tolist()
+    out.writelines(
+        f"{a!r},{b!r},{c!r},{d!r},{e!r},{f!r}\n"
+        for a, b, c, d, e, f in zip(
+            x, real, imag, exact.real.tolist(), exact.imag.tolist(), err
+        )
+    )

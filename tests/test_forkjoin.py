@@ -1,8 +1,8 @@
-"""The ordered fork-join behind Monte Carlo blocks and curve CSVs: any
-process count gives the one-process bytes, a failing child costs nothing
-but time, and no child outlives the call."""
+"""The ordered fork-join behind Monte Carlo blocks: any process count
+gives the one-process bytes, a failing child costs nothing but time,
+work too small to pay for a fork stays in the caller, and no child
+outlives the call."""
 
-import io
 import os
 import signal
 import sys
@@ -11,16 +11,19 @@ import warnings
 import numpy as np
 import pytest
 
+from fracmom import _forkjoin
 from fracmom._forkjoin import fork_join, process_count
 from fracmom.distributions import make_spec, sample
-from fracmom.moments import GridParams, MomentGrid, make_grid, moment_monte_carlo
-from fracmom.reconstruct import sample_curve, write_curve_csv
+from fracmom.moments import GridParams, moment_monte_carlo
 
 CAUCHY = make_spec("cauchy")
 
 
 def _pin_cpus(monkeypatch, count):
+    # ``count`` processes for any work, however small
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(_forkjoin, "_MAX_PROCESSES", count)
+    monkeypatch.setattr(_forkjoin, "_SHARE_S", 0.0)
 
 
 @pytest.fixture
@@ -43,14 +46,21 @@ def _no_child_left():
 
 
 def test_process_count(monkeypatch):
-    _pin_cpus(monkeypatch, 8)
-    assert [process_count(n) for n in (0, 1, 3, 4, 5, 16, 17, 1000)] == [
-        1, 1, 1, 2, 2, 8, 8, 8]
+    # at most two processes, each with at least 20 ms of the items after
+    # the first
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert [process_count(n, 0.001) for n in (0, 1, 2, 30, 100, 10_000)] == [
+        1, 1, 1, 1, 2, 2]
+    assert [process_count(n, 0.03) for n in (1, 2, 3)] == [1, 1, 2]
+    assert process_count(10**6, 0.0) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert process_count(10_000, 1.0) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(sys, "platform", "darwin")
-    assert process_count(1000) == 1
+    assert process_count(10_000, 1.0) == 1
     monkeypatch.setattr(sys, "platform", "linux")
     monkeypatch.delattr(os, "fork")
-    assert process_count(1000) == 1
+    assert process_count(10_000, 1.0) == 1
 
 
 def _in_processes(monkeypatch, forks, cpus, call):
@@ -74,23 +84,6 @@ def test_monte_carlo_in_two_processes_is_the_one_process_result(monkeypatch, for
     assert one.value.tobytes() == two.value.tobytes()
     assert one.stderr.tobytes() == two.stderr.tobytes()
     assert one.dropped == two.dropped == 1
-
-
-@pytest.mark.parametrize("reference", [True, False])
-def test_curve_csv_in_two_processes_is_the_one_process_text(monkeypatch, forks, reference):
-    grid = make_grid(CAUCHY, GridParams(rho=0.4, delta=0.2, m=50), "closed_form")
-    if not reference:
-        grid = MomentGrid(grid.params, grid.values)
-    curve = sample_curve(grid, "cf", np.linspace(-10.0, 10.0, 10_000))
-
-    def text():
-        out = io.StringIO()
-        write_curve_csv(curve, out)
-        return out.getvalue()
-
-    one, two = (_in_processes(monkeypatch, forks, cpus, text) for cpus in (1, 2))
-    assert one == two
-    assert sum(not line.startswith("#") for line in one.splitlines()) == 1 + 10_000
 
 
 def _ragged(i):
@@ -195,9 +188,71 @@ def test_a_fork_that_fails_leaves_the_items_to_the_caller(monkeypatch):
     _no_child_left()
 
 
-def test_one_process_forks_nothing(monkeypatch, forks):
-    _pin_cpus(monkeypatch, 2)
+def test_small_work_forks_nothing(monkeypatch, forks):
+    # microseconds of work on two CPUs, and a Monte Carlo grid of a few
+    # blocks at m = 1: less than a fork costs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     got = []
-    assert fork_join(3, _ragged, lambda i, result: got.append(result)) == 1
-    assert forks == [] and got == [_ragged(i) for i in range(3)]
+    assert fork_join(1000, _ragged, lambda i, result: got.append(result)) == 1
     assert fork_join(0, _ragged, lambda i, result: got.append(result)) == 1
+    assert got == [_ragged(i) for i in range(1000)]
+    x = sample(CAUCHY, 4 * 8192, seed=1)
+    moment_monte_carlo(x, GridParams(rho=0.4, delta=0.3, m=1, sign="plus"), "plus")
+    assert forks == []
+
+
+def test_no_pipe_leaves_the_items_to_the_caller(monkeypatch, forks):
+    _pin_cpus(monkeypatch, 3)
+
+    def no_pipe():
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    got = []
+    assert fork_join(9, _ragged, lambda i, result: got.append(result)) == 1
+    assert forks == [] and got == [_ragged(i) for i in range(9)]
+
+
+def _fork_then(monkeypatch, failure):
+    # a fork that makes a child, then fails in the caller
+    fork = os.fork
+
+    def forked():
+        pid = fork()
+        if pid:
+            failure()
+        return pid
+
+    monkeypatch.setattr(os, "fork", forked)
+
+
+def test_a_caller_error_after_a_fork_kills_and_reaps_the_child(monkeypatch):
+    # the caller fails between the fork and the child's registration;
+    # results larger than a pipe's buffer: a child left running would
+    # block writing for ever
+    _pin_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def failing_open(fd, mode):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return open(fd, mode)
+
+    monkeypatch.setattr(_forkjoin, "open", failing_open, raising=False)
+    fds = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(KeyboardInterrupt):
+        fork_join(40, lambda i: bytes(1 << 20), lambda i, result: None)
+    _no_child_left()
+    assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_fork_deprecation_warning_is_not_an_error(monkeypatch, forks):
+    # Python >= 3.12 warns when a process with threads forks
+    _pin_cpus(monkeypatch, 2)
+    _fork_then(monkeypatch, lambda: warnings.warn("threads and fork", DeprecationWarning))
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fork_join(9, _ragged, lambda i, result: got.append(result)) == 2
+    assert len(forks) == 1 and got == [_ragged(i) for i in range(9)]
+    _no_child_left()

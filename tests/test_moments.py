@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracmom import cli, moments
+from fracmom import _forkjoin, cli, moments
 from fracmom.distributions import (
     FAMILIES,
     DistributionSpec,
@@ -498,7 +498,7 @@ def test_monte_carlo_peak_does_not_grow_with_samples(path):
 
 
 def test_monte_carlo_ladder_logs_its_cost(caplog, monkeypatch):
-    # two CPUs, whatever the host has: blocks // 2 processes, at most two
+    # two CPUs, whatever the host has
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     x = np.concatenate([[0.0, 0.0], sample(LEVY, 1_000, seed=2)])
     with caplog.at_level(logging.DEBUG, logger="fracmom"):
@@ -510,8 +510,11 @@ def test_monte_carlo_ladder_logs_its_cost(caplog, monkeypatch):
         "monte carlo grid: 1000 samples used, 2 zeros dropped, 41 nodes, "
         "5 exact exponentials, 37 ladder multiplies, 1 block in 1 process, ")
     assert lines[0].endswith(" s")
-    for n, blocks in ((2 * 8192 + 1, "3 blocks in 1 process"),
-                      (3 * 8192 + 1, "4 blocks in 2 processes")):
+    # four blocks at m = 2 are milliseconds of work, less than a fork
+    # pays for, unless any work is worth a process
+    for n, share_s, blocks in ((3 * 8192 + 1, _forkjoin._SHARE_S, "4 blocks in 1 process"),
+                               (2 * 8192 + 1, 0.0, "3 blocks in 2 processes")):
+        monkeypatch.setattr(_forkjoin, "_SHARE_S", share_s)
         caplog.clear()
         x = sample(LEVY, n, seed=2)
         with caplog.at_level(logging.DEBUG, logger="fracmom"):
