@@ -109,6 +109,8 @@ def corpus() -> list[tuple[str, list[str]]]:
         ["strip", "--m", "3"],
         ["moments", "--family", "cauchy", "--method", "mc",
          "--n-samples", "100000000000000000000", "--m", "2"],
+        ["moments", "--family", "cauchy", "--delta", "1e308", "--m", "3"],
+        ["reconstruct-cf", "--family", "cauchy", "--range", "1:inf:5"],
     ]
     out += [(f"error-{i:02d}", argv) for i, argv in enumerate(errors)]
     return out

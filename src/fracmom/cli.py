@@ -227,6 +227,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise ArgumentError(f"--range has non-numeric pieces: {text!r}") from None
     if not 2 <= count <= _RANGE_CAP:
         raise ArgumentError(f"--range needs 2 <= count <= {_RANGE_CAP}")
+    if not math.isfinite(hi - lo):
+        raise ArgumentError("--range needs finite LO, HI and HI - LO")
     if not hi > lo:
         raise ArgumentError("--range needs hi > lo")
     points = np.linspace(lo, hi, count)

@@ -167,16 +167,28 @@ class Family:
 
 
 def _rayleigh_pdf(p, x):
+    # from x = 40 sigma on, exp(-x^2/(2 sigma^2)) has underflowed to the
+    # density's 0; further out x/sigma^2 could overflow, and inf*0 give NaN
     sig2 = p["sigma"] ** 2
-    safe = np.where(x > 0.0, x, 0.0)
-    return np.where(x > 0.0, safe / sig2 * np.exp(-safe * safe / (2.0 * sig2)), 0.0)
+    live = (x > 0.0) & (x < 40.0 * p["sigma"])
+    safe = np.where(live, x, 0.0)
+    return np.where(live, safe / sig2 * np.exp(-safe * safe / (2.0 * sig2)), 0.0)
 
 
 def _levy_pdf(p, x):
-    safe = np.where(x > 0.0, x, 1.0)
-    with np.errstate(over="ignore"):
-        body = np.exp(-0.5 / safe) / (np.sqrt(2.0 * math.pi) * safe**1.5)
-    return np.where(x > 0.0, body, 0.0)
+    # at x <= 1e-4, exp(-1/(2x)) has underflowed to the density's 0;
+    # below x ~ 1e-216 x^1.5 would too, and 0/0 give NaN
+    live = x > 1e-4
+    safe = np.where(live, x, 1.0)
+    return np.where(live, np.exp(-0.5 / safe) / (np.sqrt(2.0 * math.pi) * safe**1.5), 0.0)
+
+
+def _uniform_cf(p, t):
+    # np.sinc forms pi*x, whose overflow past |a t| ~ 1.8e308 gives
+    # sin(inf) = NaN; the CF is below 1e-308 there, so 0
+    x = p["a"] * t / math.pi
+    far = np.isinf(math.pi * x)
+    return np.where(far, 0.0, np.sinc(np.where(far, 0.0, x))).astype(complex)
 
 
 _RAYLEIGH_NEAR = 40.0
@@ -492,7 +504,7 @@ _CATALOG: dict[str, Family] = {
         strip=FundamentalStrip(-math.inf, 1.0),
         support=lambda p: (-p["a"], p["a"]),
         pdf=lambda p, x: np.where(np.abs(x) <= p["a"], 1.0 / (2.0 * p["a"]), 0.0),
-        cf=lambda p, t: np.sinc(p["a"] * t / math.pi).astype(complex),
+        cf=_uniform_cf,
         moment=lambda p, g, sign: (np.exp(-g * math.log(p["a"]))
                                    * np.cos(g * math.pi / 2.0) / (1.0 - g)),
         sample=lambda p, rng, n: rng.uniform(-p["a"], p["a"], size=n),
@@ -636,14 +648,18 @@ def spec_from_config(obj: object) -> DistributionSpec:
 def exact_pdf(spec: DistributionSpec, x):
     """Density at ``x`` (scalar or array); zero outside the support."""
     xv = np.asarray(x, dtype=float)
-    out = spec.record.pdf(spec.params, xv)
+    # a square or a power that overflows is a tail, where the formulas
+    # then give the value's underflow to 0
+    with np.errstate(over="ignore"):
+        out = spec.record.pdf(spec.params, xv)
     return float(out) if xv.ndim == 0 else out
 
 
 def exact_cf(spec: DistributionSpec, theta):
     """Characteristic function at ``theta`` (scalar or array)."""
     tv = np.asarray(theta, dtype=float)
-    out = spec.record.cf(spec.params, tv)
+    with np.errstate(over="ignore"):
+        out = spec.record.cf(spec.params, tv)
     return complex(out) if tv.ndim == 0 else out
 
 

@@ -79,8 +79,9 @@ class GridParams:
 
     ``rho`` and ``delta`` are stored as ``float`` and ``m`` as ``int``
     (NumPy scalars are accepted), so every writer prints plain numbers.
-    An ``m`` that is not an integer or is a bool, and a ``rho`` or
-    ``delta`` that is not a real number, raise :class:`ArgumentError`.
+    An ``m`` that is not an integer or is a bool, a ``rho`` or
+    ``delta`` that is not a real number, and a reach ``m * delta`` that
+    overflows raise :class:`ArgumentError`.
     """
 
     rho: float
@@ -100,6 +101,8 @@ class GridParams:
             raise ArgumentError("delta must be finite and > 0")
         if not 1 <= self.m <= _M_CAP:
             raise ArgumentError(f"m must be between 1 and {_M_CAP}")
+        if not math.isfinite(self.m * self.delta):
+            raise ArgumentError("the grid's reach m * delta must be finite")
         if not math.isfinite(self.rho):
             raise ArgumentError("rho must be finite")
 
@@ -343,13 +346,13 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     order by the exact pairwise update of Chan, Golub & LeVeque.  A grid
     of at most 8192 nonzero samples gets the full-array two-pass mean
     and standard error; a larger one differs from them by summation
-    order only.  Blocks are dealt round-robin to up to two processes
-    (:func:`~fracmom._forkjoin.fork_join`, when the blocks' work pays
-    for a fork), and since each block's statistics depend on that block
-    alone and the merge runs in block order, the result does not depend
-    on the number of processes, bit for bit.  For a contiguous float
-    array of samples nothing sample-length is allocated unless zeros are
-    dropped, in any process.
+    order only.  When the blocks' work pays for a fork, one forked child
+    computes the odd blocks and the caller the even ones
+    (:func:`~fracmom._forkjoin.fork_join`), and since each block's
+    statistics depend on that block alone and the merge runs in block
+    order, the result does not depend on the number of processes, bit
+    for bit.  For a contiguous float array of samples nothing
+    sample-length is allocated unless zeros are dropped, in any process.
 
     A scalar or array of orders takes the direct path: each order is one
     exact exponential of the branch

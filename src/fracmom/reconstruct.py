@@ -58,8 +58,11 @@ Truncation behavior worth knowing when choosing m: the grid resolves
 oscillation frequencies of |theta|^(-i eta) only up to eta_max = m*delta,
 so reconstruction error grows once ln|theta| (CF) or |ln x| (PDF)
 exceeds roughly eta_max / 2; and the rectangle rule itself contributes
-an aliasing floor of order exp(-2 pi rho / delta).  Both effects are
-properties of the discretized line integral, not of the moment values.
+an aliasing floor of order exp(-2 pi d / delta), where d is the distance
+from rho to the nearest singularity of the weighted moments (an edge of
+the moment strip or a pole of the weight factor; d = rho for the pole
+of Gamma at 0).  Both effects are properties of the discretized line
+integral, not of the moment values.
 """
 
 from __future__ import annotations

@@ -381,6 +381,22 @@ def test_caps_give_one_error_line(argv, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["moments", "--family", "cauchy", "--delta", "1e308", "--m", "3"],
+     *(["reconstruct-cf", "--family", "cauchy", f"--range={bad}"]
+       for bad in ("1:inf:5", "-inf:1:5", "nan:1:5", "-1.7e308:1.7e308:5"))],
+)
+def test_overflowing_grid_or_range_gives_one_error_line(argv, capsys):
+    # a grid reach or a range that leaves double range used to print a
+    # NumPy warning and go on with inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_reconstruct_needs_a_distribution(capsys):
     code, _, err = _run(["reconstruct-cf", "--range", "1:2:3"], capsys)
     assert code == 1

@@ -9,11 +9,12 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from fracmom import distributions
@@ -163,6 +164,9 @@ def test_pdf_support_edges():
     assert float(exact_pdf(LEVY, 0.0)) == 0.0  # essential singularity limit
     arr = exact_pdf(LEVY, np.array([-1.0, 0.0, 1.0]))
     assert arr[0] == 0.0 and arr[1] == 0.0 and arr[2] > 0.0
+    # exp(-1/(2x)) underflows first, and x^1.5 below x ~ 1e-216: no 0/0
+    assert exact_pdf(LEVY, 1e-300) == 0.0 == exact_pdf(LEVY, 5e-324)
+    assert exact_pdf(LEVY, 1e-4) == 0.0 < exact_pdf(LEVY, 1e-3)
 
 
 def test_cf_at_zero_is_one():
@@ -178,6 +182,28 @@ def test_cf_hermitian_and_bounded(spec, theta):
     w = complex(exact_cf(spec, -theta))
     assert abs(v) <= 1.0 + 1e-12
     assert abs(w - v.conjugate()) <= 1e-14
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(x=st.floats(allow_nan=False, allow_infinity=False),
+       scale=st.floats(min_value=1e-3, max_value=1e3),
+       mu=st.floats(min_value=-1e3, max_value=1e3))
+@example(x=1e-300, scale=1.0, mu=0.0)
+@example(x=1e200, scale=1e-3, mu=0.0)
+@example(x=1.7976931348623157e308, scale=1e3, mu=1e3)
+@settings(max_examples=100, deadline=None)
+def test_pdf_and_cf_are_finite_on_the_whole_double_range(family, x, scale, mu):
+    # the levy density's 0/0 below x ~ 1e-216, the overflowing squares
+    # of the rayleigh, cauchy and gaussian tails, the uniform sinc's NaN
+    params = {"uniform": {"a": scale}, "rayleigh": {"sigma": scale},
+              "gaussian": {"mu": mu, "sigma": scale}}.get(family, {})
+    spec = make_spec(family, **params)
+    points = np.array([x, -x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [exact_pdf(spec, x), exact_cf(spec, x),
+                  *exact_pdf(spec, points), *exact_cf(spec, points)]
+    assert all(np.isfinite(v) for v in values)
 
 
 def test_uniform_cf_is_real_sinc():

@@ -1,7 +1,7 @@
-"""The ordered fork-join behind Monte Carlo blocks: any process count
-gives the one-process bytes, a failing child costs nothing but time,
-work too small to pay for a fork stays in the caller, and no child
-outlives the call."""
+"""The ordered fork-join behind Monte Carlo blocks: its one child gives
+the one-process bytes, a failing child costs nothing but time, work too
+small to pay for a fork stays in the caller, no CPU count forks more
+than one child, and no child outlives the call."""
 
 import os
 import signal
@@ -19,10 +19,9 @@ from fracmom.moments import GridParams, moment_monte_carlo
 CAUCHY = make_spec("cauchy")
 
 
-def _pin_cpus(monkeypatch, count):
-    # ``count`` processes for any work, however small
+def _pin_cpus(monkeypatch, count=2):
+    # ``count`` CPUs, and a fork for any work, however small, on two
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(_forkjoin, "_MAX_PROCESSES", count)
     monkeypatch.setattr(_forkjoin, "_SHARE_S", 0.0)
 
 
@@ -38,6 +37,11 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return made
+
+
+def _item(i):
+    # a result of item 0's length
+    return i.to_bytes(8, "little")
 
 
 def _no_child_left():
@@ -63,6 +67,21 @@ def test_process_count(monkeypatch):
     assert process_count(10_000, 1.0) == 1
 
 
+def test_eight_cpus_fork_one_child_at_most(monkeypatch, forks):
+    _pin_cpus(monkeypatch, 8)
+    for n in (1, 2, 3, 8, 9, 40):
+        before = len(forks)
+        got = []
+        assert fork_join(n, _item, lambda i, result: got.append(result)) == min(n, 2)
+        assert len(forks) - before == min(n - 1, 1)
+        assert got == [_item(i) for i in range(n)]
+        _no_child_left()
+    # empty results stay in the caller: a child's exit would look like them
+    before = len(forks)
+    assert fork_join(9, lambda i: b"", lambda i, result: None) == 1
+    assert len(forks) == before
+
+
 def _in_processes(monkeypatch, forks, cpus, call):
     _pin_cpus(monkeypatch, cpus)
     before = len(forks)
@@ -86,20 +105,15 @@ def test_monte_carlo_in_two_processes_is_the_one_process_result(monkeypatch, for
     assert one.dropped == two.dropped == 1
 
 
-def _ragged(i):
-    # results of many lengths, the empty one included
-    return bytes(range(i % 7)) * i
-
-
-@pytest.mark.parametrize("failure", ["raise", "exit", "short frame", "kill"])
+@pytest.mark.parametrize("failure", ["raise", "exit", "short frame", "kill", "other length"])
 def test_a_failing_child_leaves_its_items_to_the_caller(monkeypatch, capfd, failure):
-    _pin_cpus(monkeypatch, 3)
+    _pin_cpus(monkeypatch)
     caller = os.getpid()
 
     class Short(bytes):
-        # a frame whose header promises more than follows
+        # a result whose length claims more than it holds
         def __len__(self):
-            return super().__len__() + 10
+            return super().__len__() + 3
 
     sent = []
 
@@ -111,21 +125,23 @@ def test_a_failing_child_leaves_its_items_to_the_caller(monkeypatch, capfd, fail
                 os._exit(0)
             if failure == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-            # the child's last frame
+            if failure == "other length":
+                return _item(i) + b"x"
+            # the child's last result
             sent.append(i)
-            return Short(_ragged(i))
-        return _ragged(i)
+            return Short(_item(i)[:-3])
+        return _item(i)
 
     got = []
-    assert fork_join(30, work, lambda i, result: got.append((i, result))) == 3
-    assert got == [(i, _ragged(i)) for i in range(30)]
+    assert fork_join(30, work, lambda i, result: got.append((i, result))) == 2
+    assert got == [(i, _item(i)) for i in range(30)]
     _no_child_left()
-    # nothing from the children on stdout or stderr
+    # nothing from the child on stdout or stderr
     assert capfd.readouterr() == ("", "")
 
 
 def test_an_error_in_every_process_surfaces_in_the_caller(monkeypatch):
-    _pin_cpus(monkeypatch, 2)
+    _pin_cpus(monkeypatch)
 
     def work(i):
         if i == 5:
@@ -140,7 +156,7 @@ def test_an_error_in_every_process_surfaces_in_the_caller(monkeypatch):
 
 
 def test_a_warning_in_a_child_surfaces_in_the_caller(monkeypatch):
-    _pin_cpus(monkeypatch, 2)
+    _pin_cpus(monkeypatch)
     caller = os.getpid()
     here = []
 
@@ -162,9 +178,9 @@ def test_a_warning_in_a_child_surfaces_in_the_caller(monkeypatch):
 
 
 def test_a_consumer_error_kills_and_reaps_the_children(monkeypatch):
-    # results larger than a pipe's buffer: the children are blocked
-    # writing when the consumer raises
-    _pin_cpus(monkeypatch, 2)
+    # results larger than a pipe's buffer: the child is blocked writing
+    # when the consumer raises
+    _pin_cpus(monkeypatch)
 
     def consume(i, result):
         if i == 1:
@@ -176,15 +192,15 @@ def test_a_consumer_error_kills_and_reaps_the_children(monkeypatch):
 
 
 def test_a_fork_that_fails_leaves_the_items_to_the_caller(monkeypatch):
-    _pin_cpus(monkeypatch, 4)
+    _pin_cpus(monkeypatch)
 
     def no_fork():
         raise BlockingIOError("fork refused")
 
     monkeypatch.setattr(os, "fork", no_fork)
     got = []
-    assert fork_join(9, _ragged, lambda i, result: got.append(result)) == 1
-    assert got == [_ragged(i) for i in range(9)]
+    assert fork_join(9, _item, lambda i, result: got.append(result)) == 1
+    assert got == [_item(i) for i in range(9)]
     _no_child_left()
 
 
@@ -193,24 +209,24 @@ def test_small_work_forks_nothing(monkeypatch, forks):
     # blocks at m = 1: less than a fork costs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     got = []
-    assert fork_join(1000, _ragged, lambda i, result: got.append(result)) == 1
-    assert fork_join(0, _ragged, lambda i, result: got.append(result)) == 1
-    assert got == [_ragged(i) for i in range(1000)]
+    assert fork_join(1000, _item, lambda i, result: got.append(result)) == 1
+    assert fork_join(0, _item, lambda i, result: got.append(result)) == 1
+    assert got == [_item(i) for i in range(1000)]
     x = sample(CAUCHY, 4 * 8192, seed=1)
     moment_monte_carlo(x, GridParams(rho=0.4, delta=0.3, m=1, sign="plus"), "plus")
     assert forks == []
 
 
 def test_no_pipe_leaves_the_items_to_the_caller(monkeypatch, forks):
-    _pin_cpus(monkeypatch, 3)
+    _pin_cpus(monkeypatch)
 
     def no_pipe():
         raise OSError(24, "Too many open files")
 
     monkeypatch.setattr(os, "pipe", no_pipe)
     got = []
-    assert fork_join(9, _ragged, lambda i, result: got.append(result)) == 1
-    assert forks == [] and got == [_ragged(i) for i in range(9)]
+    assert fork_join(9, _item, lambda i, result: got.append(result)) == 1
+    assert forks == [] and got == [_item(i) for i in range(9)]
 
 
 def _fork_then(monkeypatch, failure):
@@ -230,7 +246,7 @@ def test_a_caller_error_after_a_fork_kills_and_reaps_the_child(monkeypatch):
     # the caller fails between the fork and the child's registration;
     # results larger than a pipe's buffer: a child left running would
     # block writing for ever
-    _pin_cpus(monkeypatch, 2)
+    _pin_cpus(monkeypatch)
     caller = os.getpid()
 
     def failing_open(fd, mode):
@@ -248,11 +264,11 @@ def test_a_caller_error_after_a_fork_kills_and_reaps_the_child(monkeypatch):
 
 def test_a_fork_deprecation_warning_is_not_an_error(monkeypatch, forks):
     # Python >= 3.12 warns when a process with threads forks
-    _pin_cpus(monkeypatch, 2)
+    _pin_cpus(monkeypatch)
     _fork_then(monkeypatch, lambda: warnings.warn("threads and fork", DeprecationWarning))
     got = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fork_join(9, _ragged, lambda i, result: got.append(result)) == 2
-    assert len(forks) == 1 and got == [_ragged(i) for i in range(9)]
+        assert fork_join(9, _item, lambda i, result: got.append(result)) == 2
+    assert len(forks) == 1 and got == [_item(i) for i in range(9)]
     _no_child_left()

@@ -79,6 +79,8 @@ def test_grid_params_nodes():
         dict(rho=0.4, delta=0.4, m=0),
         dict(rho=0.4, delta=0.4, m=3, sign="up"),
         dict(rho=0.4, delta=math.inf, m=3),
+        # a reach m * delta = 3e308 used to give eta = inf rows
+        dict(rho=0.4, delta=1e308, m=3),
         # m = 2.5 used to give a 6-node grid, and m = True a 3-node one
         dict(rho=0.4, delta=0.2, m=2.5),
         dict(rho=0.4, delta=0.2, m=True),
