@@ -13,8 +13,8 @@ distributions
     Closed-form catalog: densities, characteristic functions, exact
     complex moments, fundamental strips, samplers.
 moments
-    Grid construction (closed form / quadrature / Monte Carlo), moment
-    conversions, truncation suggestion, CSV round-trip.
+    Grid construction (closed form / quadrature / Monte Carlo),
+    truncation suggestion, CSV round-trip.
 fracops
     One-sided and symmetric fractional operators evaluated at the
     origin of a characteristic function, the composition check, and
@@ -69,7 +69,6 @@ from .moments import (
     MomentGrid,
     MonteCarloMoment,
     TruncationSuggestion,
-    convert_moment,
     make_grid,
     moment_monte_carlo,
     moment_quadrature,
@@ -115,7 +114,6 @@ __all__ = [
     "closed_form_moment",
     "complex_gamma",
     "composition_check",
-    "convert_moment",
     "exact_cf",
     "exact_pdf",
     "identity_suite",

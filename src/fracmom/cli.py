@@ -86,6 +86,7 @@ from .reconstruct import (
     classical_taylor_cf,
     sample_curve,
     write_curve_csv,
+    write_curve_rows,
 )
 
 log = logging.getLogger("fracmom")
@@ -385,10 +386,7 @@ def _cmd_figures(args) -> int:
     ref = exact_cf(uni, cf_range)
     buf = io.StringIO()
     buf.write("# kind: cf-taylor\n# family: uniform\n# order: 8\n")
-    buf.write("x,re,im,exact_re,exact_im,abs_err\n")
-    for t, v, e in zip(cf_range.tolist(), taylor.tolist(), ref.tolist()):
-        buf.write(f"{t!r},{v.real!r},{v.imag!r},{e.real!r},{e.imag!r},"
-                  f"{abs(v - e)!r}\n")
+    write_curve_rows(buf, cf_range, taylor, ref)
     _atomic_write(out_dir / "fig3a.csv", buf.getvalue())
     print(f"fig3a.csv  n={cf_range.size}  "
           f"max_abs_err={float(np.max(np.abs(taylor - ref))):.6e}")

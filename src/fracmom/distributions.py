@@ -167,12 +167,13 @@ class Family:
 
 
 def _rayleigh_pdf(p, x):
-    # from x = 40 sigma on, exp(-x^2/(2 sigma^2)) has underflowed to the
-    # density's 0; further out x/sigma^2 could overflow, and inf*0 give NaN
-    sig2 = p["sigma"] ** 2
-    live = (x > 0.0) & (x < 40.0 * p["sigma"])
-    safe = np.where(live, x, 0.0)
-    return np.where(live, safe / sig2 * np.exp(-safe * safe / (2.0 * sig2)), 0.0)
+    # in units of sigma, so no power of sigma leaves double range; where
+    # exp(-z^2/2) has underflowed the density is 0, and z/sigma is not
+    # formed there, since its overflow would give inf*0 = NaN
+    z = x / p["sigma"]
+    tail = np.exp(-0.5 * z * z)
+    live = (z > 0.0) & (tail > 0.0)
+    return np.where(live, np.where(live, z, 0.0) / p["sigma"] * tail, 0.0)
 
 
 def _levy_pdf(p, x):
@@ -656,10 +657,14 @@ def exact_pdf(spec: DistributionSpec, x):
 
 
 def exact_cf(spec: DistributionSpec, theta):
-    """Characteristic function at ``theta`` (scalar or array)."""
+    """Characteristic function at ``theta`` (scalar or array); 0 at
+    +-inf, as for every distribution with a density."""
     tv = np.asarray(theta, dtype=float)
+    # the formulas see finite points only: at +-inf, 1j * mu * t would
+    # form the gaussian's 0 * inf = NaN
+    far = np.isinf(tv)
     with np.errstate(over="ignore"):
-        out = spec.record.cf(spec.params, tv)
+        out = np.where(far, 0.0, spec.record.cf(spec.params, np.where(far, 0.0, tv)))
     return complex(out) if tv.ndim == 0 else out
 
 

@@ -7,9 +7,8 @@ forms (:func:`~fracmom.distributions.closed_form_moment`) and
 vectorised quadrature of the defining integral over its density
 (:func:`moment_quadrature`), both called as ``(spec, gamma, sign)``.
 The third is a Monte Carlo average over samples
-(:func:`moment_monte_carlo`).  The module also provides conversion
-between signed / plain / absolute moment flavors, strip arithmetic, a
-truncation heuristic, and a CSV round-trip format.
+(:func:`moment_monte_carlo`).  The module also provides strip
+arithmetic, a truncation heuristic, and a CSV round-trip format.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from .distributions import (
 from .errors import (
     AllSamplesDegenerateError,
     ArgumentError,
-    DomainError,
     FracmomError,
 )
 from .quadrature import Estimate, integrate, require
 from .special import (
     branch_power,
-    cosine_normaliser,
     sign_value,
     signed_complex_power,
     signed_log,
@@ -433,57 +430,6 @@ def make_grid(
         estimator = closed_form_moment if method == "closed_form" else moment_quadrature
         values = estimator(spec, params.nodes(), params.sign)
     return MomentGrid(params, values, spec)
-
-
-# ----------------------------------------------------------------------
-# moment-flavor conversion
-# ----------------------------------------------------------------------
-
-
-def _i_power(gamma: complex) -> complex:
-    # i^gamma on the signed-power branch, typed when it leaves range
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = signed_complex_power(1.0, gamma, "plus")
-    if not np.isfinite(power):
-        raise DomainError(f"i^(+/-gamma) overflows at gamma = {gamma}")
-    return power
-
-
-def convert_moment(
-    kind_in: str,
-    kind_out: str,
-    gamma: complex,
-    signed_value: complex,
-    plain_value: complex | None = None,
-) -> complex:
-    """Convert a signed moment E[(±iX)^g] into the plain or absolute flavor.
-
-    ``gamma`` is the literal exponent g carried by every moment in the
-    identity (pass a negative value for negative-order moments).  The
-    two solvable directions are:
-
-    * ``signed_minus -> plain``:    E[X^g]   = i^g  E[(-iX)^g]
-    * ``signed_plus  -> absolute``: E[|X|^g] = (E[(iX)^g] + i^(-g) E[X^g])
-                                              / (2 cos(pi g / 2)),
-      which additionally needs ``plain_value`` = E[X^g].
-
-    Plain moments of sign-changing variables are understood on the
-    principal branch, x^g = |x|^g e^(i pi g) for x < 0.  Every other
-    in/out pairing, including an unknown kind, raises
-    :class:`ArgumentError`; the cosine zeros of the absolute direction
-    raise :class:`PoleError`, and a factor i^(+/-g) or a cosine outside
-    double range raises :class:`DomainError`.
-    """
-    gamma = complex(gamma)
-    if (kind_in, kind_out) == ("signed_minus", "plain"):
-        return _i_power(gamma) * signed_value
-    if (kind_in, kind_out) == ("signed_plus", "absolute"):
-        if plain_value is None:
-            raise ArgumentError("signed_plus -> absolute needs the plain moment too")
-        normaliser = cosine_normaliser(gamma)
-        return (signed_value + _i_power(-gamma) * plain_value) / normaliser
-    raise ArgumentError(f"no identity links {kind_in!r} to {kind_out!r}; supported: "
-                        "signed_minus->plain, signed_plus->absolute")
 
 
 # ----------------------------------------------------------------------

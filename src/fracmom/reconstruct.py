@@ -117,9 +117,10 @@ def classical_taylor_cf(
 
     Supported for the families with finite integer moments of every
     order (uniform, Gaussian, Rayleigh); Cauchy and Levy raise
-    :class:`UnsupportedError`.  At moderate ``theta`` the truncation
-    error explodes — that divergence is the behavior this baseline
-    exists to demonstrate.
+    :class:`UnsupportedError`, and a moment E[X^j] that leaves double
+    range raises :class:`DomainError`.  At moderate ``theta`` the
+    truncation error explodes — that divergence is the behavior this
+    baseline exists to demonstrate.
     """
     if order < 0:
         raise ArgumentError("order must be >= 0")
@@ -133,7 +134,13 @@ def classical_taylor_cf(
     for j in range(order + 1):
         if j > 0:
             term *= 1j * theta / j
-        total += term * spec.record.integer_moment(spec.params, j)
+        try:
+            moment = spec.record.integer_moment(spec.params, j)
+        except OverflowError:  # a Python float power
+            moment = math.inf
+        if not math.isfinite(moment):
+            raise DomainError(f"E[X^{j}] of {spec.label()} overflows double precision")
+        total += term * moment
     return total
 
 
@@ -172,14 +179,7 @@ def residue_partial_sum(
 @dataclass(frozen=True)
 class CurveResult:
     """A reconstructed curve, with a pointwise exact reference when its
-    grid's distribution ``spec`` is known.
-
-    ``im_max`` is a diagnostic on density curves: the largest |imaginary
-    part| of the series *before* the real-part projection.  It is of the
-    same order as the density itself (the un-projected sum carries the
-    conjugate Hilbert-transform component), so it is reported rather
-    than asserted small.
-    """
+    grid's distribution ``spec`` is known."""
 
     abscissae: np.ndarray
     values: np.ndarray
@@ -187,7 +187,6 @@ class CurveResult:
     abs_err: np.ndarray | None
     params: GridParams
     kind: str
-    im_max: float | None = None
     spec: DistributionSpec | None = None
 
 
@@ -266,11 +265,7 @@ def sample_curve(grid: MomentGrid, kind: str, abscissae: Sequence[float]) -> Cur
     if bad.any():
         raise DomainError(f"{kind} series is not finite at x = {float(x[bad][0])!r}")
 
-    im_max: float | None = None
-    values = series
-    if kind == "pdf":
-        im_max = float(np.max(np.abs(series.imag), initial=0.0))
-        values = series.real.astype(complex)
+    values = series.real.astype(complex) if kind == "pdf" else series
     exact = None
     if grid.spec is not None:
         exact_fn = exact_cf if kind == "cf" else exact_pdf
@@ -283,17 +278,37 @@ def sample_curve(grid: MomentGrid, kind: str, abscissae: Sequence[float]) -> Cur
         abs_err=abs_err,
         params=grid.params,
         kind=kind,
-        im_max=im_max,
         spec=grid.spec,
     )
 
 
-def write_curve_csv(result: CurveResult, out) -> None:
-    """Write `x,re,im,exact_re,exact_im,abs_err` rows with `#` metadata.
+def write_curve_rows(out, x, values, exact=None) -> None:
+    """Write the `x,re,im,exact_re,exact_im,abs_err` header and one row
+    per point of ``x``.
 
-    A curve with a ``spec`` gets a `# family:` line.  Exact columns are
-    left empty when the curve carries no reference.  Floats use ``repr``
-    for bit-exact round-tripping.
+    ``values`` and ``exact`` are complex per point, and ``abs_err`` is
+    |values - exact|.  The exact columns are left empty when ``exact``
+    is None.  Floats use ``repr`` for bit-exact round-tripping.
+    """
+    out.write("x,re,im,exact_re,exact_im,abs_err\n")
+    x = np.asarray(x, dtype=float).tolist()
+    values = np.asarray(values, dtype=complex)
+    real, imag = values.real.tolist(), values.imag.tolist()
+    if exact is None:
+        rows = (f"{a!r},{b!r},{c!r},,,\n" for a, b, c in zip(x, real, imag))
+    else:
+        exact = np.asarray(exact, dtype=complex)
+        columns = (x, real, imag, exact.real.tolist(), exact.imag.tolist(),
+                   np.abs(values - exact).tolist())
+        rows = (f"{a!r},{b!r},{c!r},{d!r},{e!r},{f!r}\n"
+                for a, b, c, d, e, f in zip(*columns))
+    out.writelines(rows)
+
+
+def write_curve_csv(result: CurveResult, out) -> None:
+    """Write a curve's `#` metadata lines, then :func:`write_curve_rows`.
+
+    A curve with a ``spec`` gets a `# family:` line.
     """
     p = result.params
     out.write(f"# kind: {result.kind}\n")
@@ -303,18 +318,4 @@ def write_curve_csv(result: CurveResult, out) -> None:
     out.write(f"# delta: {p.delta!r}\n")
     out.write(f"# m: {p.m}\n")
     out.write(f"# sign: {p.sign}\n")
-    out.write("x,re,im,exact_re,exact_im,abs_err\n")
-    x = np.asarray(result.abscissae, dtype=float).tolist()
-    values = np.asarray(result.values, dtype=complex)
-    real, imag = values.real.tolist(), values.imag.tolist()
-    if result.exact is None:
-        out.writelines(f"{a!r},{b!r},{c!r},,,\n" for a, b, c in zip(x, real, imag))
-        return
-    exact = np.asarray(result.exact, dtype=complex)
-    err = np.asarray(result.abs_err, dtype=float).tolist()
-    out.writelines(
-        f"{a!r},{b!r},{c!r},{d!r},{e!r},{f!r}\n"
-        for a, b, c, d, e, f in zip(
-            x, real, imag, exact.real.tolist(), exact.imag.tolist(), err
-        )
-    )
+    write_curve_rows(out, result.abscissae, result.values, result.exact)

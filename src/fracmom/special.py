@@ -31,7 +31,7 @@ logarithm once), ``signed_complex_power`` is ``branch_power`` of
 ``signed_log``, and at x = 1 it gives the half-line phases (s i)^g.
 
 ``cosine_normaliser`` is 2 cos(pi g / 2), the denominator of the Riesz
-operators and of the absolute-moment conversion.
+operators.
 """
 
 from __future__ import annotations

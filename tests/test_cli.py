@@ -397,6 +397,22 @@ def test_overflowing_grid_or_range_gives_one_error_line(argv, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct-pdf", "--family", "rayleigh", "--param", "sigma=1e200",
+     "--range", "1:2:3"],
+    ["verify", "--family", "rayleigh", "--param", "sigma=1e200"],
+    ["reconstruct-pdf", "--family", "rayleigh", "--param", "sigma=9.78e-300",
+     "--range", "1e-300:2e-300:3"],
+], ids=["large", "large-verify", "small"])
+def test_rayleigh_extreme_scales_are_finite(argv, capsys):
+    # sigma^2 is past double range at the large scale and 0 at the small
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(argv, capsys)
+    assert code == 0 and err == ""
+    assert "nan" not in out and "inf" not in out
+
+
 def test_reconstruct_needs_a_distribution(capsys):
     code, _, err = _run(["reconstruct-cf", "--range", "1:2:3"], capsys)
     assert code == 1
@@ -631,15 +647,36 @@ def test_figures_full_set(tmp_path, capsys):
     assert code == 0
     names = [f"fig{n}.csv" for n in
              ("3a", "3b", "4a", "4b", "5", "6a", "6b", "7", "8", "9")]
-    for name in names:
-        assert (tmp_path / "figs" / name).exists(), name
-        assert name in out
+    assert sorted(p.name for p in (tmp_path / "figs").iterdir()) == names
+    # one summary line per file, in name order
+    assert [line.split()[0] for line in out.splitlines()] == names
     # the summary lines carry the achieved errors; spot-check two
     for line in out.strip().split("\n"):
         if line.startswith("fig7.csv"):
             assert float(line.split("=")[-1]) <= 1e-2
         if line.startswith("fig5.csv"):
             assert float(line.split("=")[-1]) <= 1e-2
+
+
+def test_figures_fig3a_rows_are_the_taylor_baseline(tmp_path, capsys):
+    from fracmom.distributions import exact_cf
+    from fracmom.reconstruct import classical_taylor_cf
+
+    assert main(["figures", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "fig3a.csv").read_text().splitlines()
+    assert lines[:4] == ["# kind: cf-taylor", "# family: uniform", "# order: 8",
+                         "x,re,im,exact_re,exact_im,abs_err"]
+    rows = [line.split(",") for line in lines[4:]]
+    assert len(rows) == 199
+    theta = [float(row[0]) for row in rows]
+    assert theta[0] == 0.1 and theta[-1] == 10.0
+    uniform = DistributionSpec("uniform", {"a": 2.0})
+    exact = exact_cf(uniform, np.array(theta)).tolist()
+    for row, t, e in zip(rows, theta, exact):
+        v = classical_taylor_cf(uniform, t, 8)
+        assert row == [repr(t), repr(v.real), repr(v.imag), repr(e.real),
+                       repr(e.imag), repr(abs(v - e))]
 
 
 # ----------------------------------------------------------------------
@@ -705,14 +742,12 @@ def test_benchmark_and_script_argv_still_parse(tmp_path, monkeypatch, capsys):
             if op.cli:
                 op.invoke()
     n_bench = len(seen)
-    for script, argv in (("identity_report.py", []),
-                         ("make_figures.py", ["--out-dir", str(tmp_path)])):
-        assert runpy.run_path(str(REPO / "scripts" / script))["run"](argv) == 0
+    assert runpy.run_path(str(REPO / "scripts" / "identity_report.py"))["run"]([]) == 0
     capsys.readouterr()
 
     # 5 verify; 5 grids and 8 curves plus figures; 3 grids and 5 curves
     assert n_bench == 5 + 14 + 8
-    assert len(seen) == n_bench + 5 + 1
+    assert len(seen) == n_bench + 5
     for argv in seen:
         _parse(argv)
     assert {argv[0] for argv in seen} == {

@@ -191,10 +191,13 @@ def test_cf_hermitian_and_bounded(spec, theta):
 @example(x=1e-300, scale=1.0, mu=0.0)
 @example(x=1e200, scale=1e-3, mu=0.0)
 @example(x=1.7976931348623157e308, scale=1e3, mu=1e3)
+@example(x=math.inf, scale=1.0, mu=2.0)
+@example(x=-math.inf, scale=1e-3, mu=0.0)
 @settings(max_examples=100, deadline=None)
 def test_pdf_and_cf_are_finite_on_the_whole_double_range(family, x, scale, mu):
     # the levy density's 0/0 below x ~ 1e-216, the overflowing squares
-    # of the rayleigh, cauchy and gaussian tails, the uniform sinc's NaN
+    # of the rayleigh, cauchy and gaussian tails, the uniform sinc's NaN,
+    # the gaussian CF's 0 * inf at +-inf
     params = {"uniform": {"a": scale}, "rayleigh": {"sigma": scale},
               "gaussian": {"mu": mu, "sigma": scale}}.get(family, {})
     spec = make_spec(family, **params)
@@ -204,6 +207,38 @@ def test_pdf_and_cf_are_finite_on_the_whole_double_range(family, x, scale, mu):
         values = [exact_pdf(spec, x), exact_cf(spec, x),
                   *exact_pdf(spec, points), *exact_cf(spec, points)]
     assert all(np.isfinite(v) for v in values)
+
+
+def _rayleigh_pdf_50_digits(sigma, x):
+    with mpmath.workdps(50):
+        z = mpmath.mpf(x) / sigma
+        return float(z / sigma * mpmath.exp(-z * z / 2)) if z > 0 else 0.0
+
+
+@pytest.mark.parametrize("sigma,x", [
+    (1e200, [1.0, 1.5, 2.0, 1e200, 3e201]),
+    (9.78e-300, [1e-300, 1.5e-300, 2e-300, 3.5e-298]),
+    (1e-160, [1e-160, 1e-158, -1e-160]),
+    (2.0, [1e-3, 0.7, 3.0, 70.0]),
+])
+def test_rayleigh_pdf_at_extreme_scales(sigma, x):
+    # sigma^2 leaves double range past about 1e154 and below about
+    # 1e-154; x/sigma does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exact_pdf(make_spec("rayleigh", sigma=sigma), np.array(x))
+    want = np.array([_rayleigh_pdf_50_digits(sigma, v) for v in x])
+    # z = x/sigma is rounded once, so the exponent -z^2/2 is off by up to
+    # about 2 eps z^2, plus a few roundings of the value
+    z = np.abs(np.array(x) / sigma)
+    assert np.all(np.abs(got - want) <= 2.3e-16 * (4.0 + 2.0 * z * z) * want)
+
+
+def test_rayleigh_pdf_at_a_power_of_two_scale_is_the_plain_formula():
+    # x/sigma and x/sigma^2 round alike when sigma is a power of two
+    x = np.random.default_rng(0).uniform(0.0, 90.0, 10_000)
+    got = exact_pdf(RAYLEIGH, x)
+    assert np.array_equal(got, x / 4.0 * np.exp(-x * x / 8.0))
 
 
 def test_uniform_cf_is_real_sinc():

@@ -1,4 +1,4 @@
-"""Grid construction, estimator agreement, conversions, CSV round-trip."""
+"""Grid construction, estimator agreement, CSV round-trip."""
 
 import functools
 import io
@@ -26,9 +26,7 @@ from fracmom.distributions import (
 from fracmom.errors import (
     AllSamplesDegenerateError,
     ArgumentError,
-    DomainError,
     FracmomError,
-    PoleError,
     QuadratureError,
     StripError,
 )
@@ -36,7 +34,6 @@ from fracmom.moments import (
     GRID_METHODS,
     GridParams,
     MomentGrid,
-    convert_moment,
     make_grid,
     moment_monte_carlo,
     moment_quadrature,
@@ -623,61 +620,6 @@ def test_moment_quadrature_plus_minus_conjugation():
     a = moment_quadrature(GAUSS21, g, "minus").conjugate()
     b = moment_quadrature(GAUSS21, g.conjugate(), "plus")
     assert abs(a - b) <= 1e-10
-
-
-# ----------------------------------------------------------------------
-# conversions between moment kinds
-# ----------------------------------------------------------------------
-
-
-class TestConvertMoment:
-    def test_signed_minus_to_plain_integer_check(self):
-        # E[X^2] of uniform(-2,2) is 4/3; feed the signed moment of
-        # exponent z=2, i.e. E[(-iX)^2] = -E[X^2]
-        signed = -4.0 / 3.0 + 0j
-        got = convert_moment("signed_minus", "plain", 2.0, signed)
-        assert got == pytest.approx(4.0 / 3.0 + 0j, abs=1e-12)
-
-    def test_signed_plus_to_absolute_needs_plain(self):
-        with pytest.raises(ArgumentError):
-            convert_moment("signed_plus", "absolute", 0.5, 1.0 + 0j)
-
-    def test_absolute_halfmoment_of_cauchy(self):
-        """E|X|^(1/2) of the unit Cauchy is sqrt(2).
-
-        For a symmetric X the two inputs are exactly expressible in
-        terms of that absolute moment: E[(iX)^z] = cos(pi z/2)E|X|^z
-        and E[X^z] = e^{i pi z/2} cos(pi z/2) E|X|^z (principal branch
-        on the negative axis).  The conversion must unwind both phases.
-        """
-        z = 0.5
-        want = math.sqrt(2.0)
-        half_cos = math.cos(math.pi * z / 2.0)
-        signed_plus = complex(want * half_cos, 0.0)
-        plain = want * half_cos * complex(
-            math.cos(math.pi * z / 2.0), math.sin(math.pi * z / 2.0)
-        )
-        got = convert_moment("signed_plus", "absolute", z, signed_plus, plain)
-        assert got == pytest.approx(want + 0j, rel=1e-12)
-
-    def test_pole_at_cosine_zero(self):
-        with pytest.raises(PoleError):
-            convert_moment("signed_plus", "absolute", 1.0, 1.0 + 0j, 1.0 + 0j)
-
-    @pytest.mark.parametrize(
-        "kind_in,kind_out,extra",
-        [("signed_minus", "plain", ()), ("signed_plus", "absolute", (1.0 + 0j,))],
-    )
-    def test_overflow_is_typed(self, kind_in, kind_out, extra):
-        # i^gamma, and 2 cos(pi gamma / 2), leave double range here
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=r"gamma = \(0\.4-500j\)"):
-                convert_moment(kind_in, kind_out, 0.4 - 500j, 1.0 + 0j, *extra)
-
-    def test_unsupported_pairing(self):
-        with pytest.raises(ArgumentError):
-            convert_moment("plain", "signed_minus", 0.5, 1.0 + 0j)
 
 
 # ----------------------------------------------------------------------

@@ -202,15 +202,6 @@ def test_pdf_series_symmetric_families_even():
             assert abs(pdf_series(grid, x) - pdf_series(grid, -x)) <= 1e-10
 
 
-def test_pdf_series_curve_reports_hilbert_component():
-    grid = _grid(CAUCHY, 10)
-    curve = sample_curve(grid, "pdf", np.array([0.5, 1.0, 2.0]))
-    assert curve.im_max is not None
-    assert curve.im_max > 1e-3  # genuinely O(1), reported not hidden
-    cf_curve = sample_curve(grid, "cf", np.array([0.5, 1.0]))
-    assert cf_curve.im_max is None
-
-
 def test_levy_pdf_reaches_past_the_per_node_kernel_overflow():
     # |Im gamma| up to 520: a per-node kernel (ix)^(gamma-1) leaves double
     # range past |Im gamma| ~ 451 while its weight underflows, and used to
@@ -270,6 +261,17 @@ def test_taylor_rejects_heavy_tails_and_bad_order():
         classical_taylor_cf(LEVY, 0.5, 4)
     with pytest.raises(ArgumentError):
         classical_taylor_cf(UNIFORM, 0.5, -1)
+
+
+@pytest.mark.parametrize("spec", [make_spec("rayleigh", sigma=1e200),
+                                  make_spec("uniform", a=1e200),
+                                  make_spec("gaussian", mu=1e200)],
+                         ids=lambda s: s.family)
+def test_taylor_moment_out_of_double_range_is_typed(spec):
+    # E[X^2] = 2 sigma^2, a^2 / 3 or mu^2 + sigma^2 is past 1e308, by a
+    # Python float power (OverflowError) or a product (inf)
+    with pytest.raises(DomainError, match=r"E\[X\^2\]"):
+        classical_taylor_cf(spec, 1.0, 8)
 
 
 def test_taylor_order_zero():
@@ -374,10 +376,6 @@ def test_sample_curve_empty_input(kind, exact):
         assert curve.abs_err.dtype == float and curve.abs_err.shape == (0,)
     else:
         assert curve.exact is None and curve.abs_err is None
-    if kind == "pdf":
-        assert type(curve.im_max) is float and curve.im_max == 0.0
-    else:
-        assert curve.im_max is None
 
 
 @pytest.mark.parametrize("kind", ["cf", "pdf"])

@@ -41,17 +41,6 @@ def test_delta_sweep_two_spacings(capsys):
     assert all(len(r.split()) == 5 for r in rows)
 
 
-def test_make_figures_writes_every_figure(tmp_path, capsys):
-    code, out = _run_script("make_figures.py", ["--out-dir", str(tmp_path)], capsys)
-    assert code == 0
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == sorted(
-        f"{n}.csv" for n in ("fig3a", "fig3b", "fig4a", "fig4b", "fig5",
-                             "fig6a", "fig6b", "fig7", "fig8", "fig9")
-    )
-    assert [line.split()[0] for line in out.splitlines()] == names
-
-
 def test_code_lines_total_is_the_sum_of_the_rows(capsys):
     code, out = _run_script("code_lines.py", [], capsys)
     assert code == 0
