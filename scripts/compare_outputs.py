@@ -18,9 +18,12 @@ by one command can be read by a later one.  The corpus:
 * a Monte Carlo grid of 62 sample blocks at m = 10, which on a host
   with more than one CPU is computed in two processes;
 * rayleigh densities at scales 1e200 and 9.78e-300, whose square
-  leaves double range;
+  leaves double range, and a rayleigh quadrature grid at scale 0.01,
+  whose mass lies in a few of the panels;
 * ``figures`` and its CSVs;
-* argvs that must fail with one ``error:`` line.
+* argvs that must fail with one ``error:`` line, and a quadrature grid
+  of a density past the panels' reach, which must fail with one
+  ``numerical failure:`` line.
 
 Each artifact (exit status, stdout, stderr, every file written) prints
 one line: ``identical``; or, when only numbers differ, the largest
@@ -96,6 +99,10 @@ def corpus() -> list[tuple[str, list[str]]]:
         out.append((f"pdf-rayleigh-{label}-scale",
                     ["reconstruct-pdf", "--family", "rayleigh", "--param",
                      f"sigma={sigma}", "--range", points]))
+    out.append(("moments-rayleigh-quad-small",
+                ["moments", "--family", "rayleigh", "--param", "sigma=0.01",
+                 "--method", "quad", "--m", "6",
+                 "--out", "moments-rayleigh-quad-small.csv"]))
     out.append(("figures", ["figures", "--out-dir", "figs"]))
     errors = [
         ["moments", "--family", "nosuch"],
@@ -116,6 +123,8 @@ def corpus() -> list[tuple[str, list[str]]]:
          "--n-samples", "100000000000000000000", "--m", "2"],
         ["moments", "--family", "cauchy", "--delta", "1e308", "--m", "3"],
         ["reconstruct-cf", "--family", "cauchy", "--range", "1:inf:5"],
+        ["moments", "--family", "rayleigh", "--param", "sigma=1e20",
+         "--method", "quad", "--m", "1"],
     ]
     out += [(f"error-{i:02d}", argv) for i, argv in enumerate(errors)]
     return out

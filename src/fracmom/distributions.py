@@ -82,12 +82,11 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-import mpmath
 import numpy as np
 from scipy import special as sp_special
 
 from .errors import ArgumentError, DomainError, StripError
-from .special import sign_value, signed_log
+from .special import as_orders, like_orders, sign_value, signed_log
 
 log = logging.getLogger(__name__)
 
@@ -190,6 +189,14 @@ def _uniform_cf(p, t):
     x = p["a"] * t / math.pi
     far = np.isinf(math.pi * x)
     return np.where(far, 0.0, np.sinc(np.where(far, 0.0, x))).astype(complex)
+
+
+def _gaussian_cf(p, t):
+    # where mu t leaves double range the phase exp(i inf) is NaN: the CF
+    # is 0 where its modulus has underflowed too, and NaN, silently, else
+    with np.errstate(invalid="ignore"):
+        out = np.exp(1j * p["mu"] * t - 0.5 * (p["sigma"] * t) ** 2)
+    return np.where(np.isnan(out) & (np.exp(-0.5 * (p["sigma"] * t) ** 2) == 0.0), 0.0, out)
 
 
 _RAYLEIGH_NEAR = 40.0
@@ -455,7 +462,10 @@ def _gaussian_pcfd(p, g: np.ndarray, sign: str) -> tuple[np.ndarray, int]:
     # with its half-line phase t^(+-1); the whole product is formed at
     # 30 digits, where no factor leaves range, and rounded once per
     # node.  D_{g-1}(-+r) and Gamma(1 - g) are evaluated at Im g >= 0
-    # only; below the axis they are the exact mpmath conjugates
+    # only; below the axis they are the exact mpmath conjugates.  mpmath
+    # is imported here, so a call that declines no node does not load it
+    import mpmath
+
     s, mu, sig = sign_value(sign), p["mu"], p["sigma"]
     out = np.empty(g.shape, dtype=complex)
     shared: dict[complex, tuple] = {}
@@ -548,7 +558,7 @@ _CATALOG: dict[str, Family] = {
         support=lambda p: (-math.inf, math.inf),
         pdf=lambda p, x: (np.exp(-0.5 * ((x - p["mu"]) / p["sigma"]) ** 2)
                           / (p["sigma"] * math.sqrt(2.0 * math.pi))),
-        cf=lambda p, t: np.exp(1j * p["mu"] * t - 0.5 * (p["sigma"] * t) ** 2),
+        cf=_gaussian_cf,
         moment=_gaussian_moment,
         sample=lambda p, rng, n: rng.normal(p["mu"], p["sigma"], size=n),
         integer_moment=_gaussian_integer_moment,
@@ -690,7 +700,7 @@ def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
     raises :class:`DomainError` naming it.
     """
     sign_value(sign)  # validates before the strip check
-    g = np.atleast_1d(np.asarray(gamma, dtype=complex))
+    g = as_orders(gamma)
     spec.moment_strip.require(g.real, "Re(gamma)", "moment", spec.label())
     with np.errstate(over="ignore", invalid="ignore"):
         value = spec.record.moment(spec.params, g, sign)
@@ -700,7 +710,7 @@ def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
             f"closed-form evaluation of the {spec.label()} moment "
             f"overflows double precision at gamma = {complex(g[bad][0])}"
         )
-    return complex(value[0]) if np.ndim(gamma) == 0 else value
+    return like_orders(gamma, value)
 
 
 # ----------------------------------------------------------------------

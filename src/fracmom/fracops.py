@@ -23,8 +23,8 @@ integrates f(+xi) over xi in (0, inf).  With that pairing,
 for s = +1 ("plus") / -1 ("minus"), which is verified numerically in the
 test suite for every catalog family.
 
-Every integral here is one call of :func:`fracmom.moments.power_integral`,
-the integral of u^(-order) f(u) over a stretch of the half-line, which
+Every integral here is one call of :func:`fracmom.moments.mirrored_integral`,
+the integral of u^(-order) f(-s u) over a stretch of the half-line, which
 also gives the quadrature moments:
 
 * the Mellin integral J_s = int_0^inf xi^(gamma-1) cf(-s xi) d xi is
@@ -62,9 +62,9 @@ import numpy as np
 
 from .distributions import DistributionSpec, FundamentalStrip, exact_cf
 from .errors import DomainError
-from .moments import MOMENT_TOL, GridParams, half_line_integrals, power_integral
+from .moments import MOMENT_TOL, GridParams, half_line_integrals, mirrored_integral
 from .quadrature import Estimate, require
-from .special import complex_gamma, cosine_normaliser, sign_value
+from .special import as_orders, complex_gamma, cosine_normaliser, like_orders
 
 ComplexFunc = Callable[[np.ndarray], np.ndarray]
 
@@ -77,31 +77,8 @@ _UNIT = FundamentalStrip(0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
-# order handling
-# ----------------------------------------------------------------------
-
-
-def _orders(gamma) -> np.ndarray:
-    return np.atleast_1d(np.asarray(gamma, dtype=complex))
-
-
-def _shaped(gamma, values: np.ndarray):
-    # a scalar order gives a complex, an array of orders an array
-    return complex(values[0]) if np.ndim(gamma) == 0 else values
-
-
-# ----------------------------------------------------------------------
 # the shared integrals
 # ----------------------------------------------------------------------
-
-
-def _half_line(
-    f: ComplexFunc, lo: float, hi: float, side: str, order,
-    oscillation: float | None = None,
-) -> Estimate:
-    # int_lo^hi xi^(-order) f(-s xi) d xi with 0 <= lo < hi
-    s = sign_value(side)
-    return power_integral(lambda xi: f(-s * xi), order, lo, hi, oscillation=oscillation)
 
 
 def _fractional_integral(mellin: Estimate, gamma) -> np.ndarray:
@@ -117,8 +94,8 @@ def _marchaud(
     cf: ComplexFunc, gamma: np.ndarray, side: str, oscillation: float | None
 ) -> np.ndarray:
     c0 = complex(cf(0.0))
-    head = _half_line(lambda t: c0 - cf(t), 0.0, 1.0, side, 1.0 + gamma)
-    tail = _half_line(cf, 1.0, math.inf, side, 1.0 + gamma, oscillation)
+    head = mirrored_integral(lambda t: c0 - cf(t), side, 1.0 + gamma, 0.0, 1.0)
+    tail = mirrored_integral(cf, side, 1.0 + gamma, 1.0, math.inf, oscillation=oscillation)
     front = gamma / complex_gamma(1.0 - gamma)
     result = Estimate(
         front * (head.value + c0 / gamma - tail.value),
@@ -154,10 +131,10 @@ def rl_integral_at_zero(
     :class:`QuadratureError` when the error estimate of any returned
     value exceeds 1e-7.
     """
-    g = _orders(gamma)
+    g = as_orders(gamma)
     _UNIT.require(g.real, "Re(gamma)", "fractional-integral")
-    mellin = _half_line(cf, 0.0, math.inf, side, 1.0 - g, oscillation)
-    return _shaped(gamma, _fractional_integral(mellin, g))
+    mellin = mirrored_integral(cf, side, 1.0 - g, 0.0, math.inf, oscillation=oscillation)
+    return like_orders(gamma, _fractional_integral(mellin, g))
 
 
 def marchaud_derivative_at_zero(
@@ -176,9 +153,9 @@ def marchaud_derivative_at_zero(
     the constant part integrates analytically to cf(0)/gamma and only
     the CF term needs quadrature.
     """
-    g = _orders(gamma)
+    g = as_orders(gamma)
     _UNIT.require(g.real, "Re(gamma)", "Marchaud-derivative")
-    return _shaped(gamma, _marchaud(cf, g, side, oscillation))
+    return like_orders(gamma, _marchaud(cf, g, side, oscillation))
 
 
 def riesz_derivative_at_zero(
@@ -193,12 +170,12 @@ def riesz_derivative_at_zero(
     The negated return value equals E[|X|^gamma] when ``cf`` is the CF
     of X.
     """
-    g = _orders(gamma)
+    g = as_orders(gamma)
     plus, minus = (
         marchaud_derivative_at_zero(cf, g, side, oscillation=oscillation)
         for side in _SIDES
     )
-    return _shaped(gamma, -_riesz(plus, minus, g))
+    return like_orders(gamma, -_riesz(plus, minus, g))
 
 
 def riesz_integral_at_zero(
@@ -210,12 +187,12 @@ def riesz_integral_at_zero(
     """Riesz fractional integral of ``cf`` at 0: both one-sided
     integrals over 2 cos(pi gamma / 2); equals E[|X|^(-gamma)] for a CF.
     """
-    g = _orders(gamma)
+    g = as_orders(gamma)
     plus, minus = (
         rl_integral_at_zero(cf, g, side, oscillation=oscillation)
         for side in _SIDES
     )
-    return _shaped(gamma, _riesz(plus, minus, g))
+    return like_orders(gamma, _riesz(plus, minus, g))
 
 
 def mellin_forward(
@@ -234,11 +211,11 @@ def mellin_forward(
     enforced here; convergence at the upper end depends on the decay of
     ``f`` and is reported through the quadrature error estimate instead.
     """
-    g = _orders(gamma)
+    g = as_orders(gamma)
     FundamentalStrip(0.0, math.inf).require(g.real, "Re(gamma)", "Mellin")
-    result = _half_line(f, 0.0, math.inf, side, 1.0 - g, oscillation)
+    result = mirrored_integral(f, side, 1.0 - g, 0.0, math.inf, oscillation=oscillation)
     require(result, _TOL, "Mellin transform", g)
-    return _shaped(gamma, result.value)
+    return like_orders(gamma, result.value)
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +232,9 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     ``riesz_integral`` and ``mellin_two_path``, each the maximum over
     the nodes of |got - want| / (1 + |want|).  The oracle is the pair
     of :func:`~fracmom.moments.half_line_integrals` passes of ``spec``
-    at u^(-gamma) and u^(+gamma), which read its density and support;
-    each signed and absolute moment drawn from them must meet 1e-9.
+    at u^(-gamma) and u^(+gamma), which read its density and support
+    and refuse a density whose mass they miss; each signed and absolute
+    moment drawn from them must meet 1e-9.
     Each operator integral (J_+, J_-, and the Marchaud K_+, K_-) is
     integrated once and must meet the operators' 1e-7.  The Riesz rows combine the one-sided values, and
     ``mellin_two_path`` compares J_- with Gamma(gamma) times the
@@ -288,9 +266,8 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     abs_plus = oracle(above.absolute())  # E|X|^g
     abs_minus = oracle(below.absolute())  # E|X|^(-g)
 
-    mellin = {
-        side: _half_line(cf, 0.0, math.inf, side, 1.0 - g, osc) for side in _SIDES
-    }
+    mellin = {side: mirrored_integral(cf, side, 1.0 - g, 0.0, math.inf, oscillation=osc)
+              for side in _SIDES}
     rl = {side: _fractional_integral(mellin[side], g) for side in _SIDES}
     ma = {side: _marchaud(cf, g, side, osc) for side in _SIDES}
 
@@ -325,13 +302,13 @@ class CompositionReport(NamedTuple):
 _NESTED_CHUNK = 256
 
 
-def _weyl_integral(g: complex, func: ComplexFunc, y, s: int) -> np.ndarray:
+def _weyl_integral(g: complex, func: ComplexFunc, y, side: str) -> np.ndarray:
     # (I^g func)(y) = 1/Gamma(g) int_0^inf u^(g-1) func(y - s u) du,
     # for every entry of the array y at once, held to the operators' tol
     y = np.asarray(y, dtype=float)
     if g == 0:
         return np.asarray(func(y), dtype=complex)
-    mellin = power_integral(lambda v: func(y[..., None] - s * v), 1.0 - g, 0.0, math.inf)
+    mellin = mirrored_integral(lambda t: func(y[..., None] + t), side, 1.0 - g, 0.0, math.inf)
     return _fractional_integral(mellin, g)
 
 
@@ -362,17 +339,16 @@ def composition_check(
         raise DomainError("composition orders need nonnegative real part")
     total = gamma1 + gamma2
     _UNIT.require(total.real, "Re(gamma1 + gamma2)", "composition")
-    s = sign_value(side)
 
     def inner(t: np.ndarray) -> np.ndarray:
         flat = t.ravel()
         blocks = np.array_split(flat, -(-flat.size // _NESTED_CHUNK))
-        values = [_weyl_integral(gamma2, f, b, s) for b in blocks]
+        values = [_weyl_integral(gamma2, f, b, side) for b in blocks]
         return np.concatenate(values).reshape(t.shape)
 
     y = np.asarray(points, dtype=float)
-    direct = _weyl_integral(total, f, y, s)
-    nested = _weyl_integral(gamma1, f if gamma2 == 0 else inner, y, s)
+    direct = _weyl_integral(total, f, y, side)
+    nested = _weyl_integral(gamma1, f if gamma2 == 0 else inner, y, side)
     deviation = float(np.max(np.abs(direct - nested)))
     return CompositionReport(
         max_deviation=deviation,

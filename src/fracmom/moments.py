@@ -35,10 +35,13 @@ from .errors import (
     AllSamplesDegenerateError,
     ArgumentError,
     FracmomError,
+    QuadratureError,
 )
 from .quadrature import Estimate, integrate, require
 from .special import (
+    as_orders,
     branch_power,
+    like_orders,
     sign_value,
     signed_complex_power,
     signed_log,
@@ -61,7 +64,7 @@ _BLOCK = 1 << 13
 _LADDER_RUN = 16
 
 # error target of every moment by quadrature of a density: the
-# quadrature grids and the identity suite's oracle
+# quadrature grids, the identity suite's oracle and the density's mass
 MOMENT_TOL = 1e-9
 
 
@@ -197,23 +200,47 @@ def power_integral(f: Callable[[np.ndarray], np.ndarray], gamma, a: float, b: fl
     return integrate(integrand, a, b, oscillation=oscillation)
 
 
+def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], side: str, gamma,
+                      a: float, b: float, *, oscillation: float | None = None) -> Estimate:
+    """int_a^b u^(-gamma) f(-s u) du, s = +1 (``"plus"``) or -1
+    (``"minus"``): the :func:`power_integral` of ``f`` on the half-line
+    that ``side`` selects, for the densities here and for every
+    fractional operator integral in :mod:`fracmom.fracops`.
+    """
+    s = sign_value(side)
+    return power_integral(lambda u: f(-s * u), gamma, a, b, oscillation=oscillation)
+
+
 def half_line_integrals(spec: DistributionSpec, gamma) -> HalfLineIntegrals:
     """Both half-line integrals of u^(-gamma) pdf(+/-u) for the density
-    of ``spec`` over its support, one :func:`power_integral` per half
-    that is not empty; ``gamma`` may be a scalar or an array of orders.
+    of ``spec`` over its support, one :func:`mirrored_integral` per
+    half that is not empty; ``gamma`` may be a scalar or an array of
+    orders.
 
     This is the one place a moment quadrature reads a density
     (:func:`~fracmom.distributions.exact_pdf`, on arrays) and its
-    support.  A density outside the catalog still has
-    :func:`power_integral`, and a :class:`HalfLineIntegrals` of two such
-    calls gives its signed and absolute moments.
+    support.  The density's mass rides along as one more order (0) of
+    the same two engine calls.  The engine's panels reach from 2^-32 to
+    2^32, and mass beyond them reads as 0, so a mass that misses 1 by
+    more than 1e-9 (the moments' error target, at order 0) raises
+    :class:`QuadratureError` rather than give moments of a density the
+    panels cannot see.  A density outside the catalog still has
+    :func:`mirrored_integral`, and a :class:`HalfLineIntegrals` of two
+    such calls gives its signed and absolute moments.
     """
+    g = np.asarray(gamma, dtype=complex)
+    orders = np.append(g.ravel(), 0.0)  # the last order gives the mass
     lo, hi = spec.support
-    return HalfLineIntegrals(
-        power_integral(lambda u: exact_pdf(spec, u), gamma, max(lo, 0.0), hi),
-        power_integral(lambda u: exact_pdf(spec, -1.0 * u), gamma,
-                       max(0.0, -hi), -lo),
-    )
+    pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
+    # f(-s u) is pdf(+u) on the "minus" side and pdf(-u) on the "plus" side
+    halves = (mirrored_integral(pdf, "minus", orders, max(lo, 0.0), hi),
+              mirrored_integral(pdf, "plus", orders, max(0.0, -hi), -lo))
+    miss = abs(halves[0].value[-1] + halves[1].value[-1] - 1.0)
+    if not miss <= MOMENT_TOL:
+        raise QuadratureError(f"the {spec.label()} density's mass on the quadrature panels "
+                              f"(2^-32 to 2^32) misses 1 by {miss:.3e}", achieved=miss)
+    return HalfLineIntegrals(*(Estimate(*(part[:-1].reshape(g.shape) for part in half))
+                               for half in halves))
 
 
 def moment_quadrature(spec: DistributionSpec, gamma, sign: str):
@@ -221,9 +248,10 @@ def moment_quadrature(spec: DistributionSpec, gamma, sign: str):
     the density of ``spec``; the same arguments as
     :func:`~fracmom.distributions.closed_form_moment`.
 
-    The integral is split at the origin (:func:`half_line_integrals`).
-    On each half-line the phase exp(-/+ s gamma i pi/2) is constant and
-    is factored out, leaving u^(-gamma) pdf(+/-u), which the vectorised
+    The integral is split at the origin (:func:`half_line_integrals`,
+    which refuses a density whose mass the panels miss).  On each
+    half-line the phase exp(-/+ s gamma i pi/2) is constant and is
+    factored out, leaving u^(-gamma) pdf(+/-u), which the vectorised
     engine integrates for every order in ``gamma`` at once.  Each
     half's error estimate is scaled by its phase magnitude, so the
     combined estimate is an estimate of the returned value's error; if
@@ -231,10 +259,10 @@ def moment_quadrature(spec: DistributionSpec, gamma, sign: str):
     order and carrying its estimate is raised.  A scalar ``gamma`` gives
     a complex result, an array of orders an array.
     """
-    g = np.atleast_1d(np.asarray(gamma, dtype=complex))
+    g = as_orders(gamma)
     result = half_line_integrals(spec, g).signed(g, sign)
     require(result, MOMENT_TOL, "moment quadrature", g)
-    return complex(result.value[0]) if np.ndim(gamma) == 0 else result.value
+    return like_orders(gamma, result.value)
 
 
 class MonteCarloMoment(NamedTuple):

@@ -21,12 +21,20 @@ adaptive bisection replaced by a fixed geometric layout:
   Gauss rule gives the panel's error estimate;
 * the partial sums over panels converge like a sum of geometric
   sequences (one per power in the integrand's expansion at the
-  singular end), which Wynn's epsilon algorithm removes.  Every even
-  column of the epsilon table is a candidate; each row takes the entry
-  whose successive differences are smallest, as ``qelg`` does, unless
-  the plain partial sum's last two increments are smaller.  A row whose
-  last panel sums have reached roundoff keeps its plain partial sum and
-  skips extrapolation.
+  singular end), which Wynn's epsilon algorithm removes.  The
+  candidates are the even-column entries of the epsilon table built
+  only from the converging tail: the partial sums after which the
+  increments |s_(k+1) - s_k| never grow again.  An entry built from
+  earlier sums (empty panels before the integrand's mass, all near 0,
+  or sums still growing toward an anti-limit) has tiny differences and
+  a wrong value.  Each row takes the candidate whose successive
+  differences are smallest, unless the plain partial sum's last two
+  increments are smaller.  QUADPACK's ``qelg`` (Piessens et al.,
+  1983) takes its candidates from the newest diagonal of the table
+  only, each built from the latest sums; here the whole table is
+  formed at once, and the tail rule stands in for that.  A row whose
+  last panel sums have reached roundoff keeps its plain partial sum
+  and skips extrapolation.
 
 The estimate per row is the chosen candidate's differences, plus the
 Gauss-Kronrod estimates of all panels, plus a roundoff floor of
@@ -34,7 +42,10 @@ Gauss-Kronrod estimates of all panels, plus a roundoff floor of
 
 Panel counts are fixed (:data:`PANELS` doublings), so every call
 evaluates ``f`` on arrays of a known size and memory stays bounded;
-an adaptive rule grows its workspace with the hardest row.
+an adaptive rule grows its workspace with the hardest row.  They also
+fix the reach: ``[0, inf)`` is seen from 2^-32 to 2^32, and an
+integrand whose mass lies beyond reads as 0 with a tiny estimate, so
+the quadrature moments check the density's mass as well.
 
 For integrands that ring without decaying fast (the sinc CF of the
 uniform law, the never-decaying CF of a point mass) an ``oscillation``
@@ -211,7 +222,8 @@ def _panel_sequence(f: Integrand, a: float, b: float) -> Estimate:
 
 def _wynn(sums, value, error, pending):
     """Replace ``value``/``error`` where ``pending`` by the epsilon-table
-    entry with the smallest error, if that beats the plain partial sum.
+    entry of the converging tail with the smallest error, if that beats
+    the plain partial sum.
 
     Rhombus rule eps[k+1][j] = eps[k-1][j+1] + 1/(eps[k][j+1] - eps[k][j]),
     with eps[-1] = 0 and eps[0] the partial sums.  An even-column entry
@@ -233,6 +245,11 @@ def _wynn(sums, value, error, pending):
         res = even[1:, :, :-2]
         cand = np.abs(res - e2) + np.abs(e2 - e1) + np.abs(e1 - e0)
     cand[~np.isfinite(cand)] = np.inf
+    # only the converging tail: an entry built from a partial sum after
+    # which the increments still grow is no candidate
+    inc = np.abs(np.diff(sums, axis=1))
+    grows = inc[:, 1:] > inc[:, :-1]
+    cand[:, np.logical_or.accumulate(grows[:, ::-1], axis=1)[:, ::-1]] = np.inf
     cand = cand.transpose(1, 0, 2).reshape(rows, -1)
     res = res.transpose(1, 0, 2).reshape(rows, -1)
     pick = np.argmin(cand, axis=1)

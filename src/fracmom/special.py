@@ -5,7 +5,10 @@ Each function takes a scalar or an array.  A scalar gives a Python
 ``complex``; an array gives an array, broadcast elementwise, so a
 caller holding the 2m+1 nodes of a grid makes one call.  Scalar and
 array inputs run the same code, so an array call equals the
-per-element scalar calls exactly.
+per-element scalar calls exactly.  The moment and operator layers keep
+the same rule for their orders through one pair of helpers:
+``as_orders`` evaluates a scalar order as a one-element array, and
+``like_orders`` hands it back as a ``complex``.
 
 ``complex_gamma`` is ``exp(loggamma(z))`` on SciPy's complex
 ``loggamma``, which stays finite far from the real axis where Gamma
@@ -61,6 +64,17 @@ def sign_value(sign: str) -> int:
 def _shaped(values: np.ndarray):
     # a scalar in gives a complex out, an array an array
     return complex(values) if values.ndim == 0 else values
+
+
+def as_orders(gamma) -> np.ndarray:
+    """``gamma`` as a complex array of at least one dimension."""
+    return np.atleast_1d(np.asarray(gamma, dtype=complex))
+
+
+def like_orders(gamma, values: np.ndarray):
+    """``values`` per order of :func:`as_orders` of ``gamma``, as a
+    ``complex`` when ``gamma`` is a scalar and as the array otherwise."""
+    return complex(values[0]) if np.ndim(gamma) == 0 else values
 
 
 def complex_gamma(z):

@@ -209,6 +209,20 @@ def test_pdf_and_cf_are_finite_on_the_whole_double_range(family, x, scale, mu):
     assert all(np.isfinite(v) for v in values)
 
 
+def test_gaussian_cf_where_mu_theta_leaves_double_range():
+    # the phase exp(i mu theta) is NaN there: 0 where the modulus has
+    # underflowed as well, NaN without a warning where it has not
+    theta = np.array([1e308, -1e308, 1e10, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = exact_cf(make_spec("gaussian", mu=10.0, sigma=1e-200), theta)
+        narrow = exact_cf(make_spec("gaussian", mu=1e300, sigma=1e-300), theta)
+        scalar = exact_cf(make_spec("gaussian", mu=10.0, sigma=1e-200), 1e308)
+    assert np.array_equal(tiny[:2], [0.0, 0.0]) and scalar == 0.0
+    assert np.array_equal(tiny[2:], np.exp(1j * 10.0 * theta[2:]))
+    assert np.isnan(narrow[2]) and np.isfinite(narrow[3])
+
+
 def _rayleigh_pdf_50_digits(sigma, x):
     with mpmath.workdps(50):
         z = mpmath.mpf(x) / sigma

@@ -52,6 +52,16 @@ def test_rl_matches_closed_moment(side, gamma):
     assert abs(got - want) <= 1e-8
 
 
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_rl_on_a_cf_that_decays_late(side):
+    # the CF of rayleigh(1e-6) hardly moves before xi ~ 1e6; Wynn
+    # extrapolation of those flat panel sums used to return ~1e-15
+    spec = make_spec("rayleigh", sigma=1e-6)
+    got = rl_integral_at_zero(lambda t: exact_cf(spec, t), 0.4, side)
+    want = closed_form_moment(spec, 0.4, side)
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
 def test_rl_point_mass():
     # E[(-i*1)^(-1/2)] = e^{i pi/4}; the CF of a point mass never
     # decays, so the tail is only conditionally convergent and needs

@@ -12,7 +12,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from fracmom import _forkjoin, cli, moments
 from fracmom.distributions import (
@@ -26,6 +26,7 @@ from fracmom.distributions import (
 from fracmom.errors import (
     AllSamplesDegenerateError,
     ArgumentError,
+    DomainError,
     FracmomError,
     QuadratureError,
     StripError,
@@ -577,6 +578,49 @@ def test_quadrature_failure_is_reported():
         moment_quadrature(CAUCHY, 1.0 - 1e-9, "minus")
     assert info.value.achieved is not None
     assert info.value.achieved > 1e-9
+
+
+_SCALES = st.floats(min_value=-15.0, max_value=15.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _scaled_laws(draw):
+    family = draw(st.sampled_from(["uniform", "rayleigh", "gaussian"]))
+    scale = draw(_SCALES)
+    if family == "uniform":
+        return make_spec("uniform", a=scale)
+    if family == "rayleigh":
+        return make_spec("rayleigh", sigma=scale)
+    mu = draw(st.sampled_from([0.0, 1.0, -1.0])) * draw(_SCALES)
+    return make_spec("gaussian", mu=mu, sigma=scale)
+
+
+@given(_scaled_laws(), st.sampled_from(["plus", "minus"]))
+@example(make_spec("rayleigh", sigma=0.01), "minus")
+@example(make_spec("rayleigh", sigma=1e-6), "plus")
+@example(make_spec("rayleigh", sigma=1e20), "minus")
+@example(make_spec("gaussian", mu=50.0, sigma=0.001), "minus")
+@example(make_spec("gaussian", mu=1e12, sigma=1.0), "plus")
+@settings(max_examples=60, deadline=None)
+def test_quadrature_moments_at_any_scale_are_right_or_refused(spec, sign):
+    # Wynn extrapolation of panels before a density's mass, and mass
+    # past the panels' reach, used to give wrong moments with exit 0
+    nodes = GridParams(0.4, 0.4, 2).nodes()
+    try:
+        got = moment_quadrature(spec, nodes, sign)
+    except QuadratureError:
+        return
+    try:
+        want = closed_form_moment(spec, nodes, sign)
+    except DomainError:
+        reject()
+    assert np.all(np.abs(got - want) <= 2e-9 + 1e-12 * np.abs(want))
+
+
+def test_density_mass_past_the_panels_is_refused():
+    with pytest.raises(QuadratureError, match="mass") as info:
+        moment_quadrature(make_spec("rayleigh", sigma=1e20), 0.4, "minus")
+    assert info.value.achieved == pytest.approx(1.0)
 
 
 # orders on both sides of the origin, with and without an imaginary part

@@ -18,17 +18,6 @@ def _run_script(name, argv, capsys):
     return code, capsys.readouterr().out
 
 
-def test_identity_report_one_family(capsys):
-    code, out = _run_script(
-        "identity_report.py", ["--family", "cauchy", "--m", "2"], capsys
-    )
-    assert code == 0
-    assert out.startswith("=== cauchy ===\nidentity suite: cauchy")
-    rows = [l for l in out.splitlines() if l.startswith("  ")]
-    assert len(rows) == 7
-    assert all(l.endswith("PASS") for l in rows)
-
-
 def test_delta_sweep_two_spacings(capsys):
     code, out = _run_script(
         "delta_sweep.py", ["--deltas", "0.4,0.2", "--thetas", "1,5"], capsys
