@@ -7,7 +7,8 @@ inside a scratch working directory of the tree's own, so files written
 by one command can be read by a later one.  The corpus:
 
 * ``verify`` and ``strip`` for every family (``verify`` checks both
-  signs in one run);
+  signs in one run), and ``verify`` on a rayleigh law of scale 1e-6
+  and a uniform law of half-width 0.01;
 * ``moments`` by closed form, quadrature and Monte Carlo, and two
   gaussian closed-form grids whose nodes the double-precision paths
   decline: every node at mu/sigma = 30, and the nodes past
@@ -61,6 +62,11 @@ _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
 def corpus() -> list[tuple[str, list[str]]]:
     """(label, argv) pairs in the order they run."""
     out = [(f"verify-{fam}", ["verify", "--family", fam]) for fam in FAMILIES]
+    # a CF that decays only at 1/sigma, and a sinc whose first zero lies
+    # far past 1
+    out += [("verify-rayleigh-small-scale",
+             ["verify", "--family", "rayleigh", "--param", "sigma=1e-6"]),
+            ("verify-uniform-narrow", ["verify", "--family", "uniform", "--param", "a=0.01"])]
     out += [(f"strip-{fam}", ["strip", "--family", fam]) for fam in FAMILIES]
     for fam in FAMILIES:
         for method in ("closed", "quad", "mc"):

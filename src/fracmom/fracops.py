@@ -44,9 +44,9 @@ of the engine in :mod:`fracmom.quadrature` rather than once per point.
 The engine halves its panels toward the singularity at the origin and
 doubles them toward infinity, with Wynn extrapolation of the panel
 sums.  For CFs with a slowly decaying oscillatory tail (the uniform
-family's sinc) the ``oscillation`` hint switches the part beyond
-xi = 1 to integration between consecutive zeros with
-repeated-averaging (Euler) acceleration, accurate to ~1e-11 even at
+family's sinc) the ``oscillation`` hint switches the part beyond the
+first zero at or past xi = 1 to integration between consecutive zeros
+with repeated-averaging (Euler) acceleration, accurate to ~1e-11 even at
 Re(gamma) close to 1.  Whenever any order's error estimate exceeds
 1e-7 a :class:`QuadratureError` naming that order is raised.  An order
 outside an operator's strip of real parts raises :class:`StripError`
@@ -125,11 +125,11 @@ def rl_integral_at_zero(
 
         (1 / Gamma(gamma)) * int_0^inf  xi^(gamma-1) cf(-s xi) d xi
 
-    The engine splits at xi = 1: the inner part handles the
-    xi^(gamma-1) endpoint singularity, the outer part the decay of the
-    CF (with the ``oscillation`` hint when the tail rings).  Raises
-    :class:`QuadratureError` when the error estimate of any returned
-    value exceeds 1e-7.
+    The engine splits at xi = 1 (at the first zero past it with the
+    ``oscillation`` hint, when the tail rings): the inner part handles
+    the xi^(gamma-1) endpoint singularity, the outer part the decay of
+    the CF.  Raises :class:`QuadratureError` when the error estimate of
+    any returned value exceeds 1e-7.
     """
     g = as_orders(gamma)
     _UNIT.require(g.real, "Re(gamma)", "fractional-integral")
@@ -230,19 +230,20 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     Returns the rows ``rl_integral_plus``, ``rl_integral_minus``,
     ``marchaud_plus``, ``marchaud_minus``, ``riesz_derivative``,
     ``riesz_integral`` and ``mellin_two_path``, each the maximum over
-    the nodes of |got - want| / (1 + |want|).  The oracle is the pair
-    of :func:`~fracmom.moments.half_line_integrals` passes of ``spec``
-    at u^(-gamma) and u^(+gamma), which read its density and support
-    and refuse a density whose mass they miss; each signed and absolute
-    moment drawn from them must meet 1e-9.
-    Each operator integral (J_+, J_-, and the Marchaud K_+, K_-) is
-    integrated once and must meet the operators' 1e-7.  The Riesz rows combine the one-sided values, and
-    ``mellin_two_path`` compares J_- with Gamma(gamma) times the
-    fractional integral made from it.  A missed target raises
-    :class:`QuadratureError`.  The oracle needs both E|X|^(-rho) and
-    E|X|^(+rho), and the operators 0 < rho < 1, so ``rho`` outside the
-    moment strip, its mirror image and (0, 1) raises
-    :class:`StripError` before any quadrature.
+    the nodes of |got - want| / (1 + |want|).  The oracle is one
+    :func:`~fracmom.moments.half_line_integrals` pass of ``spec`` over
+    the orders gamma and -gamma (u^(-gamma) and u^(+gamma)), which reads
+    its density and support once and refuses a density whose mass it
+    misses; each signed and absolute moment drawn from it must meet
+    1e-9, and a miss names the order integrated.  Each operator
+    integral (J_+, J_-, and the Marchaud K_+, K_-) is integrated once
+    and must meet the operators' 1e-7.  The Riesz rows combine the
+    one-sided values, and ``mellin_two_path`` compares J_- with
+    Gamma(gamma) times the fractional integral made from it.  A missed
+    target raises :class:`QuadratureError`.  The oracle needs both
+    E|X|^(-rho) and E|X|^(+rho), and the operators 0 < rho < 1, so
+    ``rho`` outside the moment strip, its mirror image and (0, 1)
+    raises :class:`StripError` before any quadrature.
     """
     strip = spec.moment_strip
     strip.intersect(-strip).intersect(_UNIT).require(
@@ -251,20 +252,21 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     osc = spec.record.oscillation(spec.params)
     g = params.nodes()
 
-    # Independent oracle: quadrature of the density.  The half-line
-    # integrals of u^(-g) and u^(+g) give all four signed moments and
-    # both absolute ones; none of their error estimates is dropped.
-    below = half_line_integrals(spec, g)
-    above = half_line_integrals(spec, -g)
+    # Independent oracle: quadrature of the density, one pass over the
+    # orders g and -g.  Its half-line integrals of u^(-g) and u^(+g)
+    # give all four signed moments and both absolute ones; none of
+    # their error estimates is dropped.
+    both = np.concatenate([g, -g])
+    halves = half_line_integrals(spec, both)
 
-    def oracle(estimate: Estimate) -> np.ndarray:
-        require(estimate, MOMENT_TOL, "moment quadrature", g)
-        return estimate.value
+    def oracle(estimate: Estimate) -> tuple[np.ndarray, np.ndarray]:
+        require(estimate, MOMENT_TOL, "moment quadrature", both)
+        return np.split(estimate.value, 2)
 
-    mom = {side: oracle(below.signed(g, side)) for side in _SIDES}
-    dmom = {side: oracle(above.signed(-g, side)) for side in _SIDES}
-    abs_plus = oracle(above.absolute())  # E|X|^g
-    abs_minus = oracle(below.absolute())  # E|X|^(-g)
+    mom, dmom = {}, {}
+    for side in _SIDES:
+        mom[side], dmom[side] = oracle(halves.signed(both, side))
+    abs_minus, abs_plus = oracle(halves.absolute())  # E|X|^(-g), E|X|^g
 
     mellin = {side: mirrored_integral(cf, side, 1.0 - g, 0.0, math.inf, oscillation=osc)
               for side in _SIDES}

@@ -178,37 +178,30 @@ class HalfLineIntegrals(NamedTuple):
         )
 
 
-def power_integral(f: Callable[[np.ndarray], np.ndarray], gamma, a: float, b: float,
-                   *, oscillation: float | None = None) -> Estimate:
-    """int_a^b u^(-gamma) f(u) du for every order in ``gamma`` (a scalar
-    or an array), ``0 <= a < b <= inf``, in one engine call; ``f`` is
-    called on arrays of abscissae, and ``oscillation`` is handed to
-    :func:`~fracmom.quadrature.integrate`.  An empty range (``b <= a``)
-    gives zeros with zero error.
+def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], side: str, gamma,
+                      a: float, b: float, *, oscillation: float | None = None) -> Estimate:
+    """int_a^b u^(-gamma) f(-s u) du, s = +1 (``"plus"``) or -1
+    (``"minus"``), for every order in ``gamma`` (a scalar or an array),
+    ``0 <= a < b <= inf``, in one engine call: the half-line integral of
+    the densities here and of every fractional operator in
+    :mod:`fracmom.fracops`.  ``f`` is called on arrays of abscissae, and
+    ``oscillation`` is handed to :func:`~fracmom.quadrature.integrate`.
+    An empty range (``b <= a``) gives zeros with zero error.
     """
+    s = sign_value(side)
     g = np.asarray(gamma, dtype=complex)
     if not b > a:
         return Estimate(np.zeros(g.shape, dtype=complex), np.zeros(g.shape))
 
     def integrand(u):
-        values = f(u)
-        # far out in Re gamma the power overflows near u = 0; the
-        # resulting non-finite estimate is reported by ``require``
-        with np.errstate(over="ignore", invalid="ignore"):
+        values = f(-s * u)
+        # far out in Re gamma the power overflows near u = 0, and below
+        # a subnormal end u rounds to 0; the resulting non-finite
+        # estimate is reported by ``require``
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return np.exp(np.multiply.outer(-g, np.log(u))) * values
 
     return integrate(integrand, a, b, oscillation=oscillation)
-
-
-def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], side: str, gamma,
-                      a: float, b: float, *, oscillation: float | None = None) -> Estimate:
-    """int_a^b u^(-gamma) f(-s u) du, s = +1 (``"plus"``) or -1
-    (``"minus"``): the :func:`power_integral` of ``f`` on the half-line
-    that ``side`` selects, for the densities here and for every
-    fractional operator integral in :mod:`fracmom.fracops`.
-    """
-    s = sign_value(side)
-    return power_integral(lambda u: f(-s * u), gamma, a, b, oscillation=oscillation)
 
 
 def half_line_integrals(spec: DistributionSpec, gamma) -> HalfLineIntegrals:

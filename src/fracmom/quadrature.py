@@ -32,9 +32,18 @@ adaptive bisection replaced by a fixed geometric layout:
   increments are smaller.  QUADPACK's ``qelg`` (Piessens et al.,
   1983) takes its candidates from the newest diagonal of the table
   only, each built from the latest sums; here the whole table is
-  formed at once, and the tail rule stands in for that.  A row whose
-  last panel sums have reached roundoff keeps its plain partial sum
-  and skips extrapolation.
+  formed at once, and the tail rule stands in for that, together
+  with a reach rule: with D_n the last increment and D_(n-1) the one
+  before, a geometric tail reaches D_n / (1 - D_n/D_(n-1)) past the
+  last sum s_n, and its remainder is below that reach, so an entry
+  farther from s_n than twice the reach plus the plain estimate is no
+  candidate either.  That refuses an extrapolation of an early stretch
+  of sums that converges geometrically toward the wrong limit (a CF
+  that hardly moves before it decays far out).  A flat bound, a
+  multiple of the plain estimate, would not do: a slow geometric tail
+  (Re gamma near 0, or near 1 for a Marchaud order) lies far from its
+  last sum.  A row whose last panel sums have reached roundoff keeps
+  its plain partial sum and skips extrapolation.
 
 The estimate per row is the chosen candidate's differences, plus the
 Gauss-Kronrod estimates of all panels, plus a roundoff floor of
@@ -49,9 +58,12 @@ the quadrature moments check the density's mass as well.
 
 For integrands that ring without decaying fast (the sinc CF of the
 uniform law, the never-decaying CF of a point mass) an ``oscillation``
-frequency switches the infinite part to integration between
-consecutive zeros — 64 pieces of 24-point Gauss-Legendre, all in one
-call — with repeated (Euler) averaging of the alternating partial sums.
+frequency moves the split of ``[a, inf)`` from ``max(a, 1)`` to the
+oscillation's first zero at or past it: the panels run up to that zero,
+and beyond it the integral is taken between consecutive zeros — 64
+pieces of 24-point Gauss-Legendre, all in one call — with repeated
+(Euler) averaging of the alternating partial sums.  Each stretch thus
+has one rule with an error estimate.
 """
 
 from __future__ import annotations
@@ -135,9 +147,10 @@ def integrate(
 
     ``f`` maps a 1-D array of abscissae to an array of shape
     ``(..., x.size)``; the result holds arrays of shape ``(...)``.
-    With ``oscillation`` set, the part beyond ``max(a, 1)`` of an
-    infinite interval is integrated between the zeros of an oscillation
-    at that angular frequency instead of over doubling panels.
+    With ``oscillation`` set, an infinite interval is split at the first
+    zero at or past ``max(a, 1)`` of an oscillation at that angular
+    frequency, and the part beyond it is integrated between the zeros
+    instead of over doubling panels.
     """
     if not 0.0 <= a < b:
         raise ValueError(f"need 0 <= a < b, got [{a}, {b}]")
@@ -145,10 +158,13 @@ def integrate(
         return _panel_sequence(f, a, b)
     split = max(a, 1.0)
     if oscillation is not None:
+        # panels up to the first zero at or past the split, and the
+        # zero-to-zero pieces from there
+        split = math.ceil(split * oscillation / math.pi - 1e-12) * (math.pi / oscillation)
         tail = _oscillatory(f, split, oscillation)
     else:
         tail = _panel_sequence(f, split, math.inf)
-    if split == a:
+    if split <= a:
         return tail
     head = _panel_sequence(f, a, split)
     return Estimate(head.value + tail.value, head.error + tail.error)
@@ -252,6 +268,13 @@ def _wynn(sums, value, error, pending):
     cand[:, np.logical_or.accumulate(grows[:, ::-1], axis=1)[:, ::-1]] = np.inf
     cand = cand.transpose(1, 0, 2).reshape(rows, -1)
     res = res.transpose(1, 0, 2).reshape(rows, -1)
+    # nor is an entry farther from the last sum than the plain estimate
+    # plus twice the reach of a geometric tail with the last two
+    # increments; that tail's remainder is below one reach
+    last, prev = inc[:, -1:], inc[:, -2:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(last < prev, last / (1.0 - last / prev), np.inf)
+    cand[~(np.abs(res - value[:, None]) <= 2.0 * reach + error[:, None])] = np.inf
     pick = np.argmin(cand, axis=1)
     at = np.arange(rows)
     better = pending & (cand[at, pick] < error)
@@ -266,30 +289,26 @@ def _wynn(sums, value, error, pending):
 # ----------------------------------------------------------------------
 
 
-def _oscillatory(f: Integrand, start: float, freq: float) -> Estimate:
-    """Integrate over [start, inf) for an integrand ringing at ``freq``.
+def _oscillatory(f: Integrand, zero: float, freq: float) -> Estimate:
+    """Integrate over [zero, inf) for an integrand ringing at ``freq``,
+    starting at one of the oscillation's zeros.
 
     The axis is cut at the oscillation's sign-change points (spacing
     pi/freq); piece integrals form an alternating sequence whose
     partial sums are accelerated by repeated averaging.  The spread of
     the last averaging pair serves as the error estimate.
     """
-    half = math.pi / freq
-    z0 = math.ceil(start * freq / math.pi - 1e-12) * half
-    edges = z0 + half * np.arange(_OSC_PIECES + 1.0)
-    if z0 > start:
-        edges = np.concatenate([[start], edges])
+    edges = zero + math.pi / freq * np.arange(_OSC_PIECES + 1.0)
     lo, hi = edges[:-1], edges[1:]
     mid, width = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = (mid[:, None] + width[:, None] * _OSC_NODES).ravel()
 
     y = np.asarray(f(x))
     lead = y.shape[:-1]
-    pieces = y.reshape(-1, lo.size, _OSC_NODES.size) @ _OSC_WEIGHTS * width
-    head = pieces[:, 0] if z0 > start else 0.0
-    s = np.cumsum(pieces[:, lo.size - _OSC_PIECES:], axis=1)
+    pieces = y.reshape(-1, _OSC_PIECES, _OSC_NODES.size) @ _OSC_WEIGHTS * width
+    s = np.cumsum(pieces, axis=1)
     while s.shape[1] > 2:
         s = 0.5 * (s[:, 1:] + s[:, :-1])
     spread = np.abs(s[:, 1] - s[:, 0])
-    value = head + 0.5 * (s[:, 1] + s[:, 0])
+    value = 0.5 * (s[:, 1] + s[:, 0])
     return Estimate(value.reshape(lead), spread.reshape(lead))

@@ -6,16 +6,19 @@ and bit-identical results whether a grid is built in-process or passed
 back in through ``--grid-in``.
 """
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fracmom
 from fracmom.cli import _parse_range, main
@@ -468,6 +471,25 @@ def test_verify_cauchy_table(capsys):
     assert out.count("PASS") == 7
 
 
+@pytest.mark.parametrize("argv", [
+    # a CF that decays only at 1/sigma: Wynn used to extrapolate the
+    # panel sums before it
+    "--family rayleigh --param sigma=1e-6",
+    # a sinc whose first zero lies far past 1: an unestimated head piece
+    # used to reach it
+    "--family uniform --param a=0.01",
+    # slow geometric tails lie far from their last sum: a bound on Wynn's
+    # reach by a flat multiple of the plain estimate refused these
+    "--family gaussian --rho 0.01", "--family gaussian --rho 0.99",
+    "--family uniform --rho 0.01", "--family uniform --rho 0.99",
+    "--family cauchy --rho 0.01",
+])
+def test_verify_passes_every_row(argv, capsys):
+    code, out, err = _run(["verify", *argv.split()], capsys)
+    assert (code, err) == (0, "")
+    assert out.count("PASS") == 7
+
+
 def test_verify_keeps_every_oracle_estimate(capsys):
     """No quadrature in verify may warn and carry on: every oracle and
     operator estimate is checked against its target instead."""
@@ -876,3 +898,66 @@ def test_foreign_exception_is_one_line_exit_three(monkeypatch, capsys, caplog):
     [record] = [r for r in caplog.records if r.exc_info]
     assert record.levelno == logging.DEBUG
     assert record.exc_info[0] is RuntimeError
+
+
+# ----------------------------------------------------------------------
+# any input
+# ----------------------------------------------------------------------
+
+_FAMILY_PARAMS = {"uniform": ("a",), "rayleigh": ("sigma",), "cauchy": (),
+                  "levy": (), "gaussian": ("mu", "sigma")}
+_COMMANDS = {"moments-closed": ["moments", "--method", "closed"],
+             "moments-quad": ["moments", "--method", "quad"],
+             "reconstruct-cf": ["reconstruct-cf"], "reconstruct-pdf": ["reconstruct-pdf"],
+             "verify": ["verify"]}
+
+
+def _magnitudes():
+    return st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    family = draw(st.sampled_from(FAMILIES))
+    argv = [*_COMMANDS[command], "--family", family]
+    for key in _FAMILY_PARAMS[family]:
+        value = draw(_magnitudes())
+        if key == "mu":
+            value *= draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        argv += ["--param", f"{key}={value!r}"]
+    argv += ["--rho", repr(draw(st.floats(min_value=0.01, max_value=0.99))),
+             "--delta", repr(draw(st.floats(min_value=-3.0, max_value=1.0).map(
+                 lambda e: 10.0**e))),
+             "--m", str(draw(st.integers(min_value=1, max_value=3)))]
+    if command.startswith("reconstruct"):
+        lo = draw(st.sampled_from([-1.0, 1.0])) * draw(_magnitudes())
+        hi = lo + abs(lo) * draw(st.floats(min_value=-3.0, max_value=1.0).map(
+            lambda e: 10.0**e))
+        argv += [f"--range={lo!r}:{hi!r}:3"]
+    return argv
+
+
+@given(_cli_calls())
+# rayleigh sigma**2 past double range (exit 3)
+@example(["reconstruct-pdf", "--family", "rayleigh", "--param", "sigma=1.5e154",
+          "--range", "1:2:3"])
+@example(["verify", "--family", "rayleigh", "--param", "sigma=1.5e154"])
+# rayleigh sigma**2 rounded to 0 (nan with exit 0, two warnings)
+@example(["reconstruct-pdf", "--family", "rayleigh", "--param", "sigma=9.78e-300",
+          "--range", "1e-300:2e-300:3"])
+# a gaussian CF warning before the typed failure line
+@example(["verify", "--family", "gaussian", "--param", "mu=-7e300", "--param", "sigma=4e-20"])
+# a subnormal support end, whose halving panels reach u = 0
+@example(["moments", "--method", "quad", "--family", "uniform", "--param", "a=1e-320"])
+@settings(max_examples=40, deadline=None)
+def test_no_internal_error_on_any_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 0:
+        assert "nan" not in out.getvalue()
+    else:
+        assert len(err.getvalue().splitlines()) == 1

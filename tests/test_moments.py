@@ -36,9 +36,9 @@ from fracmom.moments import (
     GridParams,
     MomentGrid,
     make_grid,
+    mirrored_integral,
     moment_monte_carlo,
     moment_quadrature,
-    power_integral,
     read_grid_csv,
     suggest_truncation,
     working_strip,
@@ -623,7 +623,9 @@ def test_density_mass_past_the_panels_is_refused():
     assert info.value.achieved == pytest.approx(1.0)
 
 
-# orders on both sides of the origin, with and without an imaginary part
+# The power integral int_a^b u^(-g) f(u) du is the "minus" side of
+# mirrored_integral, which evaluates f at u itself.  Its orders lie on
+# both sides of the origin, with and without an imaginary part.
 _POWER_ORDERS = np.array([0.3, 0.5 + 2j, -1.5 + 0.7j, 2.5 - 1j])
 
 
@@ -631,7 +633,7 @@ _POWER_ORDERS = np.array([0.3, 0.5 + 2j, -1.5 + 0.7j, 2.5 - 1j])
 def test_power_integral_against_incomplete_gamma(a, b):
     """int_a^b u^(-g) e^(-u) du is the incomplete gamma function
     Gamma(1 - g, a) - Gamma(1 - g, b), in mpmath at 30 digits."""
-    got = power_integral(lambda u: np.exp(-u), _POWER_ORDERS, a, b)
+    got = mirrored_integral(lambda u: np.exp(-u), "minus", _POWER_ORDERS, a, b)
     with mpmath.workdps(30):
         want = np.array([complex(mpmath.gammainc(1 - mpmath.mpc(g), a, b))
                          for g in _POWER_ORDERS])
@@ -642,8 +644,8 @@ def test_power_integral_against_incomplete_gamma(a, b):
 def test_power_integral_array_equals_per_order_calls():
     f = lambda u: np.exp(-u) * np.cos(u)  # noqa: E731
     for a, b in ((0.0, 1.0), (0.5, 3.0), (1.0, math.inf), (0.0, math.inf)):
-        whole = power_integral(f, _POWER_ORDERS, a, b)
-        each = [power_integral(f, g, a, b) for g in _POWER_ORDERS]
+        whole = mirrored_integral(f, "minus", _POWER_ORDERS, a, b)
+        each = [mirrored_integral(f, "minus", g, a, b) for g in _POWER_ORDERS]
         for got, want in zip(whole, zip(*each)):
             assert np.array_equal(got, np.array(want))
 
@@ -653,10 +655,10 @@ def test_power_integral_empty_range_is_zero(a, b):
     def never(u):
         raise AssertionError("integrand evaluated")
 
-    value, error = power_integral(never, _POWER_ORDERS, a, b)
+    value, error = mirrored_integral(never, "minus", _POWER_ORDERS, a, b)
     assert value.dtype == complex and value.shape == error.shape == (4,)
     assert not value.any() and not error.any()
-    assert power_integral(never, 0.5, a, b) == (0j, 0.0)
+    assert mirrored_integral(never, "minus", 0.5, a, b) == (0j, 0.0)
 
 
 def test_moment_quadrature_plus_minus_conjugation():
