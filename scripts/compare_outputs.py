@@ -16,11 +16,14 @@ by one command can be read by a later one.  The corpus:
 * ``reconstruct-cf`` and ``reconstruct-pdf`` curves with their summary
   lines, one of them from a grid CSV, and a levy density out to
   |Im gamma| = 520;
-* a Monte Carlo grid of 62 sample blocks at m = 10, which on a host
-  with more than one CPU is computed in two processes;
+* Monte Carlo grids of 62 sample blocks at m = 10, cauchy and levy
+  (whose sampler forms two arrays per draw), which on a host with more
+  than one CPU are computed in two processes, and a cauchy density
+  rebuilt from a Monte Carlo grid;
 * rayleigh densities at scales 1e200 and 9.78e-300, whose square
-  leaves double range, and a rayleigh quadrature grid at scale 0.01,
-  whose mass lies in a few of the panels;
+  leaves double range, and at 1e-310, where x/sigma^2 does; and a
+  rayleigh quadrature grid at scale 0.01, whose mass lies in a few of
+  the panels;
 * ``figures`` and its CSVs;
 * argvs that must fail with one ``error:`` line, and a quadrature grid
   of a density past the panels' reach, which must fail with one
@@ -91,17 +94,23 @@ def corpus() -> list[tuple[str, list[str]]]:
                                "--out", "cf-grid-in.csv"]))
     # blocks of samples split across processes: about 0.1 s of work, well
     # above the share that pays for a fork
-    out.append(("moments-cauchy-mc-blocks",
-                ["moments", "--family", "cauchy", "--method", "mc", "--m", "10",
-                 "--n-samples", "500000", "--seed", "2",
-                 "--out", "moments-cauchy-mc-blocks.csv"]))
+    for fam in ("cauchy", "levy"):
+        out.append((f"moments-{fam}-mc-blocks",
+                    ["moments", "--family", fam, "--method", "mc", "--m", "10",
+                     "--n-samples", "500000", "--seed", "2",
+                     "--out", f"moments-{fam}-mc-blocks.csv"]))
+    out.append(("pdf-cauchy-mc", ["reconstruct-pdf", "--family", "cauchy", "--method", "mc",
+                                  "--n-samples", "50000", "--seed", "3", "--m", "10",
+                                  "--range", "-6:6:121", "--out", "pdf-cauchy-mc.csv"]))
     # past |Im gamma| ~ 451, where a per-node PDF kernel leaves double range
     out.append(("pdf-levy-reach", ["reconstruct-pdf", "--family", "levy", "--rho", "0.9",
                                    "--m", "1300", "--delta", "0.4",
                                    "--out", "pdf-levy-reach.csv"]))
-    # rayleigh scales whose square leaves double range
+    # rayleigh scales whose square leaves double range, and one where
+    # x/sigma^2 does at points of a finite density
     for label, sigma, points in (("large", "1e200", "1:2:3"),
-                                 ("small", "9.78e-300", "1e-300:2e-300:3")):
+                                 ("small", "9.78e-300", "1e-300:2e-300:3"),
+                                 ("tiny", "1e-310", "2e-309:3e-309:3")):
         out.append((f"pdf-rayleigh-{label}-scale",
                     ["reconstruct-pdf", "--family", "rayleigh", "--param",
                      f"sigma={sigma}", "--range", points]))

@@ -32,10 +32,11 @@ line.  ``verify``
 needs rho inside the family's moment strip, its mirror image and
 (0, 1), because its oracle integrates the density at u^(-gamma) and
 u^(+gamma).
-``--m`` is at most 10^4 and ``--n-samples`` at most 10^7 (drawing takes
-8-16 bytes per sample; the Monte Carlo estimator adds about 1 MB of
-block buffers per process, whatever the sample count, and runs up to
-two processes; the bytes written do not depend on the CPU count).
+``--m`` is at most 10^4 and ``--n-samples`` at most 10^7 (the Monte
+Carlo estimator draws each block of 8192 samples where it estimates
+it, so it holds about 1 MB of block buffers per process, whatever the
+sample count, and runs up to two processes; the bytes written do not
+depend on the CPU count).
 
 Exit codes: 0 success, 1 argument/configuration problems (a path named
 by ``--out``/``--out-dir`` that cannot be written included) or a stdout
@@ -60,7 +61,7 @@ import math
 import os
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,6 @@ from .distributions import (
     FAMILIES,
     DistributionSpec,
     exact_cf,
-    sample,
     spec_from_config,
 )
 from .errors import ArgumentError, FracmomError, QuadratureError
@@ -131,6 +131,10 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
+# one parser per process, for callers that run many commands in one
+# (perfbench does): parsing leaves it unchanged, since every flag that
+# can repeat copies its default
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fracmom", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -292,11 +296,8 @@ def _require_spec(args) -> DistributionSpec:
 
 
 def _build_grid(args, spec: DistributionSpec, params: GridParams) -> MomentGrid:
-    method = _METHODS[_flag(args, "method")]
-    samples = None
-    if method == "monte_carlo":
-        samples = sample(spec, _flag(args, "n_samples"), seed=_flag(args, "seed"))
-    return make_grid(spec, params, method, samples=samples)
+    return make_grid(spec, params, _METHODS[_flag(args, "method")],
+                     n_samples=_flag(args, "n_samples"), seed=_flag(args, "seed"))
 
 
 def _cmd_moments(args) -> int:

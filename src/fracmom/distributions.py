@@ -168,11 +168,16 @@ class Family:
 def _rayleigh_pdf(p, x):
     # in units of sigma, so no power of sigma leaves double range; where
     # exp(-z^2/2) has underflowed the density is 0, and z/sigma is not
-    # formed there, since its overflow would give inf*0 = NaN
+    # formed there, since its overflow would give inf*0 = NaN.  Below
+    # sigma ~ 2e-307 z/sigma can overflow where the density is finite,
+    # and there sigma divides the product with the tail instead
     z = x / p["sigma"]
     tail = np.exp(-0.5 * z * z)
     live = (z > 0.0) & (tail > 0.0)
-    return np.where(live, np.where(live, z, 0.0) / p["sigma"] * tail, 0.0)
+    z = np.where(live, z, 0.0)
+    ratio = z / p["sigma"]
+    return np.where(live, np.where(np.isfinite(ratio), ratio * tail,
+                                   z * tail / p["sigma"]), 0.0)
 
 
 def _levy_pdf(p, x):
@@ -718,18 +723,58 @@ def closed_form_moment(spec: DistributionSpec, gamma, sign: str):
 # ----------------------------------------------------------------------
 
 
-# Largest sample size: drawing takes 8-16 bytes per sample, so 0.08-0.16
-# GB at the cap; the Monte Carlo estimator adds only block buffers.
+# Largest sample size.  Nothing sample-length is held while the Monte
+# Carlo estimator draws, so its memory does not grow with n; only
+# :func:`sample` returns an array of n doubles (80 MB at the cap).
 _N_CAP = 10_000_000
 
+# draws per block: :func:`sample_blocks` draws one block at a time, and
+# the Monte Carlo estimator in :mod:`fracmom.moments` estimates one
+# block at a time, so a block's branch, powers and centred copy stay in
+# cache
+SAMPLE_BLOCK = 1 << 13
 
-def sample(spec: DistributionSpec, n: int, seed: int | None = None) -> np.ndarray:
-    """Draw ``n`` i.i.d. variates, 1 <= n <= 10^7; deterministic for a
-    fixed seed."""
+
+def sample_blocks(spec: DistributionSpec, n: int,
+                  seed: int | None = None) -> Callable[[int], np.ndarray]:
+    """The ``n`` draws of :func:`sample` as a block source: ``take(b)``
+    gives draws ``b * SAMPLE_BLOCK`` to ``(b + 1) * SAMPLE_BLOCK - 1``
+    (fewer in the last block) of one ``np.random.default_rng(seed)``.
+
+    The blocks must be taken in increasing order; a block that is
+    skipped is drawn and dropped, so every block holds the same draws
+    whichever blocks were taken before it.  A forked process inherits
+    the generator where its parent left it.  ``n`` and ``seed`` are
+    checked here, before anything is drawn.
+    """
     if n < 1:
         raise ArgumentError("sample size must be >= 1")
     if n > _N_CAP:
         raise ArgumentError(f"sample size must be <= {_N_CAP}, got {n}")
     if seed is not None and seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
-    return spec.record.sample(spec.params, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    drawn = 0  # blocks drawn so far
+
+    def take(b: int) -> np.ndarray:
+        nonlocal drawn
+        while True:
+            size = min(SAMPLE_BLOCK, n - drawn * SAMPLE_BLOCK)
+            block = spec.record.sample(spec.params, rng, size)
+            drawn += 1
+            if drawn > b:
+                return block
+
+    return take
+
+
+def sample(spec: DistributionSpec, n: int, seed: int | None = None) -> np.ndarray:
+    """Draw ``n`` i.i.d. variates, 1 <= n <= 10^7; deterministic for a
+    fixed seed.  The draws are the blocks of :func:`sample_blocks` in
+    order, so the Monte Carlo grid of a seed is the estimate on this
+    array."""
+    take = sample_blocks(spec, n, seed)
+    out = np.empty(n)
+    for b in range(-(-n // SAMPLE_BLOCK)):
+        out[b * SAMPLE_BLOCK : (b + 1) * SAMPLE_BLOCK] = take(b)
+    return out

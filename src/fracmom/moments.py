@@ -26,10 +26,12 @@ import numpy as np
 
 from ._forkjoin import fork_join
 from .distributions import (
+    SAMPLE_BLOCK,
     DistributionSpec,
     FundamentalStrip,
     closed_form_moment,
     exact_pdf,
+    sample_blocks,
 )
 from .errors import (
     AllSamplesDegenerateError,
@@ -54,10 +56,6 @@ GRID_METHODS = ("closed_form", "quadrature", "monte_carlo")
 # the largest grid half-width: GridParams rejects a larger m, and the
 # truncation search answers capped here
 _M_CAP = 10_000
-
-# nonzero samples per block of the Monte Carlo estimator: a block's
-# branch, step, running power and centred copy stay in cache
-_BLOCK = 1 << 13
 
 # nodes per run of the Monte Carlo node ladder: one exact power, then a
 # step per node
@@ -268,58 +266,73 @@ class MonteCarloMoment(NamedTuple):
     dropped: int
 
 
-def _block_moments(xs: np.ndarray, sign: str, count: int, powers):
+def _block_moments(take: Callable[[int], np.ndarray], blocks: int, sign: str,
+                   count: int, powers):
     # per-order mean and standard error of the per-sample powers that
     # ``powers(branch)`` yields for one block's branch Log(s i x), as
-    # (order index, powers) pairs, one block of samples at a time, and
-    # the number of processes the blocks ran in.  Within a block the sum
-    # of squares is two-pass, centred on the block's mean.  A block's
-    # statistics depend on that block alone, so the blocks are computed
-    # by :func:`~fracmom._forkjoin.fork_join` and merged in block order
+    # (order index, powers) pairs, over the blocks take(0) ..
+    # take(blocks - 1) of samples; then the samples used, the zeros
+    # dropped and the number of processes the blocks ran in.  Each block
+    # is checked to be finite and loses its exact zeros, and within it
+    # the sum of squares is two-pass, centred on the block's mean.  A
+    # block's statistics depend on that block alone, so the blocks are
+    # computed by :func:`~fracmom._forkjoin.fork_join`, each process
+    # taking its blocks in increasing order, and merged in block order
     # by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37,
-    # 1983), on block means taken relative to the first block's and
-    # corrected by the sum of their centred powers, so a mean far larger
-    # than the spread costs no digits.  One block gives the full-array
-    # two-pass values.
-    n = xs.size
+    # 1983), on block means taken relative to the first nonempty
+    # block's and corrected by the sum of their centred powers, so a
+    # mean far larger than the spread costs no digits.  One block gives
+    # the full-array two-pass values.
 
     def block(b: int) -> bytes:
-        branch = signed_log(xs[b * _BLOCK : (b + 1) * _BLOCK], sign)
-        size = branch.size
+        raw = take(b)
+        # min and max carry any NaN, and need no block-length temporary
+        if not (math.isfinite(raw.min()) and math.isfinite(raw.max())):
+            raise ArgumentError("samples must be finite")
+        size = int(np.count_nonzero(raw))
         # rows: the block sums, the centred sums of squares (real) and
-        # the centred sums
+        # the centred sums; then the block's used and dropped counts
         stats = np.zeros((3, count), dtype=complex)
-        centred = np.empty(size, dtype=complex)
-        for j, power in powers(branch):
-            stats[0, j] = power.sum()
-            np.subtract(power, stats[0, j] / size, out=centred)
-            stats[1, j] = np.vdot(centred, centred).real
-            stats[2, j] = centred.sum()
-        return stats.tobytes()
+        if size:
+            branch = signed_log(raw if size == raw.size else raw[raw != 0.0], sign)
+            centred = np.empty(size, dtype=complex)
+            for j, power in powers(branch):
+                stats[0, j] = power.sum()
+                np.subtract(power, stats[0, j] / size, out=centred)
+                stats[1, j] = np.vdot(centred, centred).real
+                stats[2, j] = centred.sum()
+        return stats.tobytes() + np.array([size, raw.size - size], dtype=np.int64).tobytes()
 
     total = np.zeros(count, dtype=complex)
     first = mean = squares = None
+    used = dropped = 0
 
     def merge(b: int, frame: bytes) -> None:
-        nonlocal first, mean, squares
-        sums, block_squares, drift = np.frombuffer(frame, dtype=complex).reshape(3, count)
-        # every block but the last is full, so ``start`` samples are merged
-        start = b * _BLOCK
-        size = min(_BLOCK, n - start)
-        if b == 0:
+        nonlocal first, mean, squares, used, dropped
+        rows = np.frombuffer(frame, dtype=complex, count=3 * count)
+        sums, block_squares, drift = rows.reshape(3, count)
+        size, zeros = map(int, np.frombuffer(frame, dtype=np.int64, offset=rows.nbytes))
+        dropped += zeros
+        if not size:
+            return
+        if not used:
             first, mean, squares = sums / size, 0.0, 0.0
-        # the block's mean less the running mean, both relative to the
-        # first block's (for the first block, its drift alone)
+        # the block's mean less the running mean of the ``used`` samples
+        # merged so far, both relative to the first block's (for the
+        # first block, its drift alone)
         gap = (sums / size - first) + drift / size - mean
         squares = squares + block_squares.real + (gap.real**2 + gap.imag**2) * (
-            start * size / (start + size))
-        mean = mean + gap * (size / (start + size))
+            used * size / (used + size))
+        mean = mean + gap * (size / (used + size))
         np.add(total, sums, out=total)
+        used += size
 
-    processes = fork_join(-(-n // _BLOCK), block, merge)
-    value = total / n
-    stderr = np.sqrt(squares / (n - 1) / n) if n > 1 else np.full(count, math.inf)
-    return value, stderr, processes
+    processes = fork_join(blocks, block, merge)
+    if not used:
+        raise AllSamplesDegenerateError(f"all {dropped} samples are exactly zero")
+    value = total / used
+    stderr = np.sqrt(squares / (used - 1) / used) if used > 1 else np.full(count, math.inf)
+    return value, stderr, used, dropped, processes
 
 
 def _ladder(params: GridParams):
@@ -357,20 +370,23 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     mean, which for a plain average is the classical sqrt(Var/n); for a
     complex estimate the variance is taken as E|V - mean|^2.
 
-    Both paths run one block of 8192 nonzero samples at a time: the
-    branch Log(s i x) of :func:`~fracmom.special.signed_log` is formed
-    once per block, every order's powers of the block are summed and
-    their block-centred squares added, and the blocks are merged in
-    order by the exact pairwise update of Chan, Golub & LeVeque.  A grid
-    of at most 8192 nonzero samples gets the full-array two-pass mean
-    and standard error; a larger one differs from them by summation
-    order only.  When the blocks' work pays for a fork, one forked child
+    Both paths run one block of 8192 consecutive samples at a time
+    (:data:`~fracmom.distributions.SAMPLE_BLOCK`), with the block's
+    exact zeros dropped: the branch Log(s i x) of
+    :func:`~fracmom.special.signed_log` is formed once per block, every
+    order's powers of the block are summed and their block-centred
+    squares added, and the blocks are merged in order by the exact
+    pairwise update of Chan, Golub & LeVeque, on the samples each block
+    used.  Samples that fit in one block get the full-array two-pass
+    mean and standard error; more differ from them by summation order
+    only.  When the blocks' work pays for a fork, one forked child
     computes the odd blocks and the caller the even ones
     (:func:`~fracmom._forkjoin.fork_join`), and since each block's
     statistics depend on that block alone and the merge runs in block
     order, the result does not depend on the number of processes, bit
-    for bit.  For a contiguous float array of samples nothing
-    sample-length is allocated unless zeros are dropped, in any process.
+    for bit.  A block of a contiguous float array is a view, so nothing
+    sample-length is allocated, in any process.  :func:`make_grid`
+    runs the same estimator on blocks drawn where they are estimated.
 
     A scalar or array of orders takes the direct path: each order is one
     exact exponential of the branch
@@ -387,39 +403,39 @@ def moment_monte_carlo(samples, gamma, sign: str) -> MonteCarloMoment:
     zeros, nodes, exact exponentials, multiplies (a divide counts as
     one), blocks, processes and time.
     """
-    x = np.asarray(samples, dtype=float)
+    x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ArgumentError("samples must be nonempty")
-    # min and max carry any NaN, and need no sample-length temporary
-    if not (math.isfinite(x.min()) and math.isfinite(x.max())):
-        raise ArgumentError("samples must be finite")
-    n = int(np.count_nonzero(x))
-    if n == 0:
-        raise AllSamplesDegenerateError(
-            f"all {x.size} samples are exactly zero"
-        )
-    xs = x.ravel() if n == x.size else x[x != 0.0]
+    return _monte_carlo(lambda b: x[b * SAMPLE_BLOCK : (b + 1) * SAMPLE_BLOCK],
+                        x.size, gamma, sign)
+
+
+def _monte_carlo(take: Callable[[int], np.ndarray], n: int, gamma,
+                 sign: str) -> MonteCarloMoment:
+    # :func:`moment_monte_carlo` on the ``n`` samples of the blocks
+    # take(0), take(1), ...
+    blocks = -(-n // SAMPLE_BLOCK)
     if not isinstance(gamma, GridParams):
         orders = np.asarray(gamma, dtype=complex)
-        value, stderr, _ = _block_moments(xs, sign, orders.size, lambda branch: (
-            (i, branch_power(branch, -g)) for i, g in enumerate(orders.flat)))
+        value, stderr, _, dropped, _ = _block_moments(
+            take, blocks, sign, orders.size, lambda branch: (
+                (i, branch_power(branch, -g)) for i, g in enumerate(orders.flat)))
         if orders.ndim == 0:
-            return MonteCarloMoment(complex(value[0]), float(stderr[0]), x.size - n)
-        return MonteCarloMoment(value.reshape(orders.shape),
-                                stderr.reshape(orders.shape), x.size - n)
+            return MonteCarloMoment(complex(value[0]), float(stderr[0]), dropped)
+        return MonteCarloMoment(value.reshape(orders.shape), stderr.reshape(orders.shape),
+                                dropped)
     if gamma.sign != sign:
         raise ArgumentError(f"grid sign {gamma.sign!r} differs from sign {sign!r}")
     start = time.perf_counter()
     powers, anchors = _ladder(gamma)
     nodes = 2 * gamma.m + 1
-    value, stderr, processes = _block_moments(xs, sign, nodes, powers)
-    blocks = -(-n // _BLOCK)
+    value, stderr, used, dropped, processes = _block_moments(take, blocks, sign, nodes, powers)
     log.debug("monte carlo grid: %d samples used, %d zeros dropped, %d nodes, "
               "%d exact exponentials, %d ladder multiplies, %d block%s in %d process%s, "
-              "%.3f s", n, x.size - n, nodes, anchors + 1, nodes - anchors,
+              "%.3f s", used, dropped, nodes, anchors + 1, nodes - anchors,
               blocks, "" if blocks == 1 else "s", processes,
               "" if processes == 1 else "es", time.perf_counter() - start)
-    return MonteCarloMoment(value, stderr, x.size - n)
+    return MonteCarloMoment(value, stderr, dropped)
 
 
 def make_grid(
@@ -427,15 +443,21 @@ def make_grid(
     params: GridParams,
     method: str = "closed_form",
     *,
-    samples=None,
+    n_samples: int | None = None,
+    seed: int | None = None,
 ) -> MomentGrid:
     """Tabulate the moment grid of ``spec`` by one of the three estimators.
 
     ``rho`` must lie in :func:`working_strip` of ``spec``, which is
     checked before any moment is estimated.  The two deterministic
-    methods take the same arguments, ``(spec, nodes, sign)``.
-    ``samples`` is required for the ``monte_carlo`` method (where
-    :func:`moment_monte_carlo` checks them) and ignored otherwise.
+    methods take the same arguments, ``(spec, nodes, sign)``.  The
+    ``monte_carlo`` method needs ``n_samples`` (``seed`` is optional,
+    as for :func:`~fracmom.distributions.sample`; both are ignored by
+    the other methods).  It draws each 8192-sample block of
+    :func:`~fracmom.distributions.sample_blocks` where the block is
+    estimated, so no process holds more than one block of samples,
+    and its grid equals ``moment_monte_carlo(sample(spec, n_samples,
+    seed), params, params.sign)`` bit for bit.
     """
     if method not in GRID_METHODS:
         raise ArgumentError(
@@ -444,9 +466,10 @@ def make_grid(
     working_strip(spec).require(params.rho, "rho", "usable", spec.label())
 
     if method == "monte_carlo":
-        if samples is None:
-            raise ArgumentError("monte_carlo needs a samples array")
-        values = moment_monte_carlo(samples, params, params.sign).value
+        if n_samples is None:
+            raise ArgumentError("monte_carlo needs n_samples")
+        take = sample_blocks(spec, n_samples, seed)
+        values = _monte_carlo(take, n_samples, params, params.sign).value
     else:
         estimator = closed_form_moment if method == "closed_form" else moment_quadrature
         values = estimator(spec, params.nodes(), params.sign)

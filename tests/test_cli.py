@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fracmom
-from fracmom.cli import _parse_range, main
+from fracmom.cli import _build_parser, _parse_range, main
 from fracmom.distributions import FAMILIES, DistributionSpec
 from fracmom.errors import ArgumentError, StripError
 from fracmom.moments import suggest_truncation
@@ -847,6 +847,24 @@ def test_grid_in_rejects_the_grid_and_build_flags(flags, named, tmp_path, capsys
     code, stdout, _ = _run(["reconstruct-cf", "--grid-in", str(grid),
                             "--range", "0.5:3:6", "--out", str(out)], capsys)
     assert code == 0 and out.exists()
+
+
+def test_one_parser_serves_every_call_and_keeps_no_flag(tmp_path, capsys):
+    """The parser is built once per process; a flag passed to one call
+    reaches no later call, and --grid-in still rejects a grid flag that
+    an earlier call passed."""
+    assert _build_parser() is _build_parser()
+    for extra, params in ((["--param", "a=3"], '{"a": 3.0}'), ([], '{"a": 2.0}')):
+        code, out, _ = _run(["moments", "--family", "uniform", *extra, "--m", "1"], capsys)
+        assert code == 0 and f"# params: {params}\n" in out
+    grid = _cauchy_grid_csv(tmp_path, 0.4)
+    curve = ["--range", "0.5:3:6", "--out", str(tmp_path / "curve.csv")]
+    assert _run(["reconstruct-cf", "--family", "cauchy", "--m", "7", *curve], capsys)[0] == 0
+    assert _run(["reconstruct-cf", "--grid-in", str(grid), *curve], capsys)[0] == 0
+    code, out, err = _run(["reconstruct-cf", "--grid-in", str(grid), "--m", "7", *curve],
+                          capsys)
+    assert _one_error_line(code, out, err)
+    assert err == "error: --grid-in cannot be combined with --m\n"
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from fracmom import distributions
 from fracmom.distributions import (
     FAMILIES,
+    SAMPLE_BLOCK,
     DistributionSpec,
     FundamentalStrip,
     closed_form_moment,
@@ -27,6 +28,7 @@ from fracmom.distributions import (
     exact_pdf,
     make_spec,
     sample,
+    sample_blocks,
     spec_from_config,
 )
 from fracmom.errors import ArgumentError, DomainError, StripError
@@ -234,10 +236,14 @@ def _rayleigh_pdf_50_digits(sigma, x):
     (9.78e-300, [1e-300, 1.5e-300, 2e-300, 3.5e-298]),
     (1e-160, [1e-160, 1e-158, -1e-160]),
     (2.0, [1e-3, 0.7, 3.0, 70.0]),
+    (1.5e-307, [1.5e-306, 3e-306, 4.5e-306]),
+    (1e-310, [1e-309, 2e-309, 3e-309]),
+    (1e-320, [1e-319, 2e-319, 3e-319]),
 ])
 def test_rayleigh_pdf_at_extreme_scales(sigma, x):
     # sigma^2 leaves double range past about 1e154 and below about
-    # 1e-154; x/sigma does not
+    # 1e-154; x/sigma does not.  Below sigma ~ 2e-307, z/sigma can
+    # overflow where the density is finite (it read inf there)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = exact_pdf(make_spec("rayleigh", sigma=sigma), np.array(x))
@@ -661,6 +667,23 @@ def test_sample_size_is_checked_before_drawing(monkeypatch):
     for n in (0, 10_000_001, 10**20):
         with pytest.raises(ArgumentError, match="sample size must be"):
             sample(CAUCHY, n, seed=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 3 * SAMPLE_BLOCK + 5),
+       seed=st.integers(0, 2**32), skip=st.sets(st.integers(0, 3)))
+@example(family="levy", n=3 * SAMPLE_BLOCK + 5, seed=1, skip={0, 2})
+def test_sample_is_its_block_draws(family, n, seed, skip):
+    # the bytes of one draw of n, of the blocks in order, and of any
+    # block whatever blocks before it were skipped
+    spec = make_spec(family)
+    x = sample(spec, n, seed=seed)
+    assert x.tobytes() == spec.record.sample(spec.params, np.random.default_rng(seed),
+                                             n).tobytes()
+    take = sample_blocks(spec, n, seed=seed)
+    for b in range(-(-n // SAMPLE_BLOCK)):
+        if b not in skip:
+            assert take(b).tobytes() == x[b * SAMPLE_BLOCK : (b + 1) * SAMPLE_BLOCK].tobytes()
 
 
 def test_sample_support():

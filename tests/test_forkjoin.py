@@ -13,8 +13,8 @@ import pytest
 
 from fracmom import _forkjoin
 from fracmom._forkjoin import fork_join, process_count
-from fracmom.distributions import make_spec, sample
-from fracmom.moments import GridParams, moment_monte_carlo
+from fracmom.distributions import FAMILIES, SAMPLE_BLOCK, make_spec, sample
+from fracmom.moments import GridParams, make_grid, moment_monte_carlo
 
 CAUCHY = make_spec("cauchy")
 
@@ -103,6 +103,23 @@ def test_monte_carlo_in_two_processes_is_the_one_process_result(monkeypatch, for
     assert one.value.tobytes() == two.value.tobytes()
     assert one.stderr.tobytes() == two.stderr.tobytes()
     assert one.dropped == two.dropped == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [SAMPLE_BLOCK, 3 * SAMPLE_BLOCK + 5])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_drawn_grid_is_the_grid_of_the_sample(monkeypatch, forks, family, n, cpus):
+    # each process draws its blocks where it estimates them; one block
+    # forks nothing
+    spec = make_spec(family)
+    params = GridParams(rho=0.4, delta=0.3, m=12, sign="minus")
+    _pin_cpus(monkeypatch, 1)
+    want = moment_monte_carlo(sample(spec, n, seed=n), params, "minus")
+    _pin_cpus(monkeypatch, cpus)
+    grid = make_grid(spec, params, "monte_carlo", n_samples=n, seed=n)
+    assert len(forks) == (cpus - 1 if n > SAMPLE_BLOCK else 0)
+    _no_child_left()
+    assert grid.values.tobytes() == want.value.tobytes()
 
 
 @pytest.mark.parametrize("failure", ["raise", "exit", "short frame", "kill", "other length"])

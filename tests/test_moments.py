@@ -1,5 +1,6 @@
 """Grid construction, estimator agreement, CSV round-trip."""
 
+import dataclasses
 import functools
 import io
 import logging
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from fracmom import _forkjoin, cli, moments
+from fracmom import _forkjoin, cli, distributions, moments
 from fracmom.distributions import (
     FAMILIES,
     DistributionSpec,
@@ -193,17 +194,18 @@ def test_grid_value_conjugacy_for_symmetric_families():
 
 def test_make_grid_monte_carlo_path():
     gp = GridParams(rho=0.4, delta=0.4, m=2)
-    x = sample(CAUCHY, 100_000, seed=55)
-    g1 = make_grid(CAUCHY, gp, "monte_carlo", samples=x)
-    g2 = make_grid(CAUCHY, gp, "monte_carlo", samples=x)
+    g1 = make_grid(CAUCHY, gp, "monte_carlo", n_samples=100_000, seed=55)
+    g2 = make_grid(CAUCHY, gp, "monte_carlo", n_samples=100_000, seed=55)
     assert np.array_equal(g1.values, g2.values)
     gc = make_grid(CAUCHY, gp, "closed_form")
     assert np.max(np.abs(g1.values - gc.values)) < 0.05
-    with pytest.raises(ArgumentError):
-        make_grid(CAUCHY, gp, "monte_carlo")  # samples missing
-    # the emptiness rule is moment_monte_carlo's alone
-    with pytest.raises(ArgumentError, match="^samples must be nonempty$"):
-        make_grid(CAUCHY, gp, "monte_carlo", samples=[])
+    with pytest.raises(ArgumentError, match="^monte_carlo needs n_samples$"):
+        make_grid(CAUCHY, gp, "monte_carlo", seed=55)
+    # the size and seed rules are the sampler's alone
+    with pytest.raises(ArgumentError, match="^sample size must be >= 1$"):
+        make_grid(CAUCHY, gp, "monte_carlo", n_samples=0)
+    with pytest.raises(ArgumentError, match="^seed must be >= 0, got -1$"):
+        make_grid(CAUCHY, gp, "monte_carlo", n_samples=10, seed=-1)
 
 
 def test_monte_carlo_node_array_equals_scalar_calls():
@@ -215,11 +217,8 @@ def test_monte_carlo_node_array_equals_scalar_calls():
     for i, g in enumerate(gp.nodes()):
         one = moment_monte_carlo(x, g, "plus")
         assert est.value[i] == one.value and est.stderr[i] == one.stderr
-    grid = make_grid(RAYLEIGH, GridParams(0.4, 0.4, 3, "plus"),
-                     "monte_carlo", samples=x)
     ladder = moment_monte_carlo(x, GridParams(0.4, 0.4, 3, "plus"), "plus")
-    assert np.array_equal(grid.values, ladder.value)
-    assert np.all(np.abs(grid.values - est.value) <= 1e-12 * est.stderr)
+    assert np.all(np.abs(ladder.value - est.value) <= 1e-12 * est.stderr)
 
 
 def _two_pass(vals):
@@ -497,12 +496,21 @@ def test_monte_carlo_peak_does_not_grow_with_samples(path):
     assert peaks[1] - peaks[0] <= 16_384
 
 
+def test_a_drawn_monte_carlo_grid_holds_no_sample_array():
+    # levy's sampler forms two arrays per draw: 32 MB at 2e6 samples
+    # when the whole sample is drawn first
+    gp = GridParams(rho=0.4, delta=0.4, m=10)
+    peak = _traced_peak(lambda: make_grid(LEVY, gp, "monte_carlo", n_samples=2_000_000,
+                                          seed=1))
+    assert peak <= 2_000_000
+
+
 def test_monte_carlo_ladder_logs_its_cost(caplog, monkeypatch):
     # two CPUs, whatever the host has
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     x = np.concatenate([[0.0, 0.0], sample(LEVY, 1_000, seed=2)])
     with caplog.at_level(logging.DEBUG, logger="fracmom"):
-        make_grid(LEVY, GridParams(rho=0.4, delta=0.4, m=20), "monte_carlo", samples=x)
+        moment_monte_carlo(x, GridParams(rho=0.4, delta=0.4, m=20), "minus")
     lines = [r.getMessage() for r in caplog.records if r.name == "fracmom.moments"]
     assert len(lines) == 1
     # anchors at k = 0, 16, -1, -17 and the step; 41 - 4 ladder steps
@@ -532,7 +540,7 @@ def test_monte_carlo_grid_sign_must_match():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_monte_carlo_samples_must_be_finite(bad):
+def test_monte_carlo_samples_must_be_finite(monkeypatch, bad):
     # NaN used to give a NaN grid, and +/-inf NaN nodes on the ladder
     # where the direct path was finite
     x = np.array([1.0, bad, 2.0])
@@ -540,13 +548,26 @@ def test_monte_carlo_samples_must_be_finite(bad):
     for gamma in (gp, gp.nodes(), 0.4 + 0.4j):
         with pytest.raises(ArgumentError, match="^samples must be finite$"):
             moment_monte_carlo(x, gamma, "minus")
+    # a draw that is not finite stops a drawn grid the same way
+    monkeypatch.setitem(distributions._CATALOG, "cauchy", dataclasses.replace(
+        CAUCHY.record, sample=lambda p, rng, n: np.where(np.arange(n) == 1, bad, 1.0)))
     with pytest.raises(ArgumentError, match="^samples must be finite$"):
-        make_grid(CAUCHY, gp, "monte_carlo", samples=x)
+        make_grid(CAUCHY, gp, "monte_carlo", n_samples=3)
 
 
 def test_monte_carlo_degenerate_inputs():
-    with pytest.raises(AllSamplesDegenerateError):
+    with pytest.raises(ArgumentError, match="^samples must be nonempty$"):
+        moment_monte_carlo([], 0.5, "minus")
+    with pytest.raises(AllSamplesDegenerateError, match="^all 10 samples are exactly zero$"):
         moment_monte_carlo(np.zeros(10), 0.5, "minus")
+    with pytest.raises(AllSamplesDegenerateError, match="^all 24581 samples are exactly zero$"):
+        moment_monte_carlo(np.zeros(3 * 8192 + 5), GridParams(0.4, 0.4, 2), "minus")
+    # a block of zeros alone adds nothing but its count
+    x = sample(CAUCHY, 100, seed=4)
+    for gamma in (0.5, GridParams(0.4, 0.4, 2)):
+        est, want = (moment_monte_carlo(v, gamma, "minus") for v in (np.r_[np.zeros(8192), x], x))
+        assert np.array_equal(est.value, want.value) and np.array_equal(est.stderr, want.stderr)
+        assert (est.dropped, want.dropped) == (8192, 0)
     est = moment_monte_carlo(np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0]), 0.5, "minus")
     assert est.dropped == 2
     # four identical points: the estimate is the exact value
