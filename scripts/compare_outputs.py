@@ -11,8 +11,8 @@ by one command can be read by a later one.  The corpus:
   and a uniform law of half-width 0.01;
 * ``moments`` by closed form, quadrature and Monte Carlo, and two
   gaussian closed-form grids whose nodes the double-precision paths
-  decline: every node at mu/sigma = 30, and the nodes past
-  |Im gamma| ~ 300 on a wide grid;
+  decline: every node at mu/sigma = 30, most at mu/sigma = 10, and the
+  nodes past |Im gamma| ~ 300 on a wide grid;
 * ``reconstruct-cf`` and ``reconstruct-pdf`` curves with their summary
   lines, one of them from a grid CSV, and a levy density out to
   |Im gamma| = 520;
@@ -38,7 +38,14 @@ is 0 when every artifact is identical.  In a CSV row, each pair of
 number, whose deviation is relative to its modulus, so a small real or
 imaginary part does not magnify it; every other number counts alone.
 
+With ``--dispatch-floor`` the old tree runs a second time with NumPy's
+own switch ``NPY_DISABLE_CPU_FEATURES`` set to turn off its AVX2 and
+AVX-512 loops (AVX-512F itself stays on); it acts on NumPy's process
+only.  Each line then also gives, as ``floor:``, how far that rerun
+moved the artifact: the host-rounding floor beside the change.
+
     python scripts/compare_outputs.py OLD_TREE NEW_TREE
+    python scripts/compare_outputs.py --dispatch-floor OLD_TREE NEW_TREE
 """
 
 import argparse
@@ -57,6 +64,9 @@ FAMILIES = ("uniform", "rayleigh", "cauchy", "levy", "gaussian")
 _PDF_RANGES = {"rayleigh": "0.1:8:160", "levy": "0.1:8:160"}
 
 _MAIN = "import sys; from fracmom.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# the CPU features NumPy's dispatch skips in the floor rerun
+_DISPATCH_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 
 # a decimal number, inf or nan; the text between them is the skeleton
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
@@ -79,6 +89,7 @@ def corpus() -> list[tuple[str, list[str]]]:
                 argv += ["--n-samples", "20000", "--seed", "1"]
             out.append((f"moments-{fam}-{method}", argv))
     for label, extra in (("far-mean", ["--param", "sigma=0.0666", "--m", "20"]),
+                         ("mid-mean", ["--param", "mu=10", "--delta", "0.2", "--m", "100"]),
                          ("far-out", ["--m", "400", "--delta", "0.8"])):
         out.append((f"moments-gaussian-{label}",
                     ["moments", "--family", "gaussian", "--method", "closed", *extra,
@@ -145,9 +156,10 @@ def corpus() -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_tree(tree: Path, commands, workdir: Path) -> dict[str, bytes]:
-    """Run ``commands`` against ``tree`` in ``workdir``; artifacts by name."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def run_tree(tree: Path, commands, workdir: Path, extra_env=None) -> dict[str, bytes]:
+    """Run ``commands`` against ``tree`` in ``workdir``, with the
+    variables ``extra_env`` set; artifacts by name."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **(extra_env or {}))
     env.pop("FRACMOM_LOG", None)
     artifacts = {}
     for label, argv in commands:
@@ -223,33 +235,51 @@ def compare_text(old: str, new: str) -> str:
     return f"max abs {worst_abs:.3e}  max rel {worst_rel:.3e}"
 
 
-def run(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("old", type=Path, help="tree of the reference version")
-    ap.add_argument("new", type=Path, help="tree of the changed version")
-    args = ap.parse_args(argv)
-    commands = corpus()
+def _verdict(old: dict, new: dict, name: str) -> str:
+    if name not in old or name not in new:
+        return f"only in {'new' if name in new else 'old'}"
+    return compare_text(old[name].decode(errors="replace"),
+                        new[name].decode(errors="replace"))
 
+
+def compare(old_tree: Path, new_tree: Path, commands, dispatch_floor: bool = False) -> int:
+    """Run ``commands`` against both trees and print one verdict per
+    artifact, with its dispatch floor when ``dispatch_floor`` is set;
+    0 when every artifact is identical, else 1."""
+    runs = [(old_tree, None), (new_tree, None)]
+    if dispatch_floor:
+        runs.append((old_tree, _DISPATCH_OFF))
     with tempfile.TemporaryDirectory() as tmp:
-        dirs = [Path(tmp, "old"), Path(tmp, "new")]
+        dirs = [Path(tmp, str(i)) for i in range(len(runs))]
         for d in dirs:
             d.mkdir()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            old, new = pool.map(lambda tree, d: run_tree(tree.resolve(), commands, d),
-                                (args.old, args.new), dirs)
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            old, new, *floor = pool.map(
+                lambda run, d: run_tree(run[0].resolve(), commands, d, run[1]), runs, dirs)
 
     names = list(old) + [name for name in new if name not in old]
     differing = 0
     for name in names:
-        if name not in old or name not in new:
-            verdict = f"only in {'new' if name in new else 'old'}"
-        else:
-            verdict = compare_text(old[name].decode(errors="replace"),
-                                   new[name].decode(errors="replace"))
+        verdict = _verdict(old, new, name)
         differing += verdict != "identical"
+        if floor:
+            # the floor moves the old tree's artifacts only
+            floor_verdict = _verdict(old, floor[0], name) if name in old else "-"
+            verdict = f"{verdict:<40} floor: {floor_verdict}"
         print(f"{name:<40} {verdict}")
     print(f"{differing} of {len(names)} artifacts differ")
     return 1 if differing else 0
+
+
+def run(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", type=Path, help="tree of the reference version")
+    ap.add_argument("new", type=Path, help="tree of the changed version")
+    ap.add_argument("--dispatch-floor", action="store_true",
+                    help="also rerun the old tree without NumPy's AVX2 and AVX-512 "
+                         "loops, and print how far that moves each artifact")
+    args = ap.parse_args(argv)
+    return compare(args.old, args.new, corpus(), args.dispatch_floor)
 
 
 if __name__ == "__main__":

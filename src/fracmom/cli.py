@@ -372,25 +372,22 @@ def _cmd_figures(args) -> int:
     out_dir = args.out_dir
     cf_range = np.round(np.arange(0.1, 10.0 + 1e-9, 0.05), 10)
 
-    def curve_csv(name: str, curve, panel: str | None = None):
+    def emit(name: str, head: str, write, points: np.ndarray, abs_err: np.ndarray):
+        # one figure file, the lines ``head`` and then what ``write``
+        # writes, and its summary line
         buf = io.StringIO()
-        if panel is not None:
-            buf.write(f"# panel: {panel}\n")
-        write_curve_csv(curve, buf)
+        buf.write(head)
+        write(buf)
         _atomic_write(out_dir / f"{name}.csv", buf.getvalue())
-        err = float(np.max(curve.abs_err)) if curve.abs_err is not None else math.nan
-        print(f"{name}.csv  n={curve.abscissae.size}  max_abs_err={err:.6e}")
+        print(f"{name}.csv  n={points.size}  max_abs_err={float(np.max(abs_err)):.6e}")
 
     # fig3a: the diverging classical baseline, written without a grid
     uni = DistributionSpec("uniform", {"a": 2.0})
     taylor = np.array([classical_taylor_cf(uni, t, 8) for t in cf_range])
     ref = exact_cf(uni, cf_range)
-    buf = io.StringIO()
-    buf.write("# kind: cf-taylor\n# family: uniform\n# order: 8\n")
-    write_curve_rows(buf, cf_range, taylor, ref)
-    _atomic_write(out_dir / "fig3a.csv", buf.getvalue())
-    print(f"fig3a.csv  n={cf_range.size}  "
-          f"max_abs_err={float(np.max(np.abs(taylor - ref))):.6e}")
+    emit("fig3a", "# kind: cf-taylor\n# family: uniform\n# order: 8\n",
+         lambda out: write_curve_rows(out, cf_range, taylor, ref), cf_range,
+         np.abs(taylor - ref))
 
     def figure(name: str, kind: str, spec: DistributionSpec, lo: float,
                hi: float, step: float, m: int = 25, rho: float = 0.4,
@@ -400,8 +397,9 @@ def _cmd_figures(args) -> int:
         grid = make_grid(spec, GridParams(rho=rho, delta=0.4, m=m, sign="minus"))
         curve = sample_curve(grid, kind, points)
         for panel in panels:
-            label = {"a": "real", "b": "imag"}.get(panel)
-            curve_csv(f"{name}{panel}", curve, panel=label)
+            head = {"a": "# panel: real\n", "b": "# panel: imag\n"}.get(panel, "")
+            emit(f"{name}{panel}", head, partial(write_curve_csv, curve),
+                 curve.abscissae, curve.abs_err)
 
     rayleigh = DistributionSpec("rayleigh", {"sigma": 2.0})
     gaussian = DistributionSpec("gaussian", {"mu": 2.0, "sigma": 1.0})

@@ -36,7 +36,7 @@ from .distributions import (
 from .errors import (
     AllSamplesDegenerateError,
     ArgumentError,
-    FracmomError,
+    DomainError,
     QuadratureError,
 )
 from .quadrature import Estimate, integrate, require
@@ -44,6 +44,7 @@ from .special import (
     as_orders,
     branch_power,
     like_orders,
+    scalar_or_array,
     sign_value,
     signed_complex_power,
     signed_log,
@@ -420,10 +421,8 @@ def _monte_carlo(take: Callable[[int], np.ndarray], n: int, gamma,
         value, stderr, _, dropped, _ = _block_moments(
             take, blocks, sign, orders.size, lambda branch: (
                 (i, branch_power(branch, -g)) for i, g in enumerate(orders.flat)))
-        if orders.ndim == 0:
-            return MonteCarloMoment(complex(value[0]), float(stderr[0]), dropped)
-        return MonteCarloMoment(value.reshape(orders.shape), stderr.reshape(orders.shape),
-                                dropped)
+        return MonteCarloMoment(*(scalar_or_array(a.reshape(orders.shape))
+                                  for a in (value, stderr)), dropped)
     if gamma.sign != sign:
         raise ArgumentError(f"grid sign {gamma.sign!r} differs from sign {sign!r}")
     start = time.perf_counter()
@@ -518,14 +517,17 @@ def suggest_truncation(
     replaces, it takes that stop test to hold at every m past the first
     that meets it.  It answers ``capped=True`` with m = 10^4 when the
     target is unreachable, or when an endpoint moment stops being
-    evaluable before the target is met.  A ``rho`` outside
-    :func:`working_strip` raises :class:`StripError` before the search.
+    evaluable, that is when it leaves double range
+    (:class:`DomainError`), before the target is met; any other error
+    propagates.  A ``rho`` outside :func:`working_strip` raises
+    :class:`StripError`, and a ``delta`` or ``sign`` that
+    :class:`GridParams` refuses raises its :class:`ArgumentError`, both
+    before the search.
     """
     if not tol > 0.0:
         raise ArgumentError("tol must be > 0")
-    if not delta > 0.0:
-        raise ArgumentError("delta must be > 0")
     working_strip(spec).require(rho, "rho", "usable", spec.label())
+    GridParams(rho, delta, 1, sign)  # validates delta and sign
 
     def envelope(m: int) -> float:
         eta = m * delta
@@ -547,7 +549,7 @@ def suggest_truncation(
         # the envelope is treated as unreachable from here on
         try:
             return envelope(m) <= tol
-        except FracmomError:
+        except DomainError:
             return None
 
     # the first m whose stop test does not fail (or _M_CAP + 1)

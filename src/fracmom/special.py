@@ -5,10 +5,11 @@ Each function takes a scalar or an array.  A scalar gives a Python
 ``complex``; an array gives an array, broadcast elementwise, so a
 caller holding the 2m+1 nodes of a grid makes one call.  Scalar and
 array inputs run the same code, so an array call equals the
-per-element scalar calls exactly.  The moment and operator layers keep
-the same rule for their orders through one pair of helpers:
-``as_orders`` evaluates a scalar order as a one-element array, and
-``like_orders`` hands it back as a ``complex``.
+per-element scalar calls exactly.  ``scalar_or_array`` is the one rule
+that hands a 0-d result back as a Python scalar.  The moment and
+operator layers keep the same rule for their orders through one pair
+of helpers: ``as_orders`` evaluates a scalar order as a one-element
+array, and ``like_orders`` hands it back through ``scalar_or_array``.
 
 ``complex_gamma`` is ``exp(loggamma(z))`` on SciPy's complex
 ``loggamma``, which stays finite far from the real axis where Gamma
@@ -61,9 +62,10 @@ def sign_value(sign: str) -> int:
         ) from None
 
 
-def _shaped(values: np.ndarray):
-    # a scalar in gives a complex out, an array an array
-    return complex(values) if values.ndim == 0 else values
+def scalar_or_array(values: np.ndarray):
+    """A 0-d ``values`` as its Python scalar (a ``complex`` stays
+    ``complex``, a ``float`` stays ``float``), any other array as it is."""
+    return values.item() if values.ndim == 0 else values
 
 
 def as_orders(gamma) -> np.ndarray:
@@ -73,8 +75,8 @@ def as_orders(gamma) -> np.ndarray:
 
 def like_orders(gamma, values: np.ndarray):
     """``values`` per order of :func:`as_orders` of ``gamma``, as a
-    ``complex`` when ``gamma`` is a scalar and as the array otherwise."""
-    return complex(values[0]) if np.ndim(gamma) == 0 else values
+    scalar when ``gamma`` is a scalar and as the array otherwise."""
+    return scalar_or_array(values.reshape(np.shape(gamma)))
 
 
 def complex_gamma(z):
@@ -88,7 +90,7 @@ def complex_gamma(z):
     poles = (n <= 0.0) & (np.abs(zv - n) <= _POLE_TOL)
     if poles.any():
         raise PoleError(f"gamma evaluated at pole: z = {complex(zv[poles][0])}")
-    return _shaped(np.exp(sp_special.loggamma(zv)))
+    return scalar_or_array(np.exp(sp_special.loggamma(zv)))
 
 
 def reflection_product(gamma):
@@ -109,7 +111,7 @@ def reflection_product(gamma):
     # |w| = exp(-pi |Im g|) <= 1, so nothing overflows
     s = np.where(g.imag < 0.0, -1.0, 1.0)
     phase = 1j * math.pi * s * g
-    return _shaped(2j * math.pi * s * np.exp(phase) / np.expm1(2.0 * phase))
+    return scalar_or_array(2j * math.pi * s * np.exp(phase) / np.expm1(2.0 * phase))
 
 
 def signed_log(x, sign: str):
@@ -125,7 +127,7 @@ def signed_log(x, sign: str):
         raise DomainError("signed power is undefined at x = 0")
     out = np.array(np.log(np.abs(xv)), dtype=complex)
     out.imag = s * math.pi / 2.0 * np.sign(xv)
-    return _shaped(out)
+    return scalar_or_array(out)
 
 
 def branch_power(branch, gamma):
@@ -145,7 +147,7 @@ def branch_power(branch, gamma):
     power = np.empty(re.shape, dtype=complex)
     power.real = re
     power.imag = g.imag * b.real + g.real * b.imag
-    return _shaped(np.exp(power, out=power))
+    return scalar_or_array(np.exp(power, out=power))
 
 
 def signed_complex_power(x, gamma, sign: str):
@@ -170,4 +172,4 @@ def cosine_normaliser(gamma):
                              (~np.isfinite(cos_half), DomainError, "overflows")):
         if bad.any():
             raise error(f"2 cos(pi gamma / 2) {what} at gamma = {complex(g[bad][0])}")
-    return _shaped(2.0 * cos_half)
+    return scalar_or_array(2.0 * cos_half)

@@ -899,6 +899,21 @@ def test_unwritable_output_path_is_one_error_line(command, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+def test_failed_rename_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    """The temp file is removed when the rename fails, so the output
+    directory holds nothing."""
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "x.csv"
+    code, out, err = _run(["moments", "--family", "cauchy", "--m", "1",
+                           "--out", str(target)], capsys)
+    assert _one_error_line(code, out, err)
+    assert err == f"error: cannot write {target}: rename refused\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_foreign_exception_is_one_line_exit_three(monkeypatch, capsys, caplog):
     import logging
 

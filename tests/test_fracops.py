@@ -292,6 +292,13 @@ def test_composition_zero_inner_order():
     assert rep.max_deviation == 0.0
 
 
+def test_composition_zero_outer_order():
+    # gamma1 = 0 makes the outer operator the identity, so the nested
+    # path evaluates the direct path's integral at the same points
+    rep = composition_check(0.0, 0.3, lambda u: np.exp(-u), points=(0.0, 0.7))
+    assert rep.max_deviation == 0.0
+
+
 def test_composition_gaussian_cf():
     rep = composition_check(
         0.2, 0.2, lambda u: np.exp(-0.5 * u * u), points=(0.0, 0.5)

@@ -880,6 +880,29 @@ def test_suggest_truncation_validation():
         suggest_truncation(CAUCHY, 0.4, 0.4, "minus", 0.0)
 
 
+@pytest.mark.parametrize("delta, sign, message", [
+    (0.2, "sideways", "sign must be 'plus' or 'minus', got 'sideways'"),
+    (math.inf, "minus", "delta must be finite and > 0"),
+    (1j, "minus", "rho and delta must be real numbers"),
+], ids=["sign", "infinite-delta", "complex-delta"])
+def test_suggest_truncation_checks_delta_and_sign(delta, sign, message):
+    """GridParams' rules: a bad sign used to answer m = 10^4 capped, an
+    infinite delta m = 1, and a complex one raised a TypeError."""
+    with pytest.raises(ArgumentError, match=rf"^{re.escape(message)}$"):
+        suggest_truncation(CAUCHY, 0.4, delta, sign, 1e-10)
+
+
+def test_suggest_truncation_caps_only_on_overflow(monkeypatch):
+    """Only a moment that leaves double range ends the search capped;
+    any other package error propagates."""
+    def refused(spec, gamma, sign):
+        raise QuadratureError("not an overflow")
+
+    monkeypatch.setattr("fracmom.moments.closed_form_moment", refused)
+    with pytest.raises(QuadratureError, match="^not an overflow$"):
+        suggest_truncation(CAUCHY, 0.4, 0.4, "minus", 1e-6)
+
+
 @pytest.mark.parametrize("rho", [1.5, -0.5, math.nan])
 def test_suggest_truncation_checks_the_line(rho):
     """A line outside the usable strip used to answer m = 10^4 capped

@@ -86,6 +86,20 @@ def test_compare_outputs_tiny_corpus(tmp_path):
                == "identical" for k in old)
 
 
+def test_compare_outputs_dispatch_floor_tiny_corpus(capsys):
+    """The floor rerun of the old tree (NumPy's AVX2 and AVX-512 loops
+    off) runs the corpus too, and each artifact line gives its floor."""
+    script = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
+    repo = SCRIPTS.parent
+    commands = [("strip-levy", ["strip", "--family", "levy"])]
+    assert script["compare"](repo, repo, commands, dispatch_floor=True) == 0
+    *rows, summary = capsys.readouterr().out.splitlines()
+    assert [row.split() for row in rows] == [
+        [f"strip-levy:{part}", "identical", "floor:", "identical"]
+        for part in ("exit", "stdout", "stderr")]
+    assert summary == "0 of 3 artifacts differ"
+
+
 def test_compare_outputs_reports_the_largest_deviation():
     compare = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))["compare_text"]
     assert compare("x,1.0\n", "x,1.0\n") == "identical"
