@@ -9,10 +9,11 @@ by one command can be read by a later one.  The corpus:
 * ``verify`` and ``strip`` for every family (``verify`` checks both
   signs in one run), and ``verify`` on a rayleigh law of scale 1e-6
   and a uniform law of half-width 0.01;
-* ``moments`` by closed form, quadrature and Monte Carlo, and two
-  gaussian closed-form grids whose nodes the double-precision paths
-  decline: every node at mu/sigma = 30, most at mu/sigma = 10, and the
-  nodes past |Im gamma| ~ 300 on a wide grid;
+* ``moments`` by closed form, quadrature and Monte Carlo, a cauchy
+  grid written to stdout (no ``--out``), and three gaussian
+  closed-form grids whose nodes the double-precision paths decline:
+  every node at mu/sigma = 30, most at mu/sigma = 10, and the nodes
+  past |Im gamma| ~ 300 on a wide grid;
 * ``reconstruct-cf`` and ``reconstruct-pdf`` curves with their summary
   lines, one of them from a grid CSV, and a levy density out to
   |Im gamma| = 520;
@@ -88,6 +89,8 @@ def corpus() -> list[tuple[str, list[str]]]:
             if method == "mc":
                 argv += ["--n-samples", "20000", "--seed", "1"]
             out.append((f"moments-{fam}-{method}", argv))
+    # a grid written to stdout, with no --out
+    out.append(("moments-cauchy-stdout", ["moments", "--family", "cauchy", "--m", "6"]))
     for label, extra in (("far-mean", ["--param", "sigma=0.0666", "--m", "20"]),
                          ("mid-mean", ["--param", "mu=10", "--delta", "0.2", "--m", "100"]),
                          ("far-out", ["--m", "400", "--delta", "0.8"])):

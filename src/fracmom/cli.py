@@ -81,12 +81,13 @@ from .moments import (
     read_grid_csv,
     working_strip,
     write_grid_csv,
+    write_table,
 )
 from .reconstruct import (
     classical_taylor_cf,
+    curve_columns,
     sample_curve,
     write_curve_csv,
-    write_curve_rows,
 )
 
 log = logging.getLogger("fracmom")
@@ -259,13 +260,21 @@ def _grid_params(args) -> GridParams:
 # ----------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _emit(path: Path | None, write) -> None:
+    # the one place an output is rendered and sent: ``write(out)`` into
+    # a buffer, then to stdout, or to ``path`` atomically (a temp file
+    # and a rename)
+    buf = io.StringIO()
+    write(buf)
+    if path is None:
+        sys.stdout.write(buf.getvalue())
+        return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+                handle.write(buf.getvalue())
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -273,14 +282,7 @@ def _atomic_write(path: Path, text: str) -> None:
             raise
     except OSError as exc:
         raise ArgumentError(f"cannot write {path}: {exc}") from None
-
-
-def _emit(path: Path | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(path, text)
-        log.info("wrote %s", path)
+    log.info("wrote %s", path)
 
 
 # ----------------------------------------------------------------------
@@ -304,9 +306,7 @@ def _cmd_moments(args) -> int:
     params = _grid_params(args)
     spec = _require_spec(args)
     grid = _build_grid(args, spec, params)
-    buf = io.StringIO()
-    write_grid_csv(grid, buf, method=_METHODS[_flag(args, "method")])
-    _emit(args.out, buf.getvalue())
+    _emit(args.out, partial(write_grid_csv, grid, method=_METHODS[_flag(args, "method")]))
     return 0
 
 
@@ -333,9 +333,7 @@ def _cmd_reconstruct(args, kind: str) -> int:
             raise ArgumentError(f"cannot read {args.grid_in}: {exc}") from None
 
     curve = sample_curve(grid, kind, abscissae)
-    buf = io.StringIO()
-    write_curve_csv(curve, buf)
-    _emit(args.out, buf.getvalue())
+    _emit(args.out, partial(write_curve_csv, curve))
     if curve.abs_err is not None and curve.abs_err.size:
         print(f"{kind}: {curve.abscissae.size} points, "
               f"max abs error = {float(np.max(curve.abs_err)):.6e}")
@@ -372,22 +370,17 @@ def _cmd_figures(args) -> int:
     out_dir = args.out_dir
     cf_range = np.round(np.arange(0.1, 10.0 + 1e-9, 0.05), 10)
 
-    def emit(name: str, head: str, write, points: np.ndarray, abs_err: np.ndarray):
-        # one figure file, the lines ``head`` and then what ``write``
-        # writes, and its summary line
-        buf = io.StringIO()
-        buf.write(head)
-        write(buf)
-        _atomic_write(out_dir / f"{name}.csv", buf.getvalue())
-        print(f"{name}.csv  n={points.size}  max_abs_err={float(np.max(abs_err)):.6e}")
+    def emit(name: str, head: dict, columns: dict):
+        # one figure file and its summary line
+        _emit(out_dir / f"{name}.csv", lambda out: write_table(out, head, columns))
+        print(f"{name}.csv  n={columns['x'].size}  "
+              f"max_abs_err={float(np.max(columns['abs_err'])):.6e}")
 
     # fig3a: the diverging classical baseline, written without a grid
     uni = DistributionSpec("uniform", {"a": 2.0})
     taylor = np.array([classical_taylor_cf(uni, t, 8) for t in cf_range])
-    ref = exact_cf(uni, cf_range)
-    emit("fig3a", "# kind: cf-taylor\n# family: uniform\n# order: 8\n",
-         lambda out: write_curve_rows(out, cf_range, taylor, ref), cf_range,
-         np.abs(taylor - ref))
+    emit("fig3a", {"kind": "cf-taylor", "family": "uniform", "order": 8},
+         curve_columns(cf_range, taylor, exact_cf(uni, cf_range)))
 
     def figure(name: str, kind: str, spec: DistributionSpec, lo: float,
                hi: float, step: float, m: int = 25, rho: float = 0.4,
@@ -396,10 +389,11 @@ def _cmd_figures(args) -> int:
         points = points[points != 0.0]
         grid = make_grid(spec, GridParams(rho=rho, delta=0.4, m=m, sign="minus"))
         curve = sample_curve(grid, kind, points)
+        columns = curve_columns(curve.abscissae, curve.values, curve.exact)
         for panel in panels:
-            head = {"a": "# panel: real\n", "b": "# panel: imag\n"}.get(panel, "")
-            emit(f"{name}{panel}", head, partial(write_curve_csv, curve),
-                 curve.abscissae, curve.abs_err)
+            # a panel's line comes first in its file
+            head = {"panel": {"a": "real", "b": "imag"}.get(panel), **curve.head()}
+            emit(f"{name}{panel}", head, columns)
 
     rayleigh = DistributionSpec("rayleigh", {"sigma": 2.0})
     gaussian = DistributionSpec("gaussian", {"mu": 2.0, "sigma": 1.0})

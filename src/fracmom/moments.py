@@ -8,19 +8,23 @@ vectorised quadrature of the defining integral over its density
 (:func:`moment_quadrature`), both called as ``(spec, gamma, sign)``.
 The third is a Monte Carlo average over samples
 (:func:`moment_monte_carlo`).  The module also provides strip
-arithmetic, a truncation heuristic, and a CSV round-trip format.
+arithmetic, a truncation heuristic, and the CSV format of every file
+the CLI writes: :func:`write_table` writes `# key: value` head lines, a
+header and ``repr`` cells, and a grid makes the round trip through
+:func:`write_grid_csv` and :func:`read_grid_csv`.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import logging
 import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
@@ -185,10 +189,14 @@ def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], side: str, gamma,
     the densities here and of every fractional operator in
     :mod:`fracmom.fracops`.  ``f`` is called on arrays of abscissae, and
     ``oscillation`` is handed to :func:`~fracmom.quadrature.integrate`.
-    An empty range (``b <= a``) gives zeros with zero error.
+    An empty range (``b <= a``) gives zeros with zero error, without a
+    call of ``f``; a negative or NaN ``a`` and a NaN ``b`` raise
+    :class:`ArgumentError`.
     """
     s = sign_value(side)
     g = np.asarray(gamma, dtype=complex)
+    if not a >= 0.0 or math.isnan(b):
+        raise ArgumentError(f"need 0 <= a and a b that is not NaN, got [{a}, {b}]")
     if not b > a:
         return Estimate(np.zeros(g.shape, dtype=complex), np.zeros(g.shape))
 
@@ -519,15 +527,17 @@ def suggest_truncation(
     target is unreachable, or when an endpoint moment stops being
     evaluable, that is when it leaves double range
     (:class:`DomainError`), before the target is met; any other error
-    propagates.  A ``rho`` outside :func:`working_strip` raises
-    :class:`StripError`, and a ``delta`` or ``sign`` that
-    :class:`GridParams` refuses raises its :class:`ArgumentError`, both
-    before the search.
+    propagates.  A ``tol`` that is not a real number > 0 raises
+    :class:`ArgumentError`, a real ``rho`` outside :func:`working_strip`
+    (NaN included) :class:`StripError`, and a ``rho``, ``delta`` or
+    ``sign`` that :class:`GridParams` refuses its :class:`ArgumentError`,
+    all before the search.
     """
-    if not tol > 0.0:
-        raise ArgumentError("tol must be > 0")
-    working_strip(spec).require(rho, "rho", "usable", spec.label())
-    GridParams(rho, delta, 1, sign)  # validates delta and sign
+    if not (isinstance(tol, numbers.Real) and tol > 0.0):
+        raise ArgumentError("tol must be a real number > 0")
+    if isinstance(rho, numbers.Real):  # GridParams refuses any other
+        working_strip(spec).require(rho, "rho", "usable", spec.label())
+    GridParams(rho, delta, 1, sign)  # validates rho, delta and sign
 
     def envelope(m: int) -> float:
         eta = m * delta
@@ -566,25 +576,41 @@ def suggest_truncation(
 # ----------------------------------------------------------------------
 
 
-def write_grid_csv(grid: MomentGrid, out: TextIO, *, method: str | None = None) -> None:
-    """Write a grid as `k,rho,eta,re,im` rows with `#` metadata lines.
+def write_table(out: TextIO, head: Mapping[str, object],
+                columns: Mapping[str, object]) -> None:
+    """Write one CSV table: the format of every file the CLI writes.
 
-    A grid with a ``spec`` gets `# family:` and `# params:` lines, and
-    ``method`` a `# method:` line.  Floats are written with ``repr`` so
-    the read side reproduces them bit for bit.
+    First a `# key: value` line per ``head`` entry whose value is not
+    None, in order (the value written with ``str``, which for a Python
+    float is its ``repr``), then the header of the column names, then
+    one row per entry.  Each cell is the ``repr`` of a Python scalar, so
+    a float reads back bit for bit, and a column given as None is left
+    empty.
     """
-    if grid.spec is not None:
-        out.write(f"# family: {grid.spec.family}\n")
-        out.write(f"# params: {json.dumps(grid.spec.params, sort_keys=True)}\n")
-    out.write(f"# sign: {grid.params.sign}\n")
-    if method is not None:
-        out.write(f"# method: {method}\n")
-    out.write("k,rho,eta,re,im\n")
-    p = grid.params
-    for k in range(-p.m, p.m + 1):
-        v = grid.value(k)
-        eta = k * p.delta
-        out.write(f"{k},{p.rho!r},{eta!r},{v.real!r},{v.imag!r}\n")
+    out.writelines(f"# {key}: {value}\n" for key, value in head.items()
+                   if value is not None)
+    out.write(",".join(columns) + "\n")
+    # Python scalars per column; their reprs are formed row by row, so
+    # no table of strings is held
+    cells = [None if c is None else np.asarray(c).tolist() for c in columns.values()]
+    n = max((len(c) for c in cells if c is not None), default=0)
+    rows = zip(*(map(repr, c) if c is not None else itertools.repeat("", n) for c in cells))
+    out.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_grid_csv(grid: MomentGrid, out: TextIO, *, method: str | None = None) -> None:
+    """Write a grid as a :func:`write_table` of `k,rho,eta,re,im` rows.
+
+    A grid with a ``spec`` gets `# family:` and `# params:` lines, every
+    grid a `# sign:` line, and ``method`` a `# method:` line.
+    """
+    p, spec = grid.params, grid.spec
+    k = np.arange(-p.m, p.m + 1)
+    family = {} if spec is None else {
+        "family": spec.family, "params": json.dumps(spec.params, sort_keys=True)}
+    write_table(out, {**family, "sign": p.sign, "method": method},
+                {"k": k, "rho": np.full(k.size, p.rho), "eta": k * p.delta,
+                 "re": grid.values.real, "im": grid.values.imag})
 
 
 def read_grid_csv(lines) -> tuple[MomentGrid, dict]:

@@ -54,6 +54,13 @@ motivating failure mode) and the residue partial sum for the standard
 Gaussian, which reproduces that Taylor series term by term from the
 pole structure of the moment integrand.
 
+A curve is written as one :func:`~fracmom.moments.write_table`, the CSV
+format of every file the CLI writes: its head lines are
+:meth:`CurveResult.head` and its columns :func:`curve_columns`
+(`x,re,im,exact_re,exact_im,abs_err`, the exact ones empty when the
+distribution is not known), which also lay out the Taylor baseline's
+figure file.
+
 Truncation behavior worth knowing when choosing m: the grid resolves
 oscillation frequencies of |theta|^(-i eta) only up to eta_max = m*delta,
 so reconstruction error grows once ln|theta| (CF) or |ln x| (PDF)
@@ -75,7 +82,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, exact_cf, exact_pdf
 from .errors import ArgumentError, DomainError, UnsupportedError
-from .moments import GridParams, MomentGrid
+from .moments import GridParams, MomentGrid, write_table
 from .special import complex_gamma, reflection_product, signed_log
 
 # ----------------------------------------------------------------------
@@ -189,6 +196,13 @@ class CurveResult:
     kind: str
     spec: DistributionSpec | None = None
 
+    def head(self) -> dict:
+        """The `#` head lines of the curve's CSV: `kind`, `family` (a
+        curve with a ``spec``), `rho`, `delta`, `m` and `sign`."""
+        p = self.params
+        return {"kind": self.kind, "family": None if self.spec is None else self.spec.family,
+                "rho": p.rho, "delta": p.delta, "m": p.m, "sign": p.sign}
+
 
 def _ladder_sum(weights: np.ndarray, step: np.ndarray):
     # sum_k weights[k] e^((k - m) step) over the 2m+1 nodes: a Horner sum
@@ -282,40 +296,27 @@ def sample_curve(grid: MomentGrid, kind: str, abscissae: Sequence[float]) -> Cur
     )
 
 
-def write_curve_rows(out, x, values, exact=None) -> None:
-    """Write the `x,re,im,exact_re,exact_im,abs_err` header and one row
-    per point of ``x``.
+def curve_columns(x, values, exact=None) -> dict:
+    """The :func:`~fracmom.moments.write_table` columns of a curve:
+    `x,re,im,exact_re,exact_im,abs_err`, one row per point of ``x``.
 
     ``values`` and ``exact`` are complex per point, and ``abs_err`` is
-    |values - exact|.  The exact columns are left empty when ``exact``
-    is None.  Floats use ``repr`` for bit-exact round-tripping.
+    |values - exact|.  The exact columns are None (left empty) when
+    ``exact`` is None.
     """
-    out.write("x,re,im,exact_re,exact_im,abs_err\n")
-    x = np.asarray(x, dtype=float).tolist()
     values = np.asarray(values, dtype=complex)
-    real, imag = values.real.tolist(), values.imag.tolist()
-    if exact is None:
-        rows = (f"{a!r},{b!r},{c!r},,,\n" for a, b, c in zip(x, real, imag))
-    else:
+    columns = {"x": np.asarray(x, dtype=float), "re": values.real, "im": values.imag,
+               "exact_re": None, "exact_im": None, "abs_err": None}
+    if exact is not None:
         exact = np.asarray(exact, dtype=complex)
-        columns = (x, real, imag, exact.real.tolist(), exact.imag.tolist(),
-                   np.abs(values - exact).tolist())
-        rows = (f"{a!r},{b!r},{c!r},{d!r},{e!r},{f!r}\n"
-                for a, b, c, d, e, f in zip(*columns))
-    out.writelines(rows)
+        columns.update(exact_re=exact.real, exact_im=exact.imag,
+                       abs_err=np.abs(values - exact))
+    return columns
 
 
 def write_curve_csv(result: CurveResult, out) -> None:
-    """Write a curve's `#` metadata lines, then :func:`write_curve_rows`.
-
-    A curve with a ``spec`` gets a `# family:` line.
-    """
-    p = result.params
-    out.write(f"# kind: {result.kind}\n")
-    if result.spec is not None:
-        out.write(f"# family: {result.spec.family}\n")
-    out.write(f"# rho: {p.rho!r}\n")
-    out.write(f"# delta: {p.delta!r}\n")
-    out.write(f"# m: {p.m}\n")
-    out.write(f"# sign: {p.sign}\n")
-    write_curve_rows(out, result.abscissae, result.values, result.exact)
+    """Write a curve as one :func:`~fracmom.moments.write_table`: the
+    head lines of :meth:`CurveResult.head`, then the
+    :func:`curve_columns`."""
+    write_table(out, result.head(),
+                curve_columns(result.abscissae, result.values, result.exact))

@@ -698,6 +698,22 @@ def test_figures_full_set(tmp_path, capsys):
             assert float(line.split("=")[-1]) <= 1e-2
 
 
+def test_figures_log_each_file_written(tmp_path):
+    """With ``FRACMOM_LOG=info`` every figure file gets its ``wrote``
+    line, as a file written by ``--out`` does."""
+    src = str(Path(fracmom.__file__).resolve().parents[1])
+    env = {**os.environ, "FRACMOM_LOG": "info", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "fracmom.cli", "figures", "--out-dir",
+                           str(tmp_path)], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0
+    names = [line.split()[0] for line in done.stdout.splitlines()]
+    assert len(names) == 10
+    assert done.stderr.splitlines() == [f"fracmom INFO wrote {tmp_path / name}"
+                                        for name in names]
+
+
 def test_figures_fig3a_rows_are_the_taylor_baseline(tmp_path, capsys):
     from fracmom.distributions import exact_cf
     from fracmom.reconstruct import classical_taylor_cf

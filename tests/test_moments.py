@@ -44,6 +44,7 @@ from fracmom.moments import (
     suggest_truncation,
     working_strip,
     write_grid_csv,
+    write_table,
 )
 from fracmom.special import branch_power, signed_log
 
@@ -682,6 +683,18 @@ def test_power_integral_empty_range_is_zero(a, b):
     assert mirrored_integral(never, "minus", 0.5, a, b) == (0j, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.4, math.nan), (-1.0, 1.0),
+                                  (-2.0, -3.0)])
+def test_mirrored_integral_refuses_a_nan_or_negative_end(a, b):
+    """A NaN end used to give an exact zero with zero error, and a
+    negative lower end a raw ValueError from the engine."""
+    def never(u):
+        raise AssertionError("integrand evaluated")
+
+    with pytest.raises(ArgumentError, match=r"^need 0 <= a and a b that is not NaN"):
+        mirrored_integral(never, "minus", 0.4, a, b)
+
+
 def test_moment_quadrature_plus_minus_conjugation():
     g = 0.4 + 0.8j
     a = moment_quadrature(GAUSS21, g, "minus").conjugate()
@@ -903,6 +916,18 @@ def test_suggest_truncation_caps_only_on_overflow(monkeypatch):
         suggest_truncation(CAUCHY, 0.4, 0.4, "minus", 1e-6)
 
 
+@pytest.mark.parametrize("rho, tol, message", [
+    (0.4j, 1e-10, "rho and delta must be real numbers"),
+    (0.4, 1j, "tol must be a real number > 0"),
+    (0.4, "x", "tol must be a real number > 0"),
+], ids=["complex-rho", "complex-tol", "text-tol"])
+def test_suggest_truncation_refuses_non_real_rho_and_tol(rho, tol, message):
+    """Each of these used to raise a raw TypeError, from the strip check
+    or from the comparison of ``tol`` with 0."""
+    with pytest.raises(ArgumentError, match=rf"^{re.escape(message)}$"):
+        suggest_truncation(CAUCHY, rho, 0.2, "minus", tol)
+
+
 @pytest.mark.parametrize("rho", [1.5, -0.5, math.nan])
 def test_suggest_truncation_checks_the_line(rho):
     """A line outside the usable strip used to answer m = 10^4 capped
@@ -1002,6 +1027,48 @@ def test_csv_read_rejects_malformed():
     plain, _ = read_grid_csv(io.StringIO(text))
     assert spaced.params == plain.params and spaced.spec == plain.spec
     assert np.array_equal(spaced.values, plain.values)
+
+
+def test_write_table_format():
+    """A head value of None writes no line and a column of None empty
+    cells; every other head value is written with ``str`` and every
+    cell with ``repr``, integers and floats alike."""
+    buf = io.StringIO()
+    write_table(buf, {"kind": "cf", "family": None, "m": 3, "rho": 0.1},
+                {"k": np.arange(-1, 2), "x": [0.1, np.float64(1.0) / 3.0, -0.0],
+                 "exact": None, "n": np.array([7, 8, 9], dtype=np.int32)})
+    assert buf.getvalue() == ("# kind: cf\n# m: 3\n# rho: 0.1\n"
+                              "k,x,exact,n\n"
+                              "-1,0.1,,7\n0,0.3333333333333333,,8\n1,-0.0,,9\n")
+
+
+@pytest.mark.parametrize("m, delta", [(3, 0.4), (10_000, 0.3), (10_000, 1e304),
+                                      (10_000, 5e-324)])
+def test_grid_rows_are_the_row_by_row_reference(m, delta):
+    """The grid's columns give the rows of a per-node loop, with eta the
+    Python product k * delta, out to the cap on m and the extremes of
+    delta."""
+    rng = np.random.default_rng(m)
+    values = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
+    grid = MomentGrid(GridParams(0.4, delta, m), values)
+    buf = io.StringIO()
+    write_grid_csv(grid, buf)
+    rows = [f"{k},{0.4!r},{k * delta!r},{grid.value(k).real!r},{grid.value(k).imag!r}"
+            for k in range(-m, m + 1)]
+    assert buf.getvalue().splitlines() == ["# sign: minus", "k,rho,eta,re,im", *rows]
+
+
+@given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_write_table_floats_read_back_bit_exact(pairs):
+    columns = np.array(pairs, dtype=float).reshape(-1, 2)
+    buf = io.StringIO()
+    write_table(buf, {"rows": len(pairs)}, {"a": columns[:, 0], "b": columns[:, 1]})
+    lines = buf.getvalue().splitlines()
+    assert lines[:2] == [f"# rows: {len(pairs)}", "a,b"]
+    back = np.array([[float(cell) for cell in line.split(",")] for line in lines[2:]])
+    assert back.reshape(-1, 2).tobytes() == columns.tobytes()
 
 
 def _grid_text(m=2, delta=0.4):
