@@ -36,10 +36,10 @@ adaptive bisection replaced by a fixed geometric layout:
   with a reach rule: with D_n the last increment and D_(n-1) the one
   before, a geometric tail reaches D_n / (1 - D_n/D_(n-1)) past the
   last sum s_n, and its remainder is below that reach, so an entry
-  farther from s_n than twice the reach plus the plain estimate is no
-  candidate either.  That refuses an extrapolation of an early stretch
-  of sums that converges geometrically toward the wrong limit (a CF
-  that hardly moves before it decays far out).  A flat bound, a
+  farther from s_n than twice the reach is no candidate either.  That
+  refuses an extrapolation of an early stretch of sums that converges
+  geometrically toward the wrong limit (a CF that hardly moves before
+  it decays far out).  A flat bound, a
   multiple of the plain estimate, would not do: a slow geometric tail
   (Re gamma near 0, or near 1 for a Marchaud order) lies far from its
   last sum.  A row whose last panel sums have reached roundoff keeps
@@ -268,13 +268,13 @@ def _wynn(sums, value, error, pending):
     cand[:, np.logical_or.accumulate(grows[:, ::-1], axis=1)[:, ::-1]] = np.inf
     cand = cand.transpose(1, 0, 2).reshape(rows, -1)
     res = res.transpose(1, 0, 2).reshape(rows, -1)
-    # nor is an entry farther from the last sum than the plain estimate
-    # plus twice the reach of a geometric tail with the last two
-    # increments; that tail's remainder is below one reach
+    # nor is an entry farther from the last sum than twice the reach of
+    # a geometric tail with the last two increments; that tail's
+    # remainder is below one reach
     last, prev = inc[:, -1:], inc[:, -2:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = np.where(last < prev, last / (1.0 - last / prev), np.inf)
-    cand[~(np.abs(res - value[:, None]) <= 2.0 * reach + error[:, None])] = np.inf
+    cand[~(np.abs(res - value[:, None]) <= 2.0 * reach)] = np.inf
     pick = np.argmin(cand, axis=1)
     at = np.arange(rows)
     better = pending & (cand[at, pick] < error)

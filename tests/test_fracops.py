@@ -146,6 +146,8 @@ _LAWS = st.one_of(
 @given(_LAWS, st.sampled_from([0.4, 0.4 + 2j, 0.4 - 2j]), st.sampled_from(["plus", "minus"]))
 @example(make_spec("uniform", a=0.01), 0.4 + 2j, "minus")
 @example(make_spec("rayleigh", sigma=1e-6), 0.4, "minus")
+@example(make_spec("rayleigh", sigma=1e-8), 0.4 + 2j, "plus")
+@example(make_spec("rayleigh", sigma=1.0592537251772898e-8), 0.4 - 2j, "minus")
 @settings(max_examples=60, deadline=None)
 def test_operators_at_any_scale_are_right_or_refused(spec, gamma, side):
     # a 24-point head piece from 1 to the sinc's first zero, and Wynn
