@@ -37,10 +37,15 @@ also gives the quadrature moments:
 * the composition check's Weyl integral is order 1 - gamma, on
   (0, inf), of the shifted function v -> f(y - s v).
 
+Where both sides are wanted (the Riesz operators, and every operator
+integral of the identity suite), one call takes both: the sides share
+one kernel u^(-order) and one engine pass.
+
 The integrand is formed for all requested orders at once on arrays of
 abscissae, so ``gamma`` may be a scalar (complex result) or a 1-D array
-of orders (array result), and the CF is called once per panel sequence
-of the engine in :mod:`fracmom.quadrature` rather than once per point.
+of orders (array result), and the CF is called once per side and panel
+sequence of the engine in :mod:`fracmom.quadrature` rather than once per
+point.
 The engine halves its panels toward the singularity at the origin and
 doubles them toward infinity, with Wynn extrapolation of the panel
 sums.  For CFs with a slowly decaying oscillatory tail (the uniform
@@ -55,7 +60,9 @@ before any quadrature.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -63,10 +70,12 @@ import numpy as np
 from .distributions import DistributionSpec, FundamentalStrip, exact_cf
 from .errors import DomainError
 from .moments import MOMENT_TOL, GridParams, half_line_integrals, mirrored_integral
-from .quadrature import Estimate, require
+from .quadrature import Estimate, counting, require
 from .special import as_orders, complex_gamma, cosine_normaliser, like_orders
 
 ComplexFunc = Callable[[np.ndarray], np.ndarray]
+
+log = logging.getLogger(__name__)
 
 # error target of every operator value
 _TOL = 1e-7
@@ -91,17 +100,18 @@ def _fractional_integral(mellin: Estimate, gamma) -> np.ndarray:
 
 
 def _marchaud(
-    cf: ComplexFunc, gamma: np.ndarray, side: str, oscillation: float | None
+    cf: ComplexFunc, gamma: np.ndarray, sides, oscillation: float | None
 ) -> np.ndarray:
+    # one side, or a row per side of a tuple of sides
     c0 = complex(cf(0.0))
-    head = mirrored_integral(lambda t: c0 - cf(t), side, 1.0 + gamma, 0.0, 1.0)
-    tail = mirrored_integral(cf, side, 1.0 + gamma, 1.0, math.inf, oscillation=oscillation)
+    head = mirrored_integral(lambda t: c0 - cf(t), sides, 1.0 + gamma, 0.0, 1.0)
+    tail = mirrored_integral(cf, sides, 1.0 + gamma, 1.0, math.inf, oscillation=oscillation)
     front = gamma / complex_gamma(1.0 - gamma)
     result = Estimate(
         front * (head.value + c0 / gamma - tail.value),
         (head.error + tail.error) * np.abs(front),
     )
-    require(result, _TOL, "Marchaud derivative", gamma)
+    require(result, _TOL, "Marchaud derivative", np.broadcast_to(gamma, result.error.shape))
     return result.value
 
 
@@ -171,10 +181,8 @@ def riesz_derivative_at_zero(
     of X.
     """
     g = as_orders(gamma)
-    plus, minus = (
-        marchaud_derivative_at_zero(cf, g, side, oscillation=oscillation)
-        for side in _SIDES
-    )
+    _UNIT.require(g.real, "Re(gamma)", "Marchaud-derivative")
+    plus, minus = _marchaud(cf, g, _SIDES, oscillation)
     return like_orders(gamma, -_riesz(plus, minus, g))
 
 
@@ -188,10 +196,9 @@ def riesz_integral_at_zero(
     integrals over 2 cos(pi gamma / 2); equals E[|X|^(-gamma)] for a CF.
     """
     g = as_orders(gamma)
-    plus, minus = (
-        rl_integral_at_zero(cf, g, side, oscillation=oscillation)
-        for side in _SIDES
-    )
+    _UNIT.require(g.real, "Re(gamma)", "fractional-integral")
+    mellin = mirrored_integral(cf, _SIDES, 1.0 - g, 0.0, math.inf, oscillation=oscillation)
+    plus, minus = _fractional_integral(mellin, g)
     return like_orders(gamma, _riesz(plus, minus, g))
 
 
@@ -243,8 +250,22 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     target raises :class:`QuadratureError`.  The oracle needs both
     E|X|^(-rho) and E|X|^(+rho), and the operators 0 < rho < 1, so
     ``rho`` outside the moment strip, its mirror image and (0, 1)
-    raises :class:`StripError` before any quadrature.
+    raises :class:`StripError` before any quadrature.  With
+    ``FRACMOM_LOG=debug`` the suite logs its engine passes, abscissae,
+    integrand values and time.
     """
+    if not log.isEnabledFor(logging.DEBUG):
+        return _identity_rows(spec, params)
+    start = time.perf_counter()
+    with counting() as tally:
+        rows = _identity_rows(spec, params)
+    log.debug("identity suite of %s: %d engine passes, %d abscissae, %d integrand values, "
+              "%.3f s", spec.label(), tally["passes"], tally["abscissae"], tally["values"],
+              time.perf_counter() - start)
+    return rows
+
+
+def _identity_rows(spec: DistributionSpec, params: GridParams) -> dict[str, float]:
     strip = spec.moment_strip
     strip.intersect(-strip).intersect(_UNIT).require(
         params.rho, "rho", "identity-suite", spec.label())
@@ -268,10 +289,10 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
         mom[side], dmom[side] = oracle(halves.signed(both, side))
     abs_minus, abs_plus = oracle(halves.absolute())  # E|X|^(-g), E|X|^g
 
-    mellin = {side: mirrored_integral(cf, side, 1.0 - g, 0.0, math.inf, oscillation=osc)
-              for side in _SIDES}
-    rl = {side: _fractional_integral(mellin[side], g) for side in _SIDES}
-    ma = {side: _marchaud(cf, g, side, osc) for side in _SIDES}
+    # each operator integral, both sides in one engine call
+    mellin = mirrored_integral(cf, _SIDES, 1.0 - g, 0.0, math.inf, oscillation=osc)
+    rl = dict(zip(_SIDES, _fractional_integral(mellin, g)))
+    ma = dict(zip(_SIDES, _marchaud(cf, g, _SIDES, osc)))
 
     def dev(got: np.ndarray, want: np.ndarray) -> float:
         return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
@@ -280,7 +301,7 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     rows.update({f"marchaud_{side}": dev(ma[side], dmom[side]) for side in _SIDES})
     rows["riesz_derivative"] = dev(-_riesz(ma["plus"], ma["minus"], g), -abs_plus)
     rows["riesz_integral"] = dev(_riesz(rl["plus"], rl["minus"], g), abs_minus)
-    j = mellin["minus"]
+    j = Estimate(mellin.value[1], mellin.error[1])  # the "minus" row
     require(j, _TOL, "Mellin transform", g)
     two_path = np.abs(j.value - complex_gamma(g) * rl["minus"])
     rows["mellin_two_path"] = float(np.max(two_path / (1.0 + np.abs(j.value))))

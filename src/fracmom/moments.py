@@ -181,46 +181,62 @@ class HalfLineIntegrals(NamedTuple):
         )
 
 
-def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], side: str, gamma,
+def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], sides, gamma,
                       a: float, b: float, *, oscillation: float | None = None) -> Estimate:
     """int_a^b u^(-gamma) f(-s u) du, s = +1 (``"plus"``) or -1
     (``"minus"``), for every order in ``gamma`` (a scalar or an array),
     ``0 <= a < b <= inf``, in one engine call: the half-line integral of
     the densities here and of every fractional operator in
-    :mod:`fracmom.fracops`.  ``f`` is called on arrays of abscissae, and
-    ``oscillation`` is handed to :func:`~fracmom.quadrature.integrate`.
-    An empty range (``b <= a``) gives zeros with zero error, without a
-    call of ``f``; a negative or NaN ``a`` and a NaN ``b`` raise
-    :class:`ArgumentError`.
+    :mod:`fracmom.fracops`.  ``sides`` is one side, or a tuple of sides
+    whose results come back stacked along a leading axis; every side
+    shares the kernel u^(-gamma) and the engine's panels.  ``f`` is
+    called on arrays of abscissae, once per side, and ``oscillation`` is
+    handed to :func:`~fracmom.quadrature.integrate`.  An empty range
+    (``b <= a``) gives zeros with zero error, without a call of ``f``; a
+    negative or NaN ``a`` and a NaN ``b`` raise :class:`ArgumentError`.
     """
-    s = sign_value(side)
+    signs = [sign_value(side) for side in ((sides,) if isinstance(sides, str) else sides)]
     g = np.asarray(gamma, dtype=complex)
     if not a >= 0.0 or math.isnan(b):
         raise ArgumentError(f"need 0 <= a and a b that is not NaN, got [{a}, {b}]")
     if not b > a:
-        return Estimate(np.zeros(g.shape, dtype=complex), np.zeros(g.shape))
+        shape = g.shape if isinstance(sides, str) else (len(signs),) + g.shape
+        return Estimate(np.zeros(shape, dtype=complex), np.zeros(shape))
 
     def integrand(u):
-        values = f(-s * u)
+        values = f(-signs[-1] * u)
+        # one (sides, orders, points) block: the kernel is formed in place
+        # in row block 0, unless f adds axes of its own, and each side's
+        # rows are it times f(-s u)
+        kernel_shape = g.shape + u.shape
+        out = np.empty((len(signs),) + np.broadcast_shapes(kernel_shape, np.shape(values)),
+                       dtype=complex)
         # far out in Re gamma the power overflows near u = 0, and below
         # a subnormal end u rounds to 0; the resulting non-finite
         # estimate is reported by ``require``
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.exp(np.multiply.outer(-g, np.log(u))) * values
+            kernel = np.multiply.outer(-g, np.log(u),
+                                       out=out[0] if out.shape[1:] == kernel_shape else None)
+            np.exp(kernel, out=kernel)
+            np.multiply(kernel, values, out=out[-1])
+            for row in range(len(signs) - 2, -1, -1):
+                np.multiply(kernel, f(-signs[row] * u), out=out[row])
+        return out[0] if isinstance(sides, str) else out
 
     return integrate(integrand, a, b, oscillation=oscillation)
 
 
 def half_line_integrals(spec: DistributionSpec, gamma) -> HalfLineIntegrals:
     """Both half-line integrals of u^(-gamma) pdf(+/-u) for the density
-    of ``spec`` over its support, one :func:`mirrored_integral` per
-    half that is not empty; ``gamma`` may be a scalar or an array of
+    of ``spec`` over its support, in one :func:`mirrored_integral` of
+    both sides when the two halves cover the same range, and else one
+    per half that is not empty; ``gamma`` may be a scalar or an array of
     orders.
 
     This is the one place a moment quadrature reads a density
     (:func:`~fracmom.distributions.exact_pdf`, on arrays) and its
     support.  The density's mass rides along as one more order (0) of
-    the same two engine calls.  The engine's panels reach from 2^-32 to
+    the same engine calls.  The engine's panels reach from 2^-32 to
     2^32, and mass beyond them reads as 0, so a mass that misses 1 by
     more than 1e-9 (the moments' error target, at order 0) raises
     :class:`QuadratureError` rather than give moments of a density the
@@ -233,8 +249,12 @@ def half_line_integrals(spec: DistributionSpec, gamma) -> HalfLineIntegrals:
     lo, hi = spec.support
     pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
     # f(-s u) is pdf(+u) on the "minus" side and pdf(-u) on the "plus" side
-    halves = (mirrored_integral(pdf, "minus", orders, max(lo, 0.0), hi),
-              mirrored_integral(pdf, "plus", orders, max(0.0, -hi), -lo))
+    ranges = {"minus": (max(lo, 0.0), hi), "plus": (max(0.0, -hi), -lo)}
+    if ranges["minus"] == ranges["plus"]:
+        both = mirrored_integral(pdf, tuple(ranges), orders, *ranges["minus"])
+        halves = [Estimate(value, error) for value, error in zip(*both)]
+    else:
+        halves = [mirrored_integral(pdf, side, orders, *ends) for side, ends in ranges.items()]
     miss = abs(halves[0].value[-1] + halves[1].value[-1] - 1.0)
     if not miss <= MOMENT_TOL:
         raise QuadratureError(f"the {spec.label()} density's mass on the quadrature panels "

@@ -64,13 +64,20 @@ and beyond it the integral is taken between consecutive zeros — 64
 pieces of 24-point Gauss-Legendre, all in one call — with repeated
 (Euler) averaging of the alternating partial sums.  Each stretch thus
 has one rule with an error estimate.
+
+Inside :func:`counting`, each panel sequence and each zero-to-zero pass
+adds to a tally of passes, abscissae and integrand values; outside it
+nothing is counted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from typing import Callable, NamedTuple
+from collections import Counter
+from contextvars import ContextVar
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -170,6 +177,30 @@ def integrate(
     return Estimate(head.value + tail.value, head.error + tail.error)
 
 
+_tally: ContextVar[Counter | None] = ContextVar("tally", default=None)
+
+
+@contextlib.contextmanager
+def counting() -> Iterator[Counter]:
+    """Count the engine's work inside the block into the Counter given:
+    ``passes`` (panel sequences and zero-to-zero passes), the
+    ``abscissae`` they evaluated and the integrand ``values`` they
+    formed."""
+    token = _tally.set(Counter())
+    try:
+        yield _tally.get()
+    finally:
+        _tally.reset(token)
+
+
+def _evaluate(f: Integrand, x: np.ndarray) -> np.ndarray:
+    y = np.asarray(f(x))
+    tally = _tally.get()
+    if tally is not None:
+        tally.update(passes=1, abscissae=x.size, values=y.size)
+    return y
+
+
 def require(estimate: Estimate, tol: float, what: str, nodes) -> None:
     """Raise :class:`QuadratureError` if any row's error exceeds ``tol``.
 
@@ -215,7 +246,7 @@ def _layout(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_sequence(f: Integrand, a: float, b: float) -> Estimate:
     x, half = _layout(a, b)
-    y = np.asarray(f(x))
+    y = _evaluate(f, x)
     lead = y.shape[:-1]
     y = y.reshape(-1, PANELS, SUBPANELS, KRONROD_NODES.size)
     # a non-finite integrand gives a non-finite estimate, which
@@ -223,7 +254,11 @@ def _panel_sequence(f: Integrand, a: float, b: float) -> Estimate:
     with np.errstate(over="ignore", invalid="ignore"):
         kronrod = (y @ KRONROD_WEIGHTS * half).sum(-1)
         gauss_err = (np.abs(y @ (KRONROD_WEIGHTS - GAUSS_WEIGHTS)) * half).sum(-1)
-        abs_int = (np.abs(y) @ KRONROD_WEIGHTS * half).sum(-1)
+        # |f| half of the rows at a time, so that its copy takes a
+        # quarter of the integrand's bytes, not half
+        abs_int = np.concatenate([np.abs(part) @ KRONROD_WEIGHTS for part in np.array_split(y, 2)])
+        abs_int = (abs_int * half).sum(-1)
+    del y  # the integrand is not needed past its rule sums
 
     sums = np.cumsum(kronrod, axis=1)
     roundoff = 50.0 * _EPS * abs_int.sum(axis=1)
@@ -244,30 +279,32 @@ def _wynn(sums, value, error, pending):
     Rhombus rule eps[k+1][j] = eps[k-1][j+1] + 1/(eps[k][j+1] - eps[k][j]),
     with eps[-1] = 0 and eps[0] the partial sums.  An even-column entry
     built from e0, e1, e2 (three successive entries two columns back)
-    gets the error |res - e2| + |e2 - e1| + |e1 - e0|.
+    gets the error |res - e2| + |e2 - e1| + |e1 - e0|.  Only the even
+    columns are kept; each odd one lives for two steps of the rule.
     """
     rows, n = sums.shape
-    table = np.full((n, rows, n), np.nan, dtype=sums.dtype)
-    table[0] = sums
+    even = np.full(((n + 1) // 2, rows, n), np.nan, dtype=sums.dtype)
+    even[0] = cur = sums
     older = np.zeros((rows, n + 1), dtype=sums.dtype)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, n):
-            cur = table[k - 1, :, : n - k + 1]
-            step = 1.0 / (cur[:, 1:] - cur[:, :-1])
-            table[k, :, : n - k] = older[:, 1 : n - k + 1] + step
-            older = cur
-        even = table[::2]
-        e0, e1, e2 = even[:-1, :, :-2], even[:-1, :, 1:-1], even[:-1, :, 2:]
+            new = older[:, 1 : n - k + 1] + 1.0 / (cur[:, 1:] - cur[:, :-1])
+            older, cur = cur, new
+            if k % 2 == 0:
+                even[k // 2, :, : n - k] = new
+        # |e2 - e1| and |e1 - e0| are one |diff| along the table's rows
         res = even[1:, :, :-2]
-        cand = np.abs(res - e2) + np.abs(e2 - e1) + np.abs(e1 - e0)
+        cand = np.abs(res - even[:-1, :, 2:])
+        steps = np.abs(np.diff(even[:-1], axis=-1))
+        cand += steps[..., 1:]
+        cand += steps[..., :-1]
+        del steps
     cand[~np.isfinite(cand)] = np.inf
     # only the converging tail: an entry built from a partial sum after
     # which the increments still grow is no candidate
     inc = np.abs(np.diff(sums, axis=1))
     grows = inc[:, 1:] > inc[:, :-1]
     cand[:, np.logical_or.accumulate(grows[:, ::-1], axis=1)[:, ::-1]] = np.inf
-    cand = cand.transpose(1, 0, 2).reshape(rows, -1)
-    res = res.transpose(1, 0, 2).reshape(rows, -1)
     # nor is an entry farther from the last sum than twice the reach of
     # a geometric tail with the last two increments; that tail's
     # remainder is below one reach
@@ -275,12 +312,15 @@ def _wynn(sums, value, error, pending):
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = np.where(last < prev, last / (1.0 - last / prev), np.inf)
     cand[~(np.abs(res - value[:, None]) <= 2.0 * reach)] = np.inf
-    pick = np.argmin(cand, axis=1)
+    # the first smallest candidate of each row, columns in table order
+    pick = np.argmin(cand.transpose(1, 0, 2).reshape(rows, -1), axis=1)
+    col, j = np.divmod(pick, cand.shape[2])
     at = np.arange(rows)
-    better = pending & (cand[at, pick] < error)
+    best = cand[col, at, j]
+    better = pending & (best < error)
     return (
-        np.where(better, res[at, pick], value),
-        np.where(better, cand[at, pick], error),
+        np.where(better, res[col, at, j], value),
+        np.where(better, best, error),
     )
 
 
@@ -303,7 +343,7 @@ def _oscillatory(f: Integrand, zero: float, freq: float) -> Estimate:
     mid, width = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x = (mid[:, None] + width[:, None] * _OSC_NODES).ravel()
 
-    y = np.asarray(f(x))
+    y = _evaluate(f, x)
     lead = y.shape[:-1]
     pieces = y.reshape(-1, _OSC_PIECES, _OSC_NODES.size) @ _OSC_WEIGHTS * width
     s = np.cumsum(pieces, axis=1)

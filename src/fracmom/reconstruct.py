@@ -215,10 +215,18 @@ def _ladder_sum(weights: np.ndarray, step: np.ndarray):
     re = im = 0.0
     for coefficients, z in ((weights[m:], np.exp(step)),
                             (np.r_[0.0, weights[m - 1 :: -1]], np.exp(-step))):
-        side_re = side_im = np.zeros(step.shape)
+        z_re, z_im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+        side_re, side_im = np.zeros(step.shape), np.zeros(step.shape)
+        # the next step's parts, written in place with one scratch product
+        next_re, next_im, product = (np.empty(step.shape) for _ in range(3))
         for c in coefficients[::-1]:
-            side_re, side_im = (side_re * z.real - side_im * z.imag + c.real,
-                                side_re * z.imag + side_im * z.real + c.imag)
+            np.multiply(side_re, z_re, out=next_re)
+            next_re -= np.multiply(side_im, z_im, out=product)
+            next_re += c.real
+            np.multiply(side_re, z_im, out=next_im)
+            next_im += np.multiply(side_im, z_re, out=product)
+            next_im += c.imag
+            side_re, next_re, side_im, next_im = next_re, side_re, next_im, side_im
         re, im = re + side_re, im + side_im
     return re, im
 

@@ -6,14 +6,16 @@ inputs like the point-mass CF e^{i theta}.
 """
 
 import cmath
+import logging
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracmom import quadrature
+from fracmom import fracops, quadrature
 from fracmom.cli import main
 from fracmom.distributions import closed_form_moment, exact_cf, make_spec
 from fracmom.errors import DomainError, QuadratureError, StripError
@@ -512,10 +514,11 @@ def test_identity_suite_matches_public_operators(name):
 
 @pytest.mark.parametrize("name", list(_FAMILIES))
 def test_verify_integrates_each_transform_once(name, monkeypatch, capsys):
-    """Oracle (one pass over the orders gamma and -gamma), J+/-, and the
-    Marchaud head and tail per side: one panel sequence per finite part,
-    two per half-line.  A ringing tail (uniform) is panels up to its
-    first zero, then the zero-to-zero pieces."""
+    """Oracle (one pass over the orders gamma and -gamma), J, and the
+    Marchaud head and tail, each with both sides in one engine call: one
+    panel sequence per finite part, two per half-line.  A ringing tail
+    (uniform) is panels up to its first zero, then the zero-to-zero
+    pieces; a half-line density (rayleigh, levy) has one side only."""
     calls = []
     for attr in ("_panel_sequence", "_oscillatory"):
         real = getattr(quadrature, attr)
@@ -531,4 +534,26 @@ def test_verify_integrates_each_transform_once(name, monkeypatch, capsys):
         argv += ["--param", f"{key}={value:g}"]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("PASS") == 7
-    assert len(calls) == (10 if name in ("rayleigh", "levy") else 12)
+    assert len(calls) == 6
+
+
+def test_identity_suite_logs_its_engine_work_under_debug(monkeypatch, caplog):
+    spec = make_spec("gaussian", **_FAMILIES["gaussian"])
+    with caplog.at_level(logging.DEBUG, logger="fracmom"):
+        identity_suite(spec, _GRID)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "fracmom.fracops"]
+    # 6 panel sequences of 2 x 32 x 21 abscissae; the oracle has 2 sides
+    # x (22 orders + the mass), J and the Marchaud parts 2 sides x 11
+    assert re.fullmatch(r"identity suite of gaussian\(mu=2, sigma=1\): 6 engine passes, "
+                        r"8064 abscissae, 241920 integrand values, \d+\.\d{3} s", line)
+
+    # with debug logging off, nothing is counted
+    def refuse():
+        raise AssertionError("counted with debug logging off")
+
+    monkeypatch.setattr(fracops, "counting", refuse)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="fracmom"):
+        identity_suite(spec, _GRID)
+    assert quadrature._tally.get() is None
+    assert not caplog.records

@@ -20,6 +20,7 @@ from fracmom.distributions import (
     FAMILIES,
     DistributionSpec,
     closed_form_moment,
+    exact_cf,
     exact_pdf,
     make_spec,
     sample,
@@ -32,6 +33,7 @@ from fracmom.errors import (
     QuadratureError,
     StripError,
 )
+from fracmom.fracops import identity_suite
 from fracmom.moments import (
     GRID_METHODS,
     GridParams,
@@ -681,6 +683,37 @@ def test_power_integral_empty_range_is_zero(a, b):
     assert value.dtype == complex and value.shape == error.shape == (4,)
     assert not value.any() and not error.any()
     assert mirrored_integral(never, "minus", 0.5, a, b) == (0j, 0.0)
+    value, error = mirrored_integral(never, ("plus", "minus"), _POWER_ORDERS, a, b)
+    assert value.shape == error.shape == (2, 4)
+    assert not value.any() and not error.any()
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, math.inf), (0.0, math.inf)])
+@pytest.mark.parametrize("ringing", [False, True])
+def test_two_sided_mirrored_integral_is_two_one_sided_calls(name, a, b, ringing):
+    """Both sides share the kernel and the panels, and each side's row
+    is bit for bit the one-sided call, for a density and for a CF."""
+    spec = make_spec(name)
+    osc = (spec.record.oscillation(spec.params) or 1.0) if ringing else None
+    orders = np.array([0.3, 0.5 + 2j, 0.7 - 1j])
+    for f in (lambda x: exact_pdf(spec, x), lambda t: exact_cf(spec, t)):
+        both = mirrored_integral(f, ("plus", "minus"), orders, a, b, oscillation=osc)
+        assert both.value.shape == both.error.shape == (2, 3)
+        for row, side in enumerate(("plus", "minus")):
+            one = mirrored_integral(f, side, orders, a, b, oscillation=osc)
+            assert np.array_equal(both.value[row], one.value), side
+            assert np.array_equal(both.error[row], one.error), side
+
+
+def test_identity_suite_peak_does_not_grow_with_the_shared_sides():
+    # 1_478_361 bytes: this measurement of the same call on the tree
+    # before the sides shared one engine pass (commit 4475dfd), where
+    # each side formed its own kernel.  Both sides now fill one array
+    # twice the size, so the engine drops it before the Wynn table and
+    # takes |f| half of its rows at a time.
+    gp = GridParams(rho=0.4, delta=0.4, m=5, sign="minus")
+    assert _traced_peak(lambda: identity_suite(make_spec("gaussian"), gp)) <= 1_478_361
 
 
 @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.4, math.nan), (-1.0, 1.0),
