@@ -26,8 +26,10 @@ by one command can be read by a later one.  The corpus:
   rayleigh quadrature grid at scale 0.01, whose mass lies in a few of
   the panels;
 * ``figures`` and its CSVs;
-* argvs that must fail with one ``error:`` line, and a quadrature grid
-  of a density past the panels' reach, which must fail with one
+* argvs that must fail with one ``error:`` line, two of them on the
+  input files of ``INPUTS`` (a grid CSV that is not UTF-8 and a
+  ``--dist`` file nested past the recursion limit), and a quadrature
+  grid of a density past the panels' reach, which must fail with one
   ``numerical failure:`` line.
 
 Each artifact (exit status, stdout, stderr, every file written) prints
@@ -71,6 +73,10 @@ _DISPATCH_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SP
 
 # a decimal number, inf or nan; the text between them is the skeleton
 _NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
+
+# input files of the corpus, written into each scratch directory
+INPUTS = {"undecodable.csv": b"# sign: minus\nk,rho,eta,re,im\n\xff\n",
+          "nested.json": b"[" * 100_000 + b"]" * 100_000}
 
 
 def corpus() -> list[tuple[str, list[str]]]:
@@ -154,6 +160,8 @@ def corpus() -> list[tuple[str, list[str]]]:
         ["reconstruct-cf", "--family", "cauchy", "--range", "1:inf:5"],
         ["moments", "--family", "rayleigh", "--param", "sigma=1e20",
          "--method", "quad", "--m", "1"],
+        ["reconstruct-cf", "--grid-in", "undecodable.csv"],
+        ["moments", "--dist", "nested.json"],
     ]
     out += [(f"error-{i:02d}", argv) for i, argv in enumerate(errors)]
     return out
@@ -245,8 +253,10 @@ def _verdict(old: dict, new: dict, name: str) -> str:
                         new[name].decode(errors="replace"))
 
 
-def compare(old_tree: Path, new_tree: Path, commands, dispatch_floor: bool = False) -> int:
-    """Run ``commands`` against both trees and print one verdict per
+def compare(old_tree: Path, new_tree: Path, commands, dispatch_floor: bool = False,
+            inputs: dict[str, bytes] | None = None) -> int:
+    """Run ``commands`` against both trees, in directories that hold the
+    files of ``inputs`` (name to bytes), and print one verdict per
     artifact, with its dispatch floor when ``dispatch_floor`` is set;
     0 when every artifact is identical, else 1."""
     runs = [(old_tree, None), (new_tree, None)]
@@ -256,6 +266,8 @@ def compare(old_tree: Path, new_tree: Path, commands, dispatch_floor: bool = Fal
         dirs = [Path(tmp, str(i)) for i in range(len(runs))]
         for d in dirs:
             d.mkdir()
+            for name, data in (inputs or {}).items():
+                (d / name).write_bytes(data)
         with ThreadPoolExecutor(max_workers=len(runs)) as pool:
             old, new, *floor = pool.map(
                 lambda run, d: run_tree(run[0].resolve(), commands, d, run[1]), runs, dirs)
@@ -282,7 +294,7 @@ def run(argv=None) -> int:
                     help="also rerun the old tree without NumPy's AVX2 and AVX-512 "
                          "loops, and print how far that moves each artifact")
     args = ap.parse_args(argv)
-    return compare(args.old, args.new, corpus(), args.dispatch_floor)
+    return compare(args.old, args.new, corpus(), args.dispatch_floor, INPUTS)
 
 
 if __name__ == "__main__":

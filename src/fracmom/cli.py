@@ -38,16 +38,18 @@ it, so it holds about 1 MB of block buffers per process, whatever the
 sample count, and runs up to two processes; the bytes written do not
 depend on the CPU count).
 
-Exit codes: 0 success, 1 argument/configuration problems (a path named
-by ``--out``/``--out-dir`` that cannot be written included) or a stdout
-closed by its reader (``| head``: the command stops quietly, with nothing
-on stderr), 2 numerical failure (quadrature that could not reach its
-error target; the message names the operation that failed), 3 internal
-error (an exception the package does not raise on purpose: one
-``internal error:`` line on stderr, the traceback under
-``FRACMOM_LOG=debug``).  Output files are written atomically (temp file +
-rename) and are byte-deterministic for a fixed configuration and seed.
-Set ``FRACMOM_LOG`` to error/warn/info/debug to adjust verbosity.
+Exit codes: 0 success, 1 argument/configuration problems (an input
+file named by ``--dist``/``--grid-in`` that cannot be read or is not
+text, and a path named by ``--out``/``--out-dir`` that cannot be
+written, included) or a stdout closed by its reader (``| head``: the
+command stops quietly, with nothing on stderr), 2 numerical failure
+(quadrature that could not reach its error target; the message names
+the operation that failed), 3 internal error (an exception the package
+does not raise on purpose: one ``internal error:`` line on stderr, the
+traceback under ``FRACMOM_LOG=debug``).  Output files are written
+atomically (temp file + rename) and are byte-deterministic for a fixed
+configuration and seed.  Set ``FRACMOM_LOG`` to error/warn/info/debug
+to adjust verbosity.
 """
 
 from __future__ import annotations
@@ -204,17 +206,23 @@ def _parse_params(items: list[str]) -> dict[str, float]:
     return out
 
 
+def _read_text(path: Path) -> str:
+    # the one reader of an input file: a file that cannot be read or
+    # decoded is an argument error
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ArgumentError(f"cannot read {path}: {exc}") from None
+
+
 def _load_spec(args) -> DistributionSpec | None:
     if args.dist is not None:
         if args.param:
             raise ArgumentError("--param cannot be combined with --dist")
-        try:
-            text = args.dist.read_text()
-        except OSError as exc:
-            raise ArgumentError(f"cannot read {args.dist}: {exc}") from None
+        text = _read_text(args.dist)
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ArgumentError(f"{args.dist}: invalid JSON ({exc})") from None
         return spec_from_config(obj)
     if args.family is not None:
@@ -326,11 +334,7 @@ def _cmd_reconstruct(args, kind: str) -> int:
         if passed:
             raise ArgumentError(f"--grid-in cannot be combined with "
                                 f"{', '.join(passed)}")
-        try:
-            with open(args.grid_in) as handle:
-                grid = read_grid_csv(handle)[0]
-        except OSError as exc:
-            raise ArgumentError(f"cannot read {args.grid_in}: {exc}") from None
+        grid = read_grid_csv(_read_text(args.grid_in).splitlines())[0]
 
     curve = sample_curve(grid, kind, abscissae)
     _emit(args.out, partial(write_curve_csv, curve))

@@ -17,6 +17,7 @@ header and ``repr`` cells, and a grid makes the round trip through
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import json
 import logging
@@ -645,43 +646,24 @@ def read_grid_csv(lines) -> tuple[MomentGrid, dict]:
     :class:`StripError` when rho lies outside :func:`working_strip` of
     that distribution (of no family without a `# family:` line).
     """
+    lines = [line.strip() for line in lines]
     meta: dict[str, object] = {}
-    rows: list[tuple[int, float, float, complex]] = []
-    header_seen = False
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, val = body.partition(":")
-                key = key.strip()
-                val = val.strip()
-                if key == "params":
-                    try:
-                        meta[key] = json.loads(val)
-                    except json.JSONDecodeError:
-                        meta[key] = val
-                else:
-                    meta[key] = val
-            continue
-        if not header_seen:
-            if line != "k,rho,eta,re,im":
-                raise ArgumentError(
-                    f"unexpected grid CSV header: {line!r}"
-                )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
+    for key, colon, value in (line[1:].partition(":") for line in lines
+                              if line.startswith("#")):
+        if colon:
+            meta[key.strip()] = value.strip()
+    table = [line for line in lines if line and not line.startswith("#")]
+    if table and table[0] != "k,rho,eta,re,im":
+        raise ArgumentError(f"unexpected grid CSV header: {table[0]!r}")
+    rows = []
+    for line in table[1:]:
+        cells = line.split(",")
+        if len(cells) != 5:
             raise ArgumentError(f"malformed grid CSV row: {line!r}")
         try:
-            k = int(parts[0])
-            rho, eta, re, im = (float(p) for p in parts[1:])
+            rows.append((int(cells[0]), *map(float, cells[1:])))
         except ValueError:
             raise ArgumentError(f"non-numeric grid CSV row: {line!r}") from None
-        rows.append((k, rho, eta, complex(re, im)))
 
     if len(rows) < 3:
         raise ArgumentError(
@@ -689,27 +671,28 @@ def read_grid_csv(lines) -> tuple[MomentGrid, dict]:
         )
     if "sign" not in meta:
         raise ArgumentError("grid CSV missing '# sign:' metadata")
-    rows.sort(key=lambda r: r[0])
-    ks = [r[0] for r in rows]
+    # rows of one k are refused below, whatever their order
+    rows.sort()
     m = (len(rows) - 1) // 2
-    if ks != list(range(-m, m + 1)):
+    ks, rhos, etas, res, ims = zip(*rows)
+    if ks != tuple(range(-m, m + 1)):
         raise ArgumentError("grid CSV rows must cover k = -m..m exactly")
-    for k, rho_k, eta, value in rows:
-        if not np.isfinite([rho_k, eta, value.real, value.imag]).all():
+    for k, *cells in rows:
+        if not all(map(math.isfinite, cells)):
             raise ArgumentError(f"grid CSV row k = {k} has a non-finite value")
-    rho = rows[0][1]
-    if any(r[1] != rho for r in rows):
+    if any(rho != rhos[0] for rho in rhos):
         raise ArgumentError("grid CSV rows disagree on rho")
-    delta = rows[m + 1][2]  # eta at k = 1
-    params = GridParams(rho=rho, delta=delta, m=m, sign=str(meta["sign"]))
-    for k, _, eta, _ in rows:
+    delta = etas[m + 1]  # eta at k = 1
+    params = GridParams(rho=rhos[0], delta=delta, m=m, sign=meta["sign"])
+    for k, eta in zip(ks, etas):
         if not math.isclose(eta, k * delta, rel_tol=1e-9, abs_tol=1e-12 * delta):
             raise ArgumentError(
                 f"grid CSV eta = {eta!r} at k = {k} is not k * delta "
                 f"(delta = {delta!r} from k = 1)"
             )
-    values = np.array([r[3] for r in rows], dtype=complex)
-    spec = None
-    if "family" in meta:
-        spec = DistributionSpec(str(meta["family"]), meta.get("params", {}))
-    return MomentGrid(params, values, spec), meta
+    if "params" in meta:
+        # text that does not decode stays raw, and the spec refuses it
+        with contextlib.suppress(ValueError, RecursionError):
+            meta["params"] = json.loads(meta["params"])
+    spec = DistributionSpec(meta["family"], meta.get("params", {})) if "family" in meta else None
+    return MomentGrid(params, np.array(list(map(complex, res, ims))), spec), meta

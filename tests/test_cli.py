@@ -24,7 +24,7 @@ import fracmom
 from fracmom.cli import _build_parser, _parse_range, main
 from fracmom.distributions import FAMILIES, DistributionSpec
 from fracmom.errors import ArgumentError, StripError
-from fracmom.moments import suggest_truncation
+from fracmom.moments import GridParams, make_grid, suggest_truncation, write_grid_csv
 
 
 def _run(argv, capsys):
@@ -1009,4 +1009,52 @@ def test_no_internal_error_on_any_input(argv):
     if code == 0:
         assert "nan" not in out.getvalue()
     else:
+        assert len(err.getvalue().splitlines()) == 1
+
+
+def _written_grid() -> bytes:
+    buf = io.StringIO()
+    write_grid_csv(make_grid(DistributionSpec("rayleigh", {"sigma": 2.0}),
+                             GridParams(rho=0.4, delta=0.4, m=2), "closed_form"), buf)
+    return buf.getvalue().encode()
+
+
+_VALID_FILES = {"dist": b'{"family": "rayleigh", "params": {"sigma": 2.0}}',
+                "grid": _written_grid()}
+_FILE_ARGVS = {"dist": ["moments", "--dist", "{}", "--m", "2"],
+               "grid": ["reconstruct-pdf", "--grid-in", "{}", "--range", "0.5:3:6"]}
+_PIECES = [b"nan", b"inf", b"1" * 30, b"1" * 5000, b"[" * 5000, b",", b"\n", b"#",
+           b'"', b"{", b"}", b"\xff", b"\xc3(", b"\xc2\x85"]
+
+
+@st.composite
+def _input_files(draw):
+    """A valid --dist or --grid-in file with a few byte ranges replaced,
+    by drawn bytes or by pieces of numbers, JSON, CSV and bad UTF-8."""
+    kind = draw(st.sampled_from(sorted(_VALID_FILES)))
+    data = _VALID_FILES[kind]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start = draw(st.integers(min_value=0, max_value=len(data)))
+        stop = draw(st.integers(min_value=start, max_value=min(len(data), start + 8)))
+        piece = draw(st.sampled_from(_PIECES) | st.binary(max_size=4))
+        data = data[:start] + piece + data[stop:]
+    return kind, data
+
+
+@given(_input_files())
+# a file that is not UTF-8, and JSON nested past the recursion limit
+# (both used to end in an internal error with exit 3)
+@example(("grid", _VALID_FILES["grid"].replace(b"# sign", b"\xff sign")))
+@example(("dist", b"[" * 100_000 + b"]" * 100_000))
+@settings(max_examples=60, deadline=None)
+def test_no_internal_error_on_any_input_file(tmp_path_factory, case):
+    kind, data = case
+    path = tmp_path_factory.mktemp("input") / "input"
+    path.write_bytes(data)
+    argv = [str(path) if arg == "{}" else arg for arg in _FILE_ARGVS[kind]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code:
         assert len(err.getvalue().splitlines()) == 1

@@ -1156,6 +1156,64 @@ def test_csv_read_accepts_hand_written_eta():
     assert grid.params.m == 3 and grid.params.delta == 0.4
 
 
+_BAD_CELLS = ["nan", "inf", "-inf", "abc", "", "1" * 30, "-" + "9" * 30, "0x1p3"]
+_HEAD_LINES = ["# sign: plus", "# sign: sideways", "# family: levy", "# family: nosuch",
+               '# params: {"sigma": -1.0}', "# params: [", "# params: " + "[" * 5000,
+               "# params: " + "1" * 5000, "# method: mc", "#", "# no colon"]
+
+
+@st.composite
+def _mutated_grid_lines(draw):
+    """The lines of a written grid, with cells replaced, rows dropped,
+    duplicated or given an extra cell, and head lines added."""
+    spec = draw(st.sampled_from([None, CAUCHY, RAYLEIGH, GAUSS21]))
+    params = GridParams(rho=0.4, delta=draw(st.sampled_from([0.4, 1e-3])),
+                        m=draw(st.integers(min_value=1, max_value=3)),
+                        sign=draw(st.sampled_from(["plus", "minus"])))
+    values = (np.ones(2 * params.m + 1) if spec is None
+              else make_grid(spec, params, "closed_form").values)
+    buf = io.StringIO()
+    write_grid_csv(MomentGrid(params, values, spec), buf, method="closed_form")
+    lines = buf.getvalue().splitlines()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        op = draw(st.sampled_from(["cell", "drop", "duplicate", "extra", "head"]))
+        # three drops leave lines: a written grid has six or more
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        if op == "head":
+            lines.insert(i, draw(st.sampled_from(_HEAD_LINES)))
+        elif op == "cell":
+            cells = lines[i].split(",")
+            cells[draw(st.integers(min_value=0, max_value=len(cells) - 1))] = draw(
+                st.sampled_from(_BAD_CELLS))
+            lines[i] = ",".join(cells)
+        elif op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] += ",0.0"
+    return lines
+
+
+@given(_mutated_grid_lines())
+@settings(max_examples=150, deadline=None)
+def test_csv_read_is_total(lines):
+    """Whatever is done to a written grid, the reader returns a grid or
+    raises a typed error, and a grid it returns writes back to the same
+    bytes."""
+    try:
+        grid, meta = read_grid_csv(lines)
+    except FracmomError:
+        return
+    written = []
+    for _ in range(2):
+        buf = io.StringIO()
+        write_grid_csv(grid, buf, method=meta.get("method"))
+        written.append(buf.getvalue())
+        grid, meta = read_grid_csv(io.StringIO(buf.getvalue()))
+    assert written[0] == written[1]
+
+
 def test_moment_quadrature_array_unreachable_tol():
     """Over a node array, one order missing the target is enough to
     raise, and the error carries the estimate it achieved.  The nodes
