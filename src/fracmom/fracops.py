@@ -39,7 +39,11 @@ also gives the quadrature moments:
 
 Where both sides are wanted (the Riesz operators, and every operator
 integral of the identity suite), one call takes both: the sides share
-one kernel u^(-order) and one engine pass.
+one kernel u^(-order) and one engine pass.  The identity suite also
+takes J_s with the Marchaud parts: the orders 1 - gamma and 1 + gamma
+are stacked in one call on (0, 1), where J's rows integrate cf and the
+Marchaud rows cf(0) - cf, and one on (1, inf), so its four operator
+integrals take two engine calls.
 
 The integrand is formed for all requested orders at once on arrays of
 abscissae, so ``gamma`` may be a scalar (complex result) or a 1-D array
@@ -100,19 +104,35 @@ def _fractional_integral(mellin: Estimate, gamma) -> np.ndarray:
 
 
 def _marchaud(
-    cf: ComplexFunc, gamma: np.ndarray, sides, oscillation: float | None
-) -> np.ndarray:
-    # one side, or a row per side of a tuple of sides
+    cf: ComplexFunc, gamma: np.ndarray, sides, oscillation: float | None,
+    *, mellin: bool = False,
+) -> tuple[Estimate | None, np.ndarray]:
+    # The Marchaud derivative, held to the operators' tol, from one engine
+    # call on (0, 1), of cf(0) - cf, and one on (1, inf), of cf, at the
+    # orders 1 + gamma; one side, or a row per side of a tuple of sides.
+    # With ``mellin`` the same two calls also give the Mellin integral J
+    # (returned first, else None): its orders 1 - gamma are stacked before
+    # the Marchaud ones, and on (0, 1) its rows integrate cf.
     c0 = complex(cf(0.0))
-    head = mirrored_integral(lambda t: c0 - cf(t), sides, 1.0 + gamma, 0.0, 1.0)
-    tail = mirrored_integral(cf, sides, 1.0 + gamma, 1.0, math.inf, oscillation=oscillation)
+    first = 0 if mellin else 1  # J's stack of orders only with ``mellin``
+    orders = np.stack([1.0 - gamma, 1.0 + gamma][first:])
+
+    def head_f(t):
+        values = cf(t)
+        return np.stack([values, c0 - values][first:])[:, None]
+
+    head = mirrored_integral(head_f, sides, orders, 0.0, 1.0)
+    tail = mirrored_integral(cf, sides, orders, 1.0, math.inf, oscillation=oscillation)
+    # the stacks of orders are the second-to-last axis
+    j = Estimate(*(h[..., 0, :] + t[..., 0, :] for h, t in zip(head, tail))) if mellin else None
+    head, tail = (Estimate(*(a[..., -1, :] for a in part)) for part in (head, tail))
     front = gamma / complex_gamma(1.0 - gamma)
     result = Estimate(
         front * (head.value + c0 / gamma - tail.value),
         (head.error + tail.error) * np.abs(front),
     )
     require(result, _TOL, "Marchaud derivative", np.broadcast_to(gamma, result.error.shape))
-    return result.value
+    return j, result.value
 
 
 def _riesz(plus: np.ndarray, minus: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -165,7 +185,8 @@ def marchaud_derivative_at_zero(
     """
     g = as_orders(gamma)
     _UNIT.require(g.real, "Re(gamma)", "Marchaud-derivative")
-    return like_orders(gamma, _marchaud(cf, g, side, oscillation))
+    _, result = _marchaud(cf, g, side, oscillation)
+    return like_orders(gamma, result)
 
 
 def riesz_derivative_at_zero(
@@ -182,7 +203,7 @@ def riesz_derivative_at_zero(
     """
     g = as_orders(gamma)
     _UNIT.require(g.real, "Re(gamma)", "Marchaud-derivative")
-    plus, minus = _marchaud(cf, g, _SIDES, oscillation)
+    _, (plus, minus) = _marchaud(cf, g, _SIDES, oscillation)
     return like_orders(gamma, -_riesz(plus, minus, g))
 
 
@@ -242,9 +263,11 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     the orders gamma and -gamma (u^(-gamma) and u^(+gamma)), which reads
     its density and support once and refuses a density whose mass it
     misses; each signed and absolute moment drawn from it must meet
-    1e-9, and a miss names the order integrated.  Each operator
-    integral (J_+, J_-, and the Marchaud K_+, K_-) is integrated once
-    and must meet the operators' 1e-7.  The Riesz rows combine the
+    1e-9, and a miss names the order integrated.  The operator
+    integrals (J_+, J_-, and the Marchaud K_+, K_-) take one engine call
+    on (0, 1) and one on (1, inf), over both sides and the stacked orders
+    1 - gamma and 1 + gamma, and each must meet the operators' 1e-7.
+    The Riesz rows combine the
     one-sided values, and ``mellin_two_path`` compares J_- with
     Gamma(gamma) times the fractional integral made from it.  A missed
     target raises :class:`QuadratureError`.  The oracle needs both
@@ -252,7 +275,7 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     ``rho`` outside the moment strip, its mirror image and (0, 1)
     raises :class:`StripError` before any quadrature.  With
     ``FRACMOM_LOG=debug`` the suite logs its engine passes, abscissae,
-    integrand values and time.
+    integrand values, the kernel's phase exponentials and time.
     """
     if not log.isEnabledFor(logging.DEBUG):
         return _identity_rows(spec, params)
@@ -260,8 +283,8 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     with counting() as tally:
         rows = _identity_rows(spec, params)
     log.debug("identity suite of %s: %d engine passes, %d abscissae, %d integrand values, "
-              "%.3f s", spec.label(), tally["passes"], tally["abscissae"], tally["values"],
-              time.perf_counter() - start)
+              "%d phase exponentials, %.3f s", spec.label(), tally["passes"], tally["abscissae"],
+              tally["values"], tally["phases"], time.perf_counter() - start)
     return rows
 
 
@@ -289,10 +312,11 @@ def _identity_rows(spec: DistributionSpec, params: GridParams) -> dict[str, floa
         mom[side], dmom[side] = oracle(halves.signed(both, side))
     abs_minus, abs_plus = oracle(halves.absolute())  # E|X|^(-g), E|X|^g
 
-    # each operator integral, both sides in one engine call
-    mellin = mirrored_integral(cf, _SIDES, 1.0 - g, 0.0, math.inf, oscillation=osc)
+    # the Mellin integral J and the Marchaud parts, both sides and both
+    # stacks of orders in one engine call per stretch
+    mellin, marchaud = _marchaud(cf, g, _SIDES, osc, mellin=True)
     rl = dict(zip(_SIDES, _fractional_integral(mellin, g)))
-    ma = dict(zip(_SIDES, _marchaud(cf, g, _SIDES, osc)))
+    ma = dict(zip(_SIDES, marchaud))
 
     def dev(got: np.ndarray, want: np.ndarray) -> float:
         return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))

@@ -44,7 +44,7 @@ from .errors import (
     DomainError,
     QuadratureError,
 )
-from .quadrature import Estimate, integrate, require
+from .quadrature import Estimate, count, integrate, require
 from .special import (
     as_orders,
     branch_power,
@@ -166,13 +166,19 @@ class HalfLineIntegrals(NamedTuple):
     negative: Estimate
 
     def signed(self, gamma, sign: str) -> Estimate:
-        """E[(s i X)^(-gamma)]: (s i x)^(-g) = |x|^(-g) (s i)^(-/+g)."""
-        phase = signed_complex_power(1.0, -np.asarray(gamma), sign)
-        return Estimate(
-            phase * self.positive.value + self.negative.value / phase,
-            np.abs(phase) * self.positive.error
-            + self.negative.error / np.abs(phase),
-        )
+        """E[(s i X)^(-gamma)]: (s i x)^(-g) = |x|^(-g) (s i)^(-/+g).
+
+        Past |Im gamma| ~ 452 the phase (s i)^(-/+g) leaves double range;
+        the estimate then is not finite, which ``require`` reports, and
+        nothing warns.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            phase = signed_complex_power(1.0, -np.asarray(gamma), sign)
+            return Estimate(
+                phase * self.positive.value + self.negative.value / phase,
+                np.abs(phase) * self.positive.error
+                + self.negative.error / np.abs(phase),
+            )
 
     def absolute(self) -> Estimate:
         """E[|X|^(-gamma)]."""
@@ -180,6 +186,49 @@ class HalfLineIntegrals(NamedTuple):
             self.positive.value + self.negative.value,
             self.positive.error + self.negative.error,
         )
+
+
+def power_kernel(gamma, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """u^(-gamma) = exp(-gamma ln u) for every order in ``gamma`` (an
+    array of any shape) at every abscissa of the 1-D ``u``: an array of
+    shape ``gamma.shape + u.shape``, formed in ``out`` (C-contiguous)
+    when it is given.
+
+    Each row is one real power u^(-Re gamma) times one unit phase
+    exp(-i |Im gamma| ln u), conjugated where Im gamma < 0; there is one
+    power per distinct Re gamma and one phase per distinct |Im gamma|,
+    so a grid line rho + i k delta (k = -m..m) and its mirror share m + 1
+    phases.  Far out in Re gamma the power overflows near u = 0, and
+    below a subnormal end u rounds to 0; such a row is not finite, which
+    the engine's estimate reports, and nothing warns.  Inside
+    :func:`~fracmom.quadrature.counting` the phases count as ``phases``.
+    """
+    g = np.asarray(gamma, dtype=complex).ravel()
+    if out is None:
+        out = np.empty(np.shape(gamma) + u.shape, dtype=complex)
+    rows = out.reshape(g.size, u.size)
+    real, conj = g.real.tolist(), (g.imag < 0).tolist()
+    # the rows of each |Im gamma|, grouped in a dict: np.unique would sort,
+    # and its first call pages in a quarter megabyte of sort kernels
+    shared: dict[float, list[int]] = {}
+    for r, value in enumerate(np.abs(g.imag).tolist()):
+        shared.setdefault(value, []).append(r)
+    count(phases=len(shared) * u.size)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_u = np.log(u)
+        power = {value: np.exp(-value * log_u) for value in dict.fromkeys(real)}
+        # one phase row at a time, into the rows that share it
+        phase = np.empty(u.shape, dtype=complex)
+        for value, group in shared.items():
+            angle = -value * log_u
+            np.cos(angle, out=phase.real)
+            np.sin(angle, out=phase.imag)
+            for r in group:
+                row = rows[r]
+                np.multiply(phase, power[real[r]], out=row)
+                if conj[r]:
+                    np.conjugate(row, out=row)
+    return out
 
 
 def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], sides, gamma,
@@ -190,11 +239,16 @@ def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], sides, gamma,
     the densities here and of every fractional operator in
     :mod:`fracmom.fracops`.  ``sides`` is one side, or a tuple of sides
     whose results come back stacked along a leading axis; every side
-    shares the kernel u^(-gamma) and the engine's panels.  ``f`` is
-    called on arrays of abscissae, once per side, and ``oscillation`` is
-    handed to :func:`~fracmom.quadrature.integrate`.  An empty range
-    (``b <= a``) gives zeros with zero error, without a call of ``f``; a
-    negative or NaN ``a`` and a NaN ``b`` raise :class:`ArgumentError`.
+    shares the kernel u^(-gamma) of :func:`power_kernel` and the
+    engine's panels.  ``f`` is called on arrays of abscissae, once per
+    side, and its values broadcast against the kernel's (orders, points)
+    block: an ``f`` that returns one row per leading index of a stacked
+    ``gamma`` (a ``(2, n)`` array of orders and values of shape
+    ``(2, 1, points)``) integrates a different function against each
+    stack of orders in the same pass.  ``oscillation`` is handed to
+    :func:`~fracmom.quadrature.integrate`.  An empty range (``b <= a``)
+    gives zeros with zero error, without a call of ``f``; a negative or
+    NaN ``a`` and a NaN ``b`` raise :class:`ArgumentError`.
     """
     signs = [sign_value(side) for side in ((sides,) if isinstance(sides, str) else sides)]
     g = np.asarray(gamma, dtype=complex)
@@ -212,13 +266,10 @@ def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], sides, gamma,
         kernel_shape = g.shape + u.shape
         out = np.empty((len(signs),) + np.broadcast_shapes(kernel_shape, np.shape(values)),
                        dtype=complex)
-        # far out in Re gamma the power overflows near u = 0, and below
-        # a subnormal end u rounds to 0; the resulting non-finite
-        # estimate is reported by ``require``
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            kernel = np.multiply.outer(-g, np.log(u),
-                                       out=out[0] if out.shape[1:] == kernel_shape else None)
-            np.exp(kernel, out=kernel)
+        kernel = power_kernel(g, u, out[0] if out.shape[1:] == kernel_shape else None)
+        # a non-finite kernel row stays non-finite, which ``require``
+        # reports
+        with np.errstate(invalid="ignore", over="ignore"):
             np.multiply(kernel, values, out=out[-1])
             for row in range(len(signs) - 2, -1, -1):
                 np.multiply(kernel, f(-signs[row] * u), out=out[row])

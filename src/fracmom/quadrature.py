@@ -65,8 +65,12 @@ pieces of 24-point Gauss-Legendre, all in one call — with repeated
 (Euler) averaging of the alternating partial sums.  Each stretch thus
 has one rule with an error estimate.
 
+The rule sums are matrix-vector products over a 2-D view of the
+integrand, one row per (member, panel, sub-panel) or (member, piece).
+
 Inside :func:`counting`, each panel sequence and each zero-to-zero pass
-adds to a tally of passes, abscissae and integrand values; outside it
+adds to a tally of passes, abscissae and integrand values, and an
+integrand may add work of its own through :func:`count`; outside it
 nothing is counted.
 """
 
@@ -124,6 +128,8 @@ KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 GAUSS_WEIGHTS = np.zeros(21)
 GAUSS_WEIGHTS[1:10:2] = _WG
 GAUSS_WEIGHTS[11::2] = _WG[::-1]
+# the Kronrod sum minus the embedded Gauss sum, the panel's error
+_GAUSS_GAP = KRONROD_WEIGHTS - GAUSS_WEIGHTS
 
 # Doublings per panel sequence, and equal sub-panels per doubling.
 # The sub-panels resolve integrands with a scale of their own (a
@@ -185,7 +191,8 @@ def counting() -> Iterator[Counter]:
     """Count the engine's work inside the block into the Counter given:
     ``passes`` (panel sequences and zero-to-zero passes), the
     ``abscissae`` they evaluated and the integrand ``values`` they
-    formed."""
+    formed, and ``phases``, the phase exponentials of the kernel
+    u^(-gamma) (:func:`fracmom.moments.power_kernel`)."""
     token = _tally.set(Counter())
     try:
         yield _tally.get()
@@ -193,11 +200,17 @@ def counting() -> Iterator[Counter]:
         _tally.reset(token)
 
 
-def _evaluate(f: Integrand, x: np.ndarray) -> np.ndarray:
-    y = np.asarray(f(x))
+def count(**work: int) -> None:
+    """Add ``work`` to the tally of the enclosing :func:`counting` block,
+    if there is one."""
     tally = _tally.get()
     if tally is not None:
-        tally.update(passes=1, abscissae=x.size, values=y.size)
+        tally.update(work)
+
+
+def _evaluate(f: Integrand, x: np.ndarray) -> np.ndarray:
+    y = np.asarray(f(x))
+    count(passes=1, abscissae=x.size, values=y.size)
     return y
 
 
@@ -205,8 +218,11 @@ def require(estimate: Estimate, tol: float, what: str, nodes) -> None:
     """Raise :class:`QuadratureError` if any row's error exceeds ``tol``.
 
     The message names the worst row's node; ``achieved`` is its error.
+    An estimate with no rows meets every ``tol``.
     """
     error = np.asarray(estimate.error, dtype=float).ravel()
+    if not error.size:
+        return
     worst = int(np.argmax(error))
     achieved = float(error[worst])
     if not achieved <= tol:
@@ -248,16 +264,22 @@ def _panel_sequence(f: Integrand, a: float, b: float) -> Estimate:
     x, half = _layout(a, b)
     y = _evaluate(f, x)
     lead = y.shape[:-1]
-    y = y.reshape(-1, PANELS, SUBPANELS, KRONROD_NODES.size)
+    # one rule sum per (row, panel, sub-panel): a matrix-vector product
+    # over the rows of this 2-D view
+    y = y.reshape(-1, KRONROD_NODES.size)
+
+    def panels(sums: np.ndarray) -> np.ndarray:
+        return (sums.reshape(-1, PANELS, SUBPANELS) * half).sum(-1)
+
     # a non-finite integrand gives a non-finite estimate, which
     # ``require`` reports; the rule sums need not warn about it too
     with np.errstate(over="ignore", invalid="ignore"):
-        kronrod = (y @ KRONROD_WEIGHTS * half).sum(-1)
-        gauss_err = (np.abs(y @ (KRONROD_WEIGHTS - GAUSS_WEIGHTS)) * half).sum(-1)
+        kronrod = panels(y @ KRONROD_WEIGHTS)
+        gauss_err = panels(np.abs(y @ _GAUSS_GAP))
         # |f| half of the rows at a time, so that its copy takes a
         # quarter of the integrand's bytes, not half
-        abs_int = np.concatenate([np.abs(part) @ KRONROD_WEIGHTS for part in np.array_split(y, 2)])
-        abs_int = (abs_int * half).sum(-1)
+        abs_int = panels(np.concatenate([np.abs(part) @ KRONROD_WEIGHTS
+                                         for part in np.array_split(y, 2)]))
     del y  # the integrand is not needed past its rule sums
 
     sums = np.cumsum(kronrod, axis=1)
@@ -345,7 +367,7 @@ def _oscillatory(f: Integrand, zero: float, freq: float) -> Estimate:
 
     y = _evaluate(f, x)
     lead = y.shape[:-1]
-    pieces = y.reshape(-1, _OSC_PIECES, _OSC_NODES.size) @ _OSC_WEIGHTS * width
+    pieces = (y.reshape(-1, _OSC_NODES.size) @ _OSC_WEIGHTS).reshape(-1, _OSC_PIECES) * width
     s = np.cumsum(pieces, axis=1)
     while s.shape[1] > 2:
         s = 0.5 * (s[:, 1:] + s[:, :-1])

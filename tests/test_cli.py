@@ -434,6 +434,19 @@ def test_gaussian_verify_past_double_range_gives_one_line(capsys):
     assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [["verify"], ["moments", "--method", "quad"]])
+def test_quadrature_past_the_phase_range_gives_one_line(command, capsys):
+    # the phase (s i)^(-gamma) of a signed quadrature moment leaves double
+    # range past |Im gamma| ~ 452; its RuntimeWarnings used to leak before
+    # the typed failure line
+    argv = command + ["--family", "cauchy", "--m", "1", "--delta", "1000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(argv, capsys)
+    assert code == 2
+    assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
+
+
 def test_reconstruct_needs_a_distribution(capsys):
     code, _, err = _run(["reconstruct-cf", "--range", "1:2:3"], capsys)
     assert code == 1

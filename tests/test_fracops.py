@@ -514,11 +514,13 @@ def test_identity_suite_matches_public_operators(name):
 
 @pytest.mark.parametrize("name", list(_FAMILIES))
 def test_verify_integrates_each_transform_once(name, monkeypatch, capsys):
-    """Oracle (one pass over the orders gamma and -gamma), J, and the
-    Marchaud head and tail, each with both sides in one engine call: one
-    panel sequence per finite part, two per half-line.  A ringing tail
-    (uniform) is panels up to its first zero, then the zero-to-zero
-    pieces; a half-line density (rayleigh, levy) has one side only."""
+    """Oracle (one pass over the orders gamma and -gamma), then J and the
+    Marchaud parts together: one pass on (0, 1) and one on (1, inf), over
+    the orders 1 - gamma and 1 + gamma; each call takes both sides.  A
+    half-line is one panel sequence per finite part, two in all.  A
+    ringing tail (uniform) is panels up to its first zero, then the
+    zero-to-zero pieces, and its density's finite support one panel
+    sequence; a half-line density (rayleigh, levy) has one side only."""
     calls = []
     for attr in ("_panel_sequence", "_oscillatory"):
         real = getattr(quadrature, attr)
@@ -534,7 +536,7 @@ def test_verify_integrates_each_transform_once(name, monkeypatch, capsys):
         argv += ["--param", f"{key}={value:g}"]
     assert main(argv) == 0
     assert capsys.readouterr().out.count("PASS") == 7
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def test_identity_suite_logs_its_engine_work_under_debug(monkeypatch, caplog):
@@ -542,10 +544,12 @@ def test_identity_suite_logs_its_engine_work_under_debug(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="fracmom"):
         identity_suite(spec, _GRID)
     [line] = [r.getMessage() for r in caplog.records if r.name == "fracmom.fracops"]
-    # 6 panel sequences of 2 x 32 x 21 abscissae; the oracle has 2 sides
-    # x (22 orders + the mass), J and the Marchaud parts 2 sides x 11
-    assert re.fullmatch(r"identity suite of gaussian\(mu=2, sigma=1\): 6 engine passes, "
-                        r"8064 abscissae, 241920 integrand values, \d+\.\d{3} s", line)
+    # 4 panel sequences of 2 x 32 x 21 abscissae; the oracle has 2 sides
+    # x (22 orders + the mass), J and the Marchaud parts 2 sides x 22;
+    # each pass forms 6 phases (|Im gamma| = 0, 0.4, ..., 2) per abscissa
+    assert re.fullmatch(r"identity suite of gaussian\(mu=2, sigma=1\): 4 engine passes, "
+                        r"5376 abscissae, 241920 integrand values, 32256 phase exponentials, "
+                        r"\d+\.\d{3} s", line)
 
     # with debug logging off, nothing is counted
     def refuse():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from fracmom import _forkjoin, cli, distributions, moments
+from fracmom import _forkjoin, cli, distributions, moments, quadrature
 from fracmom.distributions import (
     FAMILIES,
     DistributionSpec,
@@ -707,13 +707,58 @@ def test_two_sided_mirrored_integral_is_two_one_sided_calls(name, a, b, ringing)
 
 
 def test_identity_suite_peak_does_not_grow_with_the_shared_sides():
-    # 1_478_361 bytes: this measurement of the same call on the tree
+    # 1_478_361 bytes: this measurement of the gaussian call on the tree
     # before the sides shared one engine pass (commit 4475dfd), where
-    # each side formed its own kernel.  Both sides now fill one array
-    # twice the size, so the engine drops it before the Wynn table and
-    # takes |f| half of its rows at a time.
+    # each side formed its own kernel.  Both sides, and the Mellin and
+    # Marchaud orders, now fill one array four times the size, so the
+    # engine drops it before the Wynn table and takes |f| half of its
+    # rows at a time, and the kernel forms one phase row at a time.
     gp = GridParams(rho=0.4, delta=0.4, m=5, sign="minus")
-    assert _traced_peak(lambda: identity_suite(make_spec("gaussian"), gp)) <= 1_478_361
+    for name in FAMILIES:
+        assert _traced_peak(lambda: identity_suite(make_spec(name), gp)) <= 1_478_361, name
+
+
+# abscissae of both panel sequences of [0, inf)
+_ABSCISSAE = np.concatenate([quadrature._layout(0.0, 1.0)[0],
+                             quadrature._layout(1.0, math.inf)[0]])
+# real parts drawn often enough to repeat, and |Im gamma| likewise
+_PARTS = st.sampled_from([0.0, 0.4, -0.4, 1.4]) | st.floats(-3.0, 3.0)
+
+
+@given(st.lists(st.tuples(_PARTS, _PARTS | st.floats(-30.0, 30.0)), min_size=1, max_size=6),
+       st.booleans())
+@example([(0.4, 0.0), (0.4, 0.4), (-0.4, -0.4), (0.0, 0.0)], True)
+def test_power_kernel_is_the_complex_exponential(parts, stacked):
+    """Each row of the kernel is exp(-gamma ln u) within a few roundings
+    of the exponent, for orders with repeated real parts, Im gamma = 0
+    and conjugate pairs, flat or stacked as a (2, n) array."""
+    g = np.array([complex(re, im) for re, im in parts])
+    g = np.stack([g, g.conj()]) if stacked else np.concatenate([g, g.conj()])
+    exponent = np.multiply.outer(-g, np.log(_ABSCISSAE))
+    want = np.exp(exponent)
+    got = moments.power_kernel(g, _ABSCISSAE)
+    assert got.shape == g.shape + _ABSCISSAE.shape
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 8.0 * eps * (1.0 + np.abs(exponent)) * np.abs(want))
+
+
+def test_power_kernel_far_out_is_not_finite_and_quiet():
+    """u^-180 leaves double range near u = 0; the engine's estimate
+    reports the non-finite row, so the kernel does not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = moments.power_kernel(np.array([180.0, 180.0 - 2j, 0.4]), _ABSCISSAE)
+    assert not np.isfinite(got[:2]).all(axis=1).any()
+    assert np.isfinite(got[2]).all()
+
+
+def test_power_kernel_counts_one_phase_row_per_distinct_imaginary_part():
+    g = GridParams(rho=0.4, delta=0.4, m=5).nodes()
+    with quadrature.counting() as tally:
+        mirrored_integral(lambda x: np.exp(-x), "minus", np.stack([1.0 - g, 1.0 + g]), 0.0, 1.0)
+    # |Im gamma| = 0, 0.4, ..., 2.0 over the 2 x 32 x 21 abscissae
+    assert tally["phases"] == 6 * 1344
+    assert tally["passes"] == 1 and tally["values"] == 22 * 1344
 
 
 @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.4, math.nan), (-1.0, 1.0),

@@ -117,6 +117,27 @@ def test_require_names_worst_node():
     require(est, 1e-2, "test integral", nodes)  # within target: silent
 
 
+def test_require_accepts_an_empty_estimate():
+    # an argmax over no rows used to raise a raw ValueError
+    require(Estimate(np.zeros(0, dtype=complex), np.zeros(0)), 1e-9, "test integral",
+            np.zeros(0, dtype=complex))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+def test_no_orders_give_no_values(spec):
+    """An empty order array gives an empty array from every operator and
+    moment estimator, as it does from the closed forms."""
+    cf = lambda t: exact_cf(spec, t)  # noqa: E731
+    none = np.zeros(0, dtype=complex)
+    osc = _osc(spec)
+    for got in (rl_integral_at_zero(cf, none, "minus", oscillation=osc),
+                marchaud_derivative_at_zero(cf, none, "plus", oscillation=osc),
+                riesz_derivative_at_zero(cf, none, oscillation=osc),
+                moment_quadrature(spec, none, "minus"),
+                closed_form_moment(spec, none, "minus")):
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
 def test_scalar_only_callable_is_refused():
     # the engine evaluates on arrays; a math.* integrand cannot be used
     with pytest.raises(TypeError):
