@@ -25,7 +25,8 @@ by one command can be read by a later one.  The corpus:
   leaves double range, and at 1e-310, where x/sigma^2 does; and a
   rayleigh quadrature grid at scale 0.01, whose mass lies in a few of
   the panels;
-* ``figures`` and its CSVs;
+* ``figures``, its CSVs and its ``--help`` text, which renders the
+  figure table;
 * argvs that must fail with one ``error:`` line, two of them on the
   input files of ``INPUTS`` (a grid CSV that is not UTF-8 and a
   ``--dist`` file nested past the recursion limit), and a quadrature
@@ -139,6 +140,7 @@ def corpus() -> list[tuple[str, list[str]]]:
                  "--method", "quad", "--m", "6",
                  "--out", "moments-rayleigh-quad-small.csv"]))
     out.append(("figures", ["figures", "--out-dir", "figs"]))
+    out.append(("figures-help", ["figures", "--help"]))
     errors = [
         ["moments", "--family", "nosuch"],
         ["moments", "--family", "cauchy", "--rho", "1.5"],

@@ -106,19 +106,33 @@ _RANGE_CAP = 1_000_000
 _FLAG_DEFAULTS = {"rho": 0.4, "delta": 0.4, "m": 5, "sign": "minus",
                   "method": "closed", "n_samples": 100_000, "seed": 0}
 
-_FIGURE_TABLE = """\
-figure parameters (all grids rho=0.4, delta=0.4, sign=minus unless noted):
-  fig3a   uniform(a=2)    classical Taylor order 8      theta 0.1..10 step 0.05
-  fig3b   uniform(a=2)    CF series m=25                theta 0.1..20 step 0.1
-  fig4a/b rayleigh(s=2)   CF series m=25 (re/im panels) theta 0.1..10 step 0.05
-  fig5    cauchy          CF series m=25                theta 0.1..10 step 0.05
-  fig6a/b levy            CF series m=25, rho=0.9       theta 0.1..10 step 0.05
-  fig7    gaussian(2,1)   PDF series m=30               x -2..6 step 0.05
-  fig8    cauchy          PDF series m=10               x -10..10 step 0.1
-  fig9    levy            PDF series m=10               x 0.1..10 step 0.05
-PDF grids count conjugate-pair moments once per independent node (30
-moments -> half-width m=30); the README's accuracy notes record the
-measured errors behind this choice."""
+# The figure set, one row per figure: name, kind, family and parameters,
+# points lo..hi by step, m, rho and the a/b panels.  Every grid has
+# delta=0.4 and sign=minus; fig3a, the diverging classical Taylor
+# baseline, is written without a grid, and its m is the Taylor order.
+_FIGURES = (
+    ("fig3a", "cf-taylor", "uniform", {"a": 2.0}, (0.1, 10.0, 0.05), 8, None, ""),
+    ("fig3b", "cf", "uniform", {"a": 2.0}, (0.1, 20.0, 0.1), 25, 0.4, ""),
+    ("fig4", "cf", "rayleigh", {"sigma": 2.0}, (0.1, 10.0, 0.05), 25, 0.4, "ab"),
+    ("fig5", "cf", "cauchy", {}, (0.1, 10.0, 0.05), 25, 0.4, ""),
+    ("fig6", "cf", "levy", {}, (0.1, 10.0, 0.05), 25, 0.9, "ab"),
+    ("fig7", "pdf", "gaussian", {"mu": 2.0, "sigma": 1.0}, (-2.0, 6.0, 0.05), 30, 0.4, ""),
+    ("fig8", "pdf", "cauchy", {}, (-10.0, 10.0, 0.1), 10, 0.4, ""),
+    ("fig9", "pdf", "levy", {}, (0.1, 10.0, 0.05), 10, 0.4, ""),
+)
+
+
+def _figure_help() -> str:
+    # the figures --help epilog: one line per row of _FIGURES
+    row = "  {:<9}{:<11}{:<25}{:<15}{}".format
+    lines = ["figure parameters (every grid: delta=0.4, sign=minus):",
+             row("file", "kind", "distribution", "series", "points")]
+    for name, kind, family, params, (lo, hi, step), m, rho, panels in _FIGURES:
+        series = f"order {m}" if rho is None else f"m={m}, rho={rho:g}"
+        lines.append(row(name + "/".join(panels), kind, DistributionSpec(family, params).label(),
+                         series, f"{lo:g}..{hi:g} step {step:g}"))
+    return "\n".join(lines + ["A PDF grid's m counts each conjugate pair of moments once "
+                               "(see the README's accuracy notes)."])
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +200,7 @@ def _build_parser() -> _Parser:
     # no abbreviations here, or --out would pass for --out-dir
     p = sub.add_parser("figures", allow_abbrev=False,
                        help="emit all reproduction curves",
-                       epilog=_FIGURE_TABLE,
+                       epilog=_figure_help(),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--out-dir", type=Path, default=Path("figures"))
     p.set_defaults(run=_cmd_figures)
@@ -370,45 +384,31 @@ def _cmd_strip(args) -> int:
     return 0
 
 
+def _points(lo: float, hi: float, step: float) -> np.ndarray:
+    # a figure's abscissae: lo to hi by step, rounded to 10 decimals,
+    # without the origin
+    points = np.round(np.arange(lo, hi + 1e-9, step), 10)
+    return points[points != 0.0]
+
+
 def _cmd_figures(args) -> int:
-    out_dir = args.out_dir
-    cf_range = np.round(np.arange(0.1, 10.0 + 1e-9, 0.05), 10)
-
-    def emit(name: str, head: dict, columns: dict):
-        # one figure file and its summary line
-        _emit(out_dir / f"{name}.csv", lambda out: write_table(out, head, columns))
-        print(f"{name}.csv  n={columns['x'].size}  "
-              f"max_abs_err={float(np.max(columns['abs_err'])):.6e}")
-
-    # fig3a: the diverging classical baseline, written without a grid
-    uni = DistributionSpec("uniform", {"a": 2.0})
-    taylor = np.array([classical_taylor_cf(uni, t, 8) for t in cf_range])
-    emit("fig3a", {"kind": "cf-taylor", "family": "uniform", "order": 8},
-         curve_columns(cf_range, taylor, exact_cf(uni, cf_range)))
-
-    def figure(name: str, kind: str, spec: DistributionSpec, lo: float,
-               hi: float, step: float, m: int = 25, rho: float = 0.4,
-               panels: tuple[str, ...] = ("",)):
-        points = np.round(np.arange(lo, hi + 1e-9, step), 10)
-        points = points[points != 0.0]
-        grid = make_grid(spec, GridParams(rho=rho, delta=0.4, m=m, sign="minus"))
-        curve = sample_curve(grid, kind, points)
-        columns = curve_columns(curve.abscissae, curve.values, curve.exact)
-        for panel in panels:
-            # a panel's line comes first in its file
-            head = {"panel": {"a": "real", "b": "imag"}.get(panel), **curve.head()}
-            emit(f"{name}{panel}", head, columns)
-
-    rayleigh = DistributionSpec("rayleigh", {"sigma": 2.0})
-    gaussian = DistributionSpec("gaussian", {"mu": 2.0, "sigma": 1.0})
-    figure("fig3b", "cf", uni, 0.1, 20.0, 0.1)
-    figure("fig4", "cf", rayleigh, 0.1, 10.0, 0.05, panels=("a", "b"))
-    figure("fig5", "cf", DistributionSpec("cauchy"), 0.1, 10.0, 0.05)
-    figure("fig6", "cf", DistributionSpec("levy"), 0.1, 10.0, 0.05, rho=0.9,
-           panels=("a", "b"))
-    figure("fig7", "pdf", gaussian, -2.0, 6.0, 0.05, m=30)
-    figure("fig8", "pdf", DistributionSpec("cauchy"), -10.0, 10.0, 0.1, m=10)
-    figure("fig9", "pdf", DistributionSpec("levy"), 0.1, 10.0, 0.05, m=10)
+    for name, kind, family, params, (lo, hi, step), m, rho, panels in _FIGURES:
+        spec, points = DistributionSpec(family, params), _points(lo, hi, step)
+        if rho is None:
+            head = {"kind": kind, "family": family, "order": m}
+            taylor = np.array([classical_taylor_cf(spec, t, m) for t in points])
+            columns = curve_columns(points, taylor, exact_cf(spec, points))
+        else:
+            grid = make_grid(spec, GridParams(rho=rho, delta=0.4, m=m, sign="minus"))
+            curve = sample_curve(grid, kind, points)
+            head, columns = curve.head(), curve_columns(points, curve.values, curve.exact)
+        # one file per panel (a panel's line comes first) and its summary line
+        for panel in panels or [""]:
+            panel_head = {"panel": {"a": "real", "b": "imag"}.get(panel), **head}
+            _emit(args.out_dir / f"{name}{panel}.csv",
+                  partial(write_table, head=panel_head, columns=columns))
+            print(f"{name}{panel}.csv  n={points.size}  "
+                  f"max_abs_err={float(np.max(columns['abs_err'])):.6e}")
     return 0
 
 
@@ -420,17 +420,10 @@ def _cmd_figures(args) -> int:
 def _glue_range(argv: list[str]) -> list[str]:
     # argparse would mistake a leading-minus range like -10:10:201 for
     # an option; gluing the pair into --range=... sidesteps that
-    glued = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--range" and i + 1 < len(argv):
-            glued.append(f"--range={argv[i + 1]}")
-            skip = True
-        else:
-            glued.append(tok)
+    glued, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--range" else None
+        glued.append(tok if value is None else f"--range={value}")
     return glued
 
 

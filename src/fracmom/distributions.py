@@ -88,7 +88,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import special as sp_special
 
-from .errors import ArgumentError, DomainError, StripError
+from .errors import ArgumentError, DomainError, StripError, require_integer
 from .special import as_orders, like_orders, scalar_or_array, sign_value, signed_log
 
 log = logging.getLogger(__name__)
@@ -746,15 +746,17 @@ def sample_blocks(spec: DistributionSpec, n: int,
     The blocks must be taken in increasing order; a block that is
     skipped is drawn and dropped, so every block holds the same draws
     whichever blocks were taken before it.  A forked process inherits
-    the generator where its parent left it.  ``n`` and ``seed`` are
-    checked here, before anything is drawn.
+    the generator where its parent left it.  ``n`` and ``seed`` (when
+    given) must be integers, and are checked here, before anything is
+    drawn.
     """
-    if n < 1:
-        raise ArgumentError("sample size must be >= 1")
+    require_integer(n, "sample size", 1)
     if n > _N_CAP:
         raise ArgumentError(f"sample size must be <= {_N_CAP}, got {n}")
-    if seed is not None and seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    if seed is not None:
+        require_integer(seed, "seed")
+        if seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     drawn = 0  # blocks drawn so far
 

@@ -4,10 +4,14 @@ Everything raised on purpose derives from :class:`FracmomError` so callers
 can catch one base class.  The split below mirrors how failures actually
 surface: bad arguments, orders outside a validity region, poles of the
 gamma factors, quadrature that could not reach its error target, and
-degenerate sample sets.
+degenerate sample sets.  :func:`require_integer` is the one rule for a
+count argument (a grid's ``m``, a sample size and seed, a Taylor order,
+a number of residues).
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class FracmomError(Exception):
@@ -46,6 +50,16 @@ class UnsupportedError(FracmomError):
 class AllSamplesDegenerateError(FracmomError):
     """Every sample was discarded (all zeros), leaving nothing to
     average."""
+
+
+def require_integer(value, name: str, low: int | None = None) -> None:
+    """Raise :class:`ArgumentError` unless ``value`` is an integer (a
+    Python or NumPy one, but not a bool) of at least ``low`` when that
+    is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ArgumentError(f"{name} must be >= {low}")
 
 
 class QuadratureError(FracmomError):

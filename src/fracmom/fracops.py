@@ -72,7 +72,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .distributions import DistributionSpec, FundamentalStrip, exact_cf
-from .errors import DomainError
+from .errors import ArgumentError, DomainError
 from .moments import MOMENT_TOL, GridParams, half_line_integrals, mirrored_integral
 from .quadrature import Estimate, counting, require
 from .special import as_orders, complex_gamma, cosine_normaliser, like_orders
@@ -98,8 +98,7 @@ def _fractional_integral(mellin: Estimate, gamma) -> np.ndarray:
     # the Mellin integral over Gamma(gamma), held to the operators' tol
     gam = complex_gamma(gamma)
     result = Estimate(mellin.value / gam, mellin.error / np.abs(gam))
-    require(result, _TOL, "fractional integral",
-            np.broadcast_to(gamma, result.error.shape))
+    require(result, _TOL, "fractional integral", gamma)
     return result.value
 
 
@@ -131,7 +130,7 @@ def _marchaud(
         front * (head.value + c0 / gamma - tail.value),
         (head.error + tail.error) * np.abs(front),
     )
-    require(result, _TOL, "Marchaud derivative", np.broadcast_to(gamma, result.error.shape))
+    require(result, _TOL, "Marchaud derivative", gamma)
     return j, result.value
 
 
@@ -351,11 +350,14 @@ _NESTED_CHUNK = 256
 
 def _weyl_integral(g: complex, func: ComplexFunc, y, side: str) -> np.ndarray:
     # (I^g func)(y) = 1/Gamma(g) int_0^inf u^(g-1) func(y - s u) du,
-    # for every entry of the array y at once, held to the operators' tol
+    # for every entry of the array y at once, held to the operators' tol:
+    # one order 1 - g per entry, whose kernel row integrates the row
+    # func(y - s u) of that entry
     y = np.asarray(y, dtype=float)
     if g == 0:
         return np.asarray(func(y), dtype=complex)
-    mellin = mirrored_integral(lambda t: func(y[..., None] + t), side, 1.0 - g, 0.0, math.inf)
+    mellin = mirrored_integral(lambda t: func(y[..., None] + t), side,
+                               np.full(y.shape, 1.0 - g), 0.0, math.inf)
     return _fractional_integral(mellin, g)
 
 
@@ -378,14 +380,18 @@ def composition_check(
     inner block) must meet the operators' error target of 1e-7, or
     :class:`QuadratureError` is raised; the deviation itself carries
     no error estimate.  Each order needs a nonnegative real part
-    (:class:`DomainError`), and their sum one in (0, 1)
-    (:class:`StripError`).
+    (:class:`DomainError`), their sum one in (0, 1)
+    (:class:`StripError`), and ``points`` must be a 1-D sequence of at
+    least one point (:class:`ArgumentError`).
     """
     gamma1, gamma2 = complex(gamma1), complex(gamma2)
     if gamma1.real < 0.0 or gamma2.real < 0.0:
         raise DomainError("composition orders need nonnegative real part")
     total = gamma1 + gamma2
     _UNIT.require(total.real, "Re(gamma1 + gamma2)", "composition")
+    y = np.asarray(points, dtype=float)
+    if y.ndim != 1 or not y.size:
+        raise ArgumentError("composition check needs a 1-D sequence of at least one point")
 
     def inner(t: np.ndarray) -> np.ndarray:
         flat = t.ravel()
@@ -393,7 +399,6 @@ def composition_check(
         values = [_weyl_integral(gamma2, f, b, side) for b in blocks]
         return np.concatenate(values).reshape(t.shape)
 
-    y = np.asarray(points, dtype=float)
     direct = _weyl_integral(total, f, y, side)
     nested = _weyl_integral(gamma1, f if gamma2 == 0 else inner, y, side)
     deviation = float(np.max(np.abs(direct - nested)))

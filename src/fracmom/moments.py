@@ -43,6 +43,7 @@ from .errors import (
     ArgumentError,
     DomainError,
     QuadratureError,
+    require_integer,
 )
 from .quadrature import Estimate, count, integrate, require
 from .special import (
@@ -95,8 +96,7 @@ class GridParams:
 
     def __post_init__(self):
         sign_value(self.sign)  # validates
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
-            raise ArgumentError(f"m must be an integer, got {self.m!r}")
+        require_integer(self.m, "m")
         if not all(isinstance(v, numbers.Real) for v in (self.rho, self.delta)):
             raise ArgumentError("rho and delta must be real numbers")
         for name, kind in (("rho", float), ("delta", float), ("m", int)):
@@ -188,46 +188,49 @@ class HalfLineIntegrals(NamedTuple):
         )
 
 
-def power_kernel(gamma, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def power_kernel(gamma, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """u^(-gamma) = exp(-gamma ln u) for every order in ``gamma`` (an
-    array of any shape) at every abscissa of the 1-D ``u``: an array of
-    shape ``gamma.shape + u.shape``, formed in ``out`` (C-contiguous)
-    when it is given.
+    array of any shape) at every abscissa of the 1-D ``u``, formed in
+    ``out``, a C-contiguous complex block of shape
+    ``gamma.shape + u.shape``, which is returned.
 
     Each row is one real power u^(-Re gamma) times one unit phase
     exp(-i |Im gamma| ln u), conjugated where Im gamma < 0; there is one
     power per distinct Re gamma and one phase per distinct |Im gamma|,
     so a grid line rho + i k delta (k = -m..m) and its mirror share m + 1
-    phases.  Far out in Re gamma the power overflows near u = 0, and
-    below a subnormal end u rounds to 0; such a row is not finite, which
-    the engine's estimate reports, and nothing warns.  Inside
+    phases, and an order given again is a copy of its first row.  Far
+    out in Re gamma the power overflows near u = 0, and below a
+    subnormal end u rounds to 0; such a row is not finite, which the
+    engine's estimate reports, and nothing warns.  Inside
     :func:`~fracmom.quadrature.counting` the phases count as ``phases``.
     """
     g = np.asarray(gamma, dtype=complex).ravel()
-    if out is None:
-        out = np.empty(np.shape(gamma) + u.shape, dtype=complex)
     rows = out.reshape(g.size, u.size)
     real, conj = g.real.tolist(), (g.imag < 0).tolist()
-    # the rows of each |Im gamma|, grouped in a dict: np.unique would sort,
-    # and its first call pages in a quarter megabyte of sort kernels
-    shared: dict[float, list[int]] = {}
-    for r, value in enumerate(np.abs(g.imag).tolist()):
-        shared.setdefault(value, []).append(r)
+    # the rows of each order, grouped by |Im gamma| in nested dicts:
+    # np.unique would sort, and its first call pages in a quarter
+    # megabyte of sort kernels
+    shared: dict[float, dict[complex, list[int]]] = {}
+    for r, value in enumerate(g.tolist()):
+        shared.setdefault(abs(value.imag), {}).setdefault(value, []).append(r)
     count(phases=len(shared) * u.size)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_u = np.log(u)
         power = {value: np.exp(-value * log_u) for value in dict.fromkeys(real)}
         # one phase row at a time, into the rows that share it
         phase = np.empty(u.shape, dtype=complex)
-        for value, group in shared.items():
+        for value, orders in shared.items():
             angle = -value * log_u
             np.cos(angle, out=phase.real)
             np.sin(angle, out=phase.imag)
-            for r in group:
+            # one row per order, copied to the rows of the same order
+            for r, *copies in orders.values():
                 row = rows[r]
                 np.multiply(phase, power[real[r]], out=row)
                 if conj[r]:
                     np.conjugate(row, out=row)
+                if copies:
+                    rows[copies] = row
     return out
 
 
@@ -241,11 +244,14 @@ def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], sides, gamma,
     whose results come back stacked along a leading axis; every side
     shares the kernel u^(-gamma) of :func:`power_kernel` and the
     engine's panels.  ``f`` is called on arrays of abscissae, once per
-    side, and its values broadcast against the kernel's (orders, points)
-    block: an ``f`` that returns one row per leading index of a stacked
-    ``gamma`` (a ``(2, n)`` array of orders and values of shape
-    ``(2, 1, points)``) integrates a different function against each
-    stack of orders in the same pass.  ``oscillation`` is handed to
+    side, and its values broadcast against the kernel's block of shape
+    ``gamma.shape + u.shape``, which they may not widen: an ``f`` that
+    returns one row per leading index of a stacked ``gamma`` (a
+    ``(2, n)`` array of orders and values of shape ``(2, 1, points)``)
+    integrates a different function against each stack of orders in the
+    same pass, and one that returns a row per order (a ``(n,)`` array
+    of orders and values of shape ``(n, points)``) a different function
+    against each order.  ``oscillation`` is handed to
     :func:`~fracmom.quadrature.integrate`.  An empty range (``b <= a``)
     gives zeros with zero error, without a call of ``f``; a negative or
     NaN ``a`` and a NaN ``b`` raise :class:`ArgumentError`.
@@ -259,14 +265,15 @@ def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], sides, gamma,
         return Estimate(np.zeros(shape, dtype=complex), np.zeros(shape))
 
     def integrand(u):
+        # the last side's f, and the temporaries it frees, before the
+        # block is allocated: the other way round, a 256-point Weyl
+        # integral of the composition check ran about 1.7 times slower
         values = f(-signs[-1] * u)
-        # one (sides, orders, points) block: the kernel is formed in place
-        # in row block 0, unless f adds axes of its own, and each side's
-        # rows are it times f(-s u)
-        kernel_shape = g.shape + u.shape
-        out = np.empty((len(signs),) + np.broadcast_shapes(kernel_shape, np.shape(values)),
-                       dtype=complex)
-        kernel = power_kernel(g, u, out[0] if out.shape[1:] == kernel_shape else None)
+        # one (sides,) + gamma.shape + u.shape block: the kernel is formed
+        # in place in row block 0, and each side's rows are it times
+        # f(-s u), the last side first, so block 0 is overwritten last
+        out = np.empty((len(signs),) + g.shape + u.shape, dtype=complex)
+        kernel = power_kernel(g, u, out[0])
         # a non-finite kernel row stays non-finite, which ``require``
         # reports
         with np.errstate(invalid="ignore", over="ignore"):

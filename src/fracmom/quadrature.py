@@ -217,16 +217,18 @@ def _evaluate(f: Integrand, x: np.ndarray) -> np.ndarray:
 def require(estimate: Estimate, tol: float, what: str, nodes) -> None:
     """Raise :class:`QuadratureError` if any row's error exceeds ``tol``.
 
-    The message names the worst row's node; ``achieved`` is its error.
-    An estimate with no rows meets every ``tol``.
+    ``nodes`` holds the order of each row, broadcast to the estimate's
+    shape (one order may stand for a row per side or per point).  The
+    message names the worst row's node; ``achieved`` is its error.  An
+    estimate with no rows meets every ``tol``.
     """
-    error = np.asarray(estimate.error, dtype=float).ravel()
+    error = np.asarray(estimate.error, dtype=float)
     if not error.size:
         return
     worst = int(np.argmax(error))
-    achieved = float(error[worst])
+    achieved = float(error.flat[worst])
     if not achieved <= tol:
-        node = complex(np.ravel(nodes)[worst])
+        node = complex(np.broadcast_to(nodes, error.shape).flat[worst])
         raise QuadratureError(
             f"{what} estimate {achieved:.3e} exceeds {tol:.3e} "
             f"at gamma = {node}",

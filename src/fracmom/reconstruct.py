@@ -81,7 +81,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DistributionSpec, exact_cf, exact_pdf
-from .errors import ArgumentError, DomainError, UnsupportedError
+from .errors import ArgumentError, DomainError, UnsupportedError, require_integer
 from .moments import GridParams, MomentGrid, write_table
 from .special import complex_gamma, reflection_product, signed_log
 
@@ -127,10 +127,9 @@ def classical_taylor_cf(
     :class:`UnsupportedError`, and a moment E[X^j] that leaves double
     range raises :class:`DomainError`.  At moderate ``theta`` the
     truncation error explodes — that divergence is the behavior this
-    baseline exists to demonstrate.
+    baseline exists to demonstrate.  ``order`` must be an integer >= 0.
     """
-    if order < 0:
-        raise ArgumentError("order must be >= 0")
+    require_integer(order, "order", 0)
     if spec.record.integer_moment is None:
         raise UnsupportedError(
             f"{spec.family} has no finite integer moments; its Taylor CF "
@@ -160,14 +159,13 @@ def residue_partial_sum(
     contribute exactly the even Taylor terms (i theta)^(2k) (2k-1)!! / (2k)!,
     so ``terms`` residues reproduce :func:`classical_taylor_cf` at order
     2(terms-1) — the test suite asserts the two code paths agree to
-    1e-14.
+    1e-14.  ``terms`` must be an integer >= 1.
     """
     if spec.family != "gaussian" or spec.params != {"mu": 0.0, "sigma": 1.0}:
         raise ArgumentError(
             "residue expansion is established for the standard Gaussian only"
         )
-    if terms < 1:
-        raise ArgumentError("terms must be >= 1")
+    require_integer(terms, "terms", 1)
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j  # (i theta)^(2k) (2k-1)!! / (2k)!
     for k in range(terms):

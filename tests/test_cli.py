@@ -748,6 +748,38 @@ def test_figures_fig3a_rows_are_the_taylor_baseline(tmp_path, capsys):
                        repr(e.imag), repr(abs(v - e))]
 
 
+def test_figure_files_and_help_follow_the_figure_table(tmp_path, capsys):
+    """Each figure file's head lines and x column are its row of
+    ``_FIGURES``, and ``figures --help`` names every row."""
+    from fracmom.cli import _FIGURES, _points
+
+    assert main(["figures", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name, kind, family, params, (lo, hi, step), m, rho, panels in _FIGURES:
+        if rho is None:
+            want = {"kind": kind, "family": family, "order": str(m)}
+        else:
+            want = {"kind": kind, "family": family, "rho": repr(rho), "delta": "0.4",
+                    "m": str(m), "sign": "minus"}
+        for panel in panels or [""]:
+            lines = (tmp_path / f"{name}{panel}.csv").read_text().splitlines()
+            head = dict(line[2:].split(": ", 1) for line in lines if line.startswith("# "))
+            if panel:
+                assert head.pop("panel") == {"a": "real", "b": "imag"}[panel]
+            assert head == want
+            x = [float(line.split(",")[0]) for line in lines if line[0] not in "#x"]
+            assert np.array_equal(x, _points(lo, hi, step))
+    with pytest.raises(SystemExit):
+        main(["figures", "--help"])
+    text = capsys.readouterr().out
+    # the columns are at least two spaces apart
+    rows = [[cell.strip() for cell in line.split("  ") if cell.strip()]
+            for line in text.splitlines() if line.startswith("  fig")]
+    assert [row[:3] for row in rows] == [
+        [name + "/".join(panels), kind, DistributionSpec(family, params).label()]
+        for name, kind, family, params, *_, panels in _FIGURES]
+
+
 # ----------------------------------------------------------------------
 # flag surface: each command takes only the flags it reads
 # ----------------------------------------------------------------------

@@ -669,6 +669,21 @@ def test_sample_size_is_checked_before_drawing(monkeypatch):
             sample(CAUCHY, n, seed=0)
 
 
+def test_sample_size_and_seed_must_be_integers(monkeypatch):
+    """A float size ended in NumPy's raw TypeError, a float seed in
+    SeedSequence's, and a bool size drew one sample; each is refused
+    before a generator is made.  NumPy integers stay accepted."""
+    want = sample(CAUCHY, 10, seed=3)
+    assert np.array_equal(sample(CAUCHY, np.int64(10), seed=np.uint32(3)), want)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    for n, seed, message in ((10.5, 1, "sample size must be an integer, got 10.5"),
+                             (True, 1, "sample size must be an integer, got True"),
+                             (10, 1.5, "seed must be an integer, got 1.5"),
+                             (10, False, "seed must be an integer, got False")):
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            sample(CAUCHY, n, seed=seed)
+
+
 @settings(max_examples=30, deadline=None)
 @given(family=st.sampled_from(FAMILIES), n=st.integers(1, 3 * SAMPLE_BLOCK + 5),
        seed=st.integers(0, 2**32), skip=st.sets(st.integers(0, 3)))

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from fracmom import fracops, quadrature
 from fracmom.cli import main
 from fracmom.distributions import closed_form_moment, exact_cf, make_spec
-from fracmom.errors import DomainError, QuadratureError, StripError
+from fracmom.errors import ArgumentError, DomainError, QuadratureError, StripError
 from fracmom.fracops import (
     composition_check,
     identity_suite,
@@ -316,6 +316,23 @@ def test_composition_reports_unreachable_error_target():
     with pytest.raises(QuadratureError) as info:
         composition_check(0.2, 0.3, np.cos, points=(0.0, 0.5))
     assert info.value.achieved > 1e-7
+
+
+@pytest.mark.parametrize("gamma2", [0.2, 0.0])
+def test_composition_refuses_empty_points(gamma2):
+    """No points used to end in a raw ValueError from ``np.array_split``,
+    or with gamma2 = 0 from ``np.max`` of an empty array."""
+    with pytest.raises(ArgumentError, match="^composition check needs a 1-D sequence of at "
+                                            "least one point$"):
+        composition_check(0.2, gamma2, _untouched, points=[])
+
+
+@pytest.mark.parametrize("points", [0.5, [[0.0, 0.5]]], ids=["scalar", "2-D"])
+def test_composition_refuses_points_that_are_not_a_sequence(points):
+    """A scalar or a nested sequence used to end in a raw TypeError, the
+    nested one after both paths were integrated."""
+    with pytest.raises(ArgumentError, match="^composition check needs a 1-D sequence"):
+        composition_check(0.2, 0.2, _untouched, points=points)
 
 
 def test_composition_validation():

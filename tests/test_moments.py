@@ -211,6 +211,20 @@ def test_make_grid_monte_carlo_path():
         make_grid(CAUCHY, gp, "monte_carlo", n_samples=10, seed=-1)
 
 
+def test_make_grid_monte_carlo_counts_must_be_integers():
+    """``n_samples=100.5`` ended in NumPy's raw TypeError, a float seed
+    in SeedSequence's, and ``n_samples=True`` drew a one-sample grid."""
+    gp = GridParams(rho=0.4, delta=0.4, m=2)
+    for n, seed, message in ((100.5, 1, "^sample size must be an integer, got 100.5$"),
+                             (True, 1, "^sample size must be an integer, got True$"),
+                             (100, 1.5, "^seed must be an integer, got 1.5$")):
+        with pytest.raises(ArgumentError, match=message):
+            make_grid(CAUCHY, gp, "monte_carlo", n_samples=n, seed=seed)
+    got = make_grid(CAUCHY, gp, "monte_carlo", n_samples=np.int64(100), seed=np.int64(1))
+    want = make_grid(CAUCHY, gp, "monte_carlo", n_samples=100, seed=1)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_monte_carlo_node_array_equals_scalar_calls():
     gp = GridParams(rho=0.4, delta=0.4, m=3)
     x = np.concatenate([[0.0], sample(RAYLEIGH, 5_000, seed=8)])
@@ -736,8 +750,9 @@ def test_power_kernel_is_the_complex_exponential(parts, stacked):
     g = np.stack([g, g.conj()]) if stacked else np.concatenate([g, g.conj()])
     exponent = np.multiply.outer(-g, np.log(_ABSCISSAE))
     want = np.exp(exponent)
-    got = moments.power_kernel(g, _ABSCISSAE)
-    assert got.shape == g.shape + _ABSCISSAE.shape
+    block = np.empty(g.shape + _ABSCISSAE.shape, dtype=complex)
+    got = moments.power_kernel(g, _ABSCISSAE, block)
+    assert got is block
     eps = np.finfo(float).eps
     assert np.all(np.abs(got - want) <= 8.0 * eps * (1.0 + np.abs(exponent)) * np.abs(want))
 
@@ -747,7 +762,8 @@ def test_power_kernel_far_out_is_not_finite_and_quiet():
     reports the non-finite row, so the kernel does not warn."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = moments.power_kernel(np.array([180.0, 180.0 - 2j, 0.4]), _ABSCISSAE)
+        got = moments.power_kernel(np.array([180.0, 180.0 - 2j, 0.4]), _ABSCISSAE,
+                                   np.empty((3,) + _ABSCISSAE.shape, dtype=complex))
     assert not np.isfinite(got[:2]).all(axis=1).any()
     assert np.isfinite(got[2]).all()
 

@@ -274,6 +274,16 @@ def test_taylor_moment_out_of_double_range_is_typed(spec):
         classical_taylor_cf(spec, 1.0, 8)
 
 
+def test_taylor_order_must_be_an_integer():
+    """A float order used to end in a raw TypeError from ``range``."""
+    for order in (2.5, 8.0, True):
+        with pytest.raises(ArgumentError, match=f"^order must be an integer, got {order!r}$"):
+            classical_taylor_cf(UNIFORM, 1.0, order)
+    with pytest.raises(ArgumentError, match="^order must be >= 0$"):
+        classical_taylor_cf(UNIFORM, 1.0, np.int64(-1))
+    assert classical_taylor_cf(UNIFORM, 1.0, np.int64(8)) == classical_taylor_cf(UNIFORM, 1.0, 8)
+
+
 def test_taylor_order_zero():
     assert classical_taylor_cf(UNIFORM, 3.0, 0) == pytest.approx(1.0 + 0j)
 
@@ -320,6 +330,16 @@ def test_residue_matches_taylor_two_path():
             a = residue_partial_sum(GAUSS01, theta, terms)
             b = classical_taylor_cf(GAUSS01, theta, 2 * terms - 2)
             assert abs(a - b) <= 1e-14
+
+
+def test_residue_terms_must_be_an_integer():
+    """A float count used to end in a raw TypeError from ``range``."""
+    for terms in (2.5, 4.0, True):
+        with pytest.raises(ArgumentError, match=f"^terms must be an integer, got {terms!r}$"):
+            residue_partial_sum(GAUSS01, 1.0, terms)
+    with pytest.raises(ArgumentError, match="^terms must be >= 1$"):
+        residue_partial_sum(GAUSS01, 1.0, 0)
+    assert residue_partial_sum(GAUSS01, 1.0, np.int32(6)) == residue_partial_sum(GAUSS01, 1.0, 6)
 
 
 def test_residue_requires_standard_normal():
