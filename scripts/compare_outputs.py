@@ -8,7 +8,9 @@ by one command can be read by a later one.  The corpus:
 
 * ``verify`` and ``strip`` for every family (``verify`` checks both
   signs in one run), and ``verify`` on a rayleigh law of scale 1e-6
-  and a uniform law of half-width 0.01;
+  and a uniform law of half-width 0.01, and a cauchy ``verify`` and a
+  gaussian quadrature grid wide enough (m = 400 and 300) that the
+  engine takes their orders in several blocks;
 * ``moments`` by closed form, quadrature and Monte Carlo, a cauchy
   grid written to stdout (no ``--out``), and three gaussian
   closed-form grids whose nodes the double-precision paths decline:
@@ -88,6 +90,12 @@ def corpus() -> list[tuple[str, list[str]]]:
     out += [("verify-rayleigh-small-scale",
              ["verify", "--family", "rayleigh", "--param", "sigma=1e-6"]),
             ("verify-uniform-narrow", ["verify", "--family", "uniform", "--param", "a=0.01"])]
+    # grids wide enough that the engine takes the orders in several blocks
+    out += [("verify-cauchy-wide", ["verify", "--family", "cauchy", "--delta", "0.01",
+                                    "--m", "400"]),
+            ("moments-gaussian-quad-wide",
+             ["moments", "--family", "gaussian", "--method", "quad", "--delta", "0.02",
+              "--m", "300", "--out", "moments-gaussian-quad-wide.csv"])]
     out += [(f"strip-{fam}", ["strip", "--family", fam]) for fam in FAMILIES]
     for fam in FAMILIES:
         for method in ("closed", "quad", "mc"):

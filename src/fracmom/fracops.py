@@ -73,7 +73,8 @@ import numpy as np
 
 from .distributions import DistributionSpec, FundamentalStrip, exact_cf
 from .errors import ArgumentError, DomainError
-from .moments import MOMENT_TOL, GridParams, half_line_integrals, mirrored_integral
+from .moments import (MOMENT_TOL, GridParams, _in_blocks, half_line_integrals,
+                      mirrored_integral)
 from .quadrature import Estimate, counting, require
 from .special import as_orders, complex_gamma, cosine_normaliser, like_orders
 
@@ -120,8 +121,10 @@ def _marchaud(
         values = cf(t)
         return np.stack([values, c0 - values][first:])[:, None]
 
-    head = mirrored_integral(head_f, sides, orders, 0.0, 1.0)
+    # the tail first, so that a bad ``oscillation`` is refused before any
+    # integrand is formed
     tail = mirrored_integral(cf, sides, orders, 1.0, math.inf, oscillation=oscillation)
+    head = mirrored_integral(head_f, sides, orders, 0.0, 1.0)
     # the stacks of orders are the second-to-last axis
     j = Estimate(*(h[..., 0, :] + t[..., 0, :] for h, t in zip(head, tail))) if mellin else None
     head, tail = (Estimate(*(a[..., -1, :] for a in part)) for part in (head, tail))
@@ -343,21 +346,17 @@ class CompositionReport(NamedTuple):
     nested: tuple[complex, ...]
 
 
-# evaluation points per engine call on the nested path; bounds the
-# (points x abscissae) integrand block held in memory
-_NESTED_CHUNK = 256
-
-
 def _weyl_integral(g: complex, func: ComplexFunc, y, side: str) -> np.ndarray:
     # (I^g func)(y) = 1/Gamma(g) int_0^inf u^(g-1) func(y - s u) du,
-    # for every entry of the array y at once, held to the operators' tol:
-    # one order 1 - g per entry, whose kernel row integrates the row
-    # func(y - s u) of that entry
+    # for every entry of the 1-D array y, held to the operators' tol: one
+    # order 1 - g per entry, whose kernel row integrates the row
+    # func(y - s u) of that entry, in the blocks of entries in which
+    # ``mirrored_integral`` takes its orders
     y = np.asarray(y, dtype=float)
     if g == 0:
         return np.asarray(func(y), dtype=complex)
-    mellin = mirrored_integral(lambda t: func(y[..., None] + t), side,
-                               np.full(y.shape, 1.0 - g), 0.0, math.inf)
+    mellin = _in_blocks(y.size, lambda part: mirrored_integral(
+        lambda t: func(y[part, None] + t), side, np.full(y[part].shape, 1.0 - g), 0.0, math.inf))
     return _fractional_integral(mellin, g)
 
 
@@ -394,10 +393,7 @@ def composition_check(
         raise ArgumentError("composition check needs a 1-D sequence of at least one point")
 
     def inner(t: np.ndarray) -> np.ndarray:
-        flat = t.ravel()
-        blocks = np.array_split(flat, -(-flat.size // _NESTED_CHUNK))
-        values = [_weyl_integral(gamma2, f, b, side) for b in blocks]
-        return np.concatenate(values).reshape(t.shape)
+        return _weyl_integral(gamma2, f, t.ravel(), side).reshape(t.shape)
 
     direct = _weyl_integral(total, f, y, side)
     nested = _weyl_integral(gamma1, f if gamma2 == 0 else inner, y, side)

@@ -45,7 +45,7 @@ from .errors import (
     QuadratureError,
     require_integer,
 )
-from .quadrature import Estimate, count, integrate, require
+from .quadrature import PANELS, Estimate, count, integrate, require
 from .special import (
     as_orders,
     branch_power,
@@ -71,6 +71,11 @@ _LADDER_RUN = 16
 # error target of every moment by quadrature of a density: the
 # quadrature grids, the identity suite's oracle and the density's mass
 MOMENT_TOL = 1e-9
+
+# orders per engine call of :func:`mirrored_integral`, along the last axis
+# of its orders: bounds its (sides,) + orders + abscissae block, and with it
+# the memory of a grid, an identity suite or a Weyl integral of any size
+_ORDER_BLOCK = 256
 
 
 # ----------------------------------------------------------------------
@@ -237,37 +242,36 @@ def power_kernel(gamma, u: np.ndarray, out: np.ndarray) -> np.ndarray:
 def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], sides, gamma,
                       a: float, b: float, *, oscillation: float | None = None) -> Estimate:
     """int_a^b u^(-gamma) f(-s u) du, s = +1 (``"plus"``) or -1
-    (``"minus"``), for every order in ``gamma`` (a scalar or an array),
-    ``0 <= a < b <= inf``, in one engine call: the half-line integral of
-    the densities here and of every fractional operator in
-    :mod:`fracmom.fracops`.  ``sides`` is one side, or a tuple of sides
-    whose results come back stacked along a leading axis; every side
-    shares the kernel u^(-gamma) of :func:`power_kernel` and the
-    engine's panels.  ``f`` is called on arrays of abscissae, once per
-    side, and its values broadcast against the kernel's block of shape
-    ``gamma.shape + u.shape``, which they may not widen: an ``f`` that
-    returns one row per leading index of a stacked ``gamma`` (a
-    ``(2, n)`` array of orders and values of shape ``(2, 1, points)``)
-    integrates a different function against each stack of orders in the
-    same pass, and one that returns a row per order (a ``(n,)`` array
-    of orders and values of shape ``(n, points)``) a different function
-    against each order.  ``oscillation`` is handed to
-    :func:`~fracmom.quadrature.integrate`.  An empty range (``b <= a``)
-    gives zeros with zero error, without a call of ``f``; a negative or
-    NaN ``a`` and a NaN ``b`` raise :class:`ArgumentError`.
+    (``"minus"``), for every order in ``gamma`` (a scalar or an array):
+    the half-line integral of the densities here and of every fractional
+    operator in :mod:`fracmom.fracops`.  ``sides`` is one side, or a
+    tuple of sides whose results come back stacked along a leading axis;
+    every side shares the kernel u^(-gamma) of :func:`power_kernel` and
+    the engine's panels.  ``f`` is called on arrays of abscissae, once
+    per side and engine pass, and its values broadcast against the
+    kernel's block of shape ``gamma.shape + u.shape``, which they may not
+    widen: an ``f`` that returns one row per leading index of a stacked
+    ``gamma`` (a ``(2, n)`` array of orders and values of shape
+    ``(2, 1, points)``) integrates a different function against each
+    stack of orders in the same pass, and one that returns a row per
+    order (a ``(n,)`` array of orders and values of shape ``(n,
+    points)``, n at most ``_ORDER_BLOCK``) a different function against
+    each order.  The orders go to the engine in blocks of
+    ``_ORDER_BLOCK`` along ``gamma``'s last axis, one
+    :func:`~fracmom.quadrature.integrate` call each, so the memory of a
+    call does not grow with the number of orders, and each order's value
+    and estimate are those of a call of its own.  ``[a, b]`` and
+    ``oscillation`` go to the engine as they are, and its range rule
+    refuses an empty range and a NaN or negative end.
     """
     signs = [sign_value(side) for side in ((sides,) if isinstance(sides, str) else sides)]
     g = np.asarray(gamma, dtype=complex)
-    if not a >= 0.0 or math.isnan(b):
-        raise ArgumentError(f"need 0 <= a and a b that is not NaN, got [{a}, {b}]")
-    if not b > a:
-        shape = g.shape if isinstance(sides, str) else (len(signs),) + g.shape
-        return Estimate(np.zeros(shape, dtype=complex), np.zeros(shape))
 
-    def integrand(u):
-        # the last side's f, and the temporaries it frees, before the
-        # block is allocated: the other way round, a 256-point Weyl
-        # integral of the composition check ran about 1.7 times slower
+    def integrand(g, u):
+        # the integrand of the block of orders g.  The last side's f, and
+        # the temporaries it frees, before the block is allocated: the
+        # other way round, a 256-point Weyl integral of the composition
+        # check ran about 1.7 times slower
         values = f(-signs[-1] * u)
         # one (sides,) + gamma.shape + u.shape block: the kernel is formed
         # in place in row block 0, and each side's rows are it times
@@ -282,44 +286,55 @@ def mirrored_integral(f: Callable[[np.ndarray], np.ndarray], sides, gamma,
                 np.multiply(kernel, f(-signs[row] * u), out=out[row])
         return out[0] if isinstance(sides, str) else out
 
-    return integrate(integrand, a, b, oscillation=oscillation)
+    def block(g) -> Estimate:
+        return integrate(lambda u: integrand(g, u), a, b, oscillation=oscillation)
+
+    return block(g) if not g.ndim else _in_blocks(g.shape[-1], lambda part: block(g[..., part]))
+
+
+def _in_blocks(n: int, integral: Callable[[slice], Estimate]) -> Estimate:
+    """``integral(part)`` for the consecutive slices ``part`` of
+    ``_ORDER_BLOCK`` entries of ``range(n)`` (one, empty, if ``n`` is 0),
+    joined along the estimates' last axis."""
+    parts = [integral(slice(i, i + _ORDER_BLOCK)) for i in range(0, max(n, 1), _ORDER_BLOCK)]
+    return Estimate(*(np.concatenate(part, axis=-1) for part in zip(*parts)))
 
 
 def half_line_integrals(spec: DistributionSpec, gamma) -> HalfLineIntegrals:
     """Both half-line integrals of u^(-gamma) pdf(+/-u) for the density
     of ``spec`` over its support, in one :func:`mirrored_integral` of
-    both sides when the two halves cover the same range, and else one
-    per half that is not empty; ``gamma`` may be a scalar or an array of
-    orders.
+    both sides over [0, max(hi, -lo)] for the support (lo, hi);
+    ``gamma`` may be a scalar or an array of orders.
+
+    Every catalog support is symmetric, (-c, c), or a half-line, (0, c),
+    so each side's density ends at 0 or at the shared end: a side with
+    no support integrates a density that is 0 on the whole range, which
+    the engine gives as exactly 0 with error 0.  A support with an end
+    strictly inside either half-line would need a range per side.
 
     This is the one place a moment quadrature reads a density
     (:func:`~fracmom.distributions.exact_pdf`, on arrays) and its
     support.  The density's mass rides along as one more order (0) of
-    the same engine calls.  The engine's panels reach from 2^-32 to
+    the same engine call.  The engine's panels reach from 2^-32 to
     2^32, and mass beyond them reads as 0, so a mass that misses 1 by
     more than 1e-9 (the moments' error target, at order 0) raises
     :class:`QuadratureError` rather than give moments of a density the
     panels cannot see.  A density outside the catalog still has
-    :func:`mirrored_integral`, and a :class:`HalfLineIntegrals` of two
-    such calls gives its signed and absolute moments.
+    :func:`mirrored_integral`, and a :class:`HalfLineIntegrals` of its
+    two sides gives its signed and absolute moments.
     """
     g = np.asarray(gamma, dtype=complex)
     orders = np.append(g.ravel(), 0.0)  # the last order gives the mass
     lo, hi = spec.support
-    pdf = lambda x: exact_pdf(spec, x)  # noqa: E731
     # f(-s u) is pdf(+u) on the "minus" side and pdf(-u) on the "plus" side
-    ranges = {"minus": (max(lo, 0.0), hi), "plus": (max(0.0, -hi), -lo)}
-    if ranges["minus"] == ranges["plus"]:
-        both = mirrored_integral(pdf, tuple(ranges), orders, *ranges["minus"])
-        halves = [Estimate(value, error) for value, error in zip(*both)]
-    else:
-        halves = [mirrored_integral(pdf, side, orders, *ends) for side, ends in ranges.items()]
-    miss = abs(halves[0].value[-1] + halves[1].value[-1] - 1.0)
+    both = mirrored_integral(lambda x: exact_pdf(spec, x), ("minus", "plus"), orders,
+                             0.0, max(hi, -lo))
+    miss = abs(both.value[0, -1] + both.value[1, -1] - 1.0)
     if not miss <= MOMENT_TOL:
         raise QuadratureError(f"the {spec.label()} density's mass on the quadrature panels "
-                              f"(2^-32 to 2^32) misses 1 by {miss:.3e}", achieved=miss)
+                              f"(2^-{PANELS} to 2^{PANELS}) misses 1 by {miss:.3e}", achieved=miss)
     return HalfLineIntegrals(*(Estimate(*(part[:-1].reshape(g.shape) for part in half))
-                               for half in halves))
+                               for half in zip(*both)))
 
 
 def moment_quadrature(spec: DistributionSpec, gamma, sign: str):

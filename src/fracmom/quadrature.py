@@ -43,7 +43,8 @@ adaptive bisection replaced by a fixed geometric layout:
   multiple of the plain estimate, would not do: a slow geometric tail
   (Re gamma near 0, or near 1 for a Marchaud order) lies far from its
   last sum.  A row whose last panel sums have reached roundoff keeps
-  its plain partial sum and skips extrapolation.
+  its plain partial sum, and the epsilon table is built for the other
+  rows only; no row's result depends on the rows beside it.
 
 The estimate per row is the chosen candidate's differences, plus the
 Gauss-Kronrod estimates of all panels, plus a roundoff floor of
@@ -85,7 +86,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import ArgumentError, QuadratureError
 
 # Gauss-Kronrod 10/21 on [-1, 1] (QUADPACK qk21), positive half
 _XGK = np.array([
@@ -163,17 +164,26 @@ def integrate(
     With ``oscillation`` set, an infinite interval is split at the first
     zero at or past ``max(a, 1)`` of an oscillation at that angular
     frequency, and the part beyond it is integrated between the zeros
-    instead of over doubling panels.
+    instead of over doubling panels.  This is the one range rule of the
+    package: ends that break ``0 <= a < b`` (an empty range or a NaN
+    included), and a frequency that is not finite and > 0 or whose
+    half-period pi/frequency overflows, raise :class:`ArgumentError`
+    before ``f`` is called.
     """
     if not 0.0 <= a < b:
-        raise ValueError(f"need 0 <= a < b, got [{a}, {b}]")
+        raise ArgumentError(f"need 0 <= a < b, got [{a}, {b}]")
+    if oscillation is not None and not (0.0 < oscillation < math.inf
+                                        and math.isfinite(math.pi / oscillation)):
+        raise ArgumentError(f"oscillation must be finite and > 0 with a finite "
+                            f"half-period, got {oscillation}")
     if math.isfinite(b):
         return _panel_sequence(f, a, b)
     split = max(a, 1.0)
     if oscillation is not None:
         # panels up to the first zero at or past the split, and the
-        # zero-to-zero pieces from there
-        split = math.ceil(split * oscillation / math.pi - 1e-12) * (math.pi / oscillation)
+        # zero-to-zero pieces from there; the tolerance for a split on a
+        # zero is relative, since split * frequency / pi may be tiny
+        split = math.ceil(split * oscillation / math.pi * (1.0 - 1e-12)) * (math.pi / oscillation)
         tail = _oscillatory(f, split, oscillation)
     else:
         tail = _panel_sequence(f, split, math.inf)
@@ -288,17 +298,19 @@ def _panel_sequence(f: Integrand, a: float, b: float) -> Estimate:
     roundoff = 50.0 * _EPS * abs_int.sum(axis=1)
     value = sums[:, -1]
     error = np.abs(sums[:, -1] - sums[:, -2]) + np.abs(sums[:, -2] - sums[:, -3])
+    # the epsilon table of the rows whose last sums still move, and of
+    # no other: a row is extrapolated alone, whatever rows share its block
     pending = error > roundoff
     if pending.any():
-        value, error = _wynn(sums, value, error, pending)
+        value[pending], error[pending] = _wynn(sums[pending], value[pending], error[pending])
     error = error + gauss_err.sum(axis=1) + roundoff
     return Estimate(value.reshape(lead), error.reshape(lead))
 
 
-def _wynn(sums, value, error, pending):
-    """Replace ``value``/``error`` where ``pending`` by the epsilon-table
-    entry of the converging tail with the smallest error, if that beats
-    the plain partial sum.
+def _wynn(sums, value, error):
+    """``value``/``error`` per row of the partial ``sums``, each replaced
+    by the epsilon-table entry of the converging tail with the smallest
+    error, if that beats the plain partial sum.
 
     Rhombus rule eps[k+1][j] = eps[k-1][j+1] + 1/(eps[k][j+1] - eps[k][j]),
     with eps[-1] = 0 and eps[0] the partial sums.  An even-column entry
@@ -341,7 +353,7 @@ def _wynn(sums, value, error, pending):
     col, j = np.divmod(pick, cand.shape[2])
     at = np.arange(rows)
     best = cand[col, at, j]
-    better = pending & (best < error)
+    better = best < error
     return (
         np.where(better, res[col, at, j], value),
         np.where(better, best, error),

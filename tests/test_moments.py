@@ -38,6 +38,7 @@ from fracmom.moments import (
     GRID_METHODS,
     GridParams,
     MomentGrid,
+    half_line_integrals,
     make_grid,
     mirrored_integral,
     moment_monte_carlo,
@@ -688,20 +689,6 @@ def test_power_integral_array_equals_per_order_calls():
             assert np.array_equal(got, np.array(want))
 
 
-@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (0.0, -0.0)])
-def test_power_integral_empty_range_is_zero(a, b):
-    def never(u):
-        raise AssertionError("integrand evaluated")
-
-    value, error = mirrored_integral(never, "minus", _POWER_ORDERS, a, b)
-    assert value.dtype == complex and value.shape == error.shape == (4,)
-    assert not value.any() and not error.any()
-    assert mirrored_integral(never, "minus", 0.5, a, b) == (0j, 0.0)
-    value, error = mirrored_integral(never, ("plus", "minus"), _POWER_ORDERS, a, b)
-    assert value.shape == error.shape == (2, 4)
-    assert not value.any() and not error.any()
-
-
 @pytest.mark.parametrize("name", FAMILIES)
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, math.inf), (0.0, math.inf)])
 @pytest.mark.parametrize("ringing", [False, True])
@@ -778,15 +765,46 @@ def test_power_kernel_counts_one_phase_row_per_distinct_imaginary_part():
 
 
 @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.4, math.nan), (-1.0, 1.0),
-                                  (-2.0, -3.0)])
+                                  (-2.0, -3.0), (1.0, 1.0), (2.0, 1.0), (0.0, -0.0)])
 def test_mirrored_integral_refuses_a_nan_or_negative_end(a, b):
-    """A NaN end used to give an exact zero with zero error, and a
-    negative lower end a raw ValueError from the engine."""
+    """The engine's range rule is the one rule: a NaN end used to give an
+    exact zero with zero error, a negative lower end a raw ValueError
+    from the engine, and an empty range zeros without a call of f."""
     def never(u):
         raise AssertionError("integrand evaluated")
 
-    with pytest.raises(ArgumentError, match=r"^need 0 <= a and a b that is not NaN"):
-        mirrored_integral(never, "minus", 0.4, a, b)
+    for call in (lambda: mirrored_integral(never, "minus", 0.4, a, b),
+                 lambda: mirrored_integral(never, ("plus", "minus"), _POWER_ORDERS, a, b),
+                 lambda: quadrature.integrate(never, a, b)):
+        with pytest.raises(ArgumentError, match=r"^need 0 <= a < b, got \["):
+            call()
+
+
+@pytest.mark.parametrize("name", ["rayleigh", "levy"])
+def test_a_half_line_law_has_an_exact_zero_negative_half(name):
+    """Both sides are one engine call over the support's reach; the side
+    with no support integrates a density that is 0 there, exactly."""
+    g = GridParams(rho=0.4, delta=0.4, m=5).nodes()
+    halves = half_line_integrals(make_spec(name), np.concatenate([g, -g, [0.05, 0.95, 1.4]]))
+    assert halves.negative.value.shape == halves.positive.value.shape == (25,)
+    assert not halves.negative.value.any() and not halves.negative.error.any()
+    assert np.all(np.abs(halves.positive.value) > 0.0)
+
+
+@pytest.mark.parametrize("name", ["cauchy", "gaussian"])
+def test_peak_does_not_grow_past_one_block_of_orders(name):
+    """The orders go to the engine in fixed blocks, so from m = 200 to
+    m = 400 (delta = 0.01) the traced peak grows by the per-order results
+    only; one block held every order before, 90.6 MB (identity suite,
+    cauchy) and 46 MB (gaussian quadrature grid) at m = 400."""
+    spec = make_spec(name)
+
+    def call(m):
+        gp = GridParams(rho=0.4, delta=0.01, m=m)
+        return identity_suite(spec, gp) if name == "cauchy" else make_grid(spec, gp, "quadrature")
+
+    small, large = (_traced_peak(lambda: call(m)) for m in (200, 400))
+    assert large <= 1.1 * small
 
 
 def test_moment_quadrature_plus_minus_conjugation():

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from scipy import special as sp_special
 
+from fracmom import quadrature
 from fracmom.distributions import closed_form_moment, exact_cf, make_spec
-from fracmom.errors import QuadratureError
+from fracmom.errors import ArgumentError, QuadratureError
 from fracmom.fracops import (
     marchaud_derivative_at_zero,
     mellin_forward,
@@ -95,6 +96,85 @@ def test_oscillatory_tail():
     want = math.pi / 2.0 - sp_special.sici(1.0)[0]
     assert abs(est.value - want) <= 1e-10
     assert abs(est.value - want) <= max(float(est.error), 1e-14)
+
+
+def test_panel_sequence_extrapolates_each_row_alone(monkeypatch):
+    """Rows whose last sums have reached roundoff (a zero row, a fast
+    decay) and rows that still move (power tails) share a block; only the
+    moving rows enter the epsilon table, and every row gets the bits it
+    gets alone."""
+    rows = [lambda x: 0.0 * x, lambda x: x**-1.5, lambda x: np.exp(-x),
+            lambda x: x**-1.2 * np.cos(x), lambda x: x**-1.8]
+    block = quadrature._panel_sequence(lambda x: np.stack([r(x) for r in rows]), 1.0, math.inf)
+    for i, row in enumerate(rows):
+        alone = quadrature._panel_sequence(row, 1.0, math.inf)
+        assert block.value[i].tobytes() == alone.value.tobytes(), i
+        assert block.error[i].tobytes() == alone.error.tobytes(), i
+    tabled, wynn = [], quadrature._wynn
+
+    def spy(sums, *rest):
+        tabled.append(len(sums))
+        return wynn(sums, *rest)
+
+    monkeypatch.setattr(quadrature, "_wynn", spy)
+    quadrature._panel_sequence(lambda x: np.stack([r(x) for r in rows]), 1.0, math.inf)
+    assert tabled == [3]
+
+
+# uniform(a) with the hint oscillation = a: its first zero at or past 1
+# is pi / a, far out, where the old absolute tolerance put it at 0
+_FAR_ZERO = (1e-12, 1e-13)
+
+
+def _uniform(a):
+    spec = make_spec("uniform", a=a)
+    return spec, lambda t: exact_cf(spec, t)
+
+
+@pytest.mark.parametrize("a", _FAR_ZERO)
+@pytest.mark.parametrize("g", [0.4, 0.4 + 1j])
+def test_fractional_integral_finds_a_far_first_zero(a, g):
+    # was 80350.8 for 85075.9 at a = 1e-12, g = 0.4, with no error
+    spec, cf = _uniform(a)
+    want = closed_form_moment(spec, g, "minus")
+    assert abs(rl_integral_at_zero(cf, g, "minus", oscillation=a) - want) <= 1e-9 * abs(want)
+
+
+def test_fractional_integral_past_its_panels_is_refused():
+    # was 1.2735e120 for 1.3484e120 with no error
+    _, cf = _uniform(1e-300)
+    with pytest.raises(QuadratureError, match="fractional integral"):
+        rl_integral_at_zero(cf, 0.4, "minus", oscillation=1e-300)
+
+
+@pytest.mark.parametrize("a", _FAR_ZERO)
+def test_marchaud_derivative_with_a_far_first_zero_is_right_or_refused(a):
+    # was 0.6714 for 9.2e-6 (a = 1e-12) and 3.6e-6 (a = 1e-13), with no
+    # error: the zero-to-zero pieces ran from 0, outside [1, inf)
+    spec, cf = _uniform(a)
+    want = closed_form_moment(spec, -0.4, "minus")
+    try:
+        got = marchaud_derivative_at_zero(cf, 0.4, "minus", oscillation=a)
+    except QuadratureError:
+        return
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("freq", [0.0, -2.0, math.nan, math.inf, 1e-320])
+def test_a_bad_oscillation_is_refused_before_any_integrand(freq):
+    # was a raw ZeroDivisionError (0), an estimate of nan (-2), a raw
+    # ValueError (nan) or OverflowError (inf), and a RuntimeWarning
+    # (1e-320, whose half-period pi / 1e-320 overflows)
+    def never(x):
+        raise AssertionError("integrand evaluated")
+
+    with pytest.raises(ArgumentError, match="^oscillation must be finite and > 0"):
+        integrate(never, 0.0, math.inf, oscillation=freq)
+    _, cf = _uniform(2.0)
+    for op in (rl_integral_at_zero, marchaud_derivative_at_zero):
+        with quadrature.counting() as tally, pytest.raises(ArgumentError):
+            op(cf, 0.4, "minus", oscillation=freq)
+        assert not tally["passes"], op.__name__
 
 
 def test_integrand_called_once_per_panel_sequence():
