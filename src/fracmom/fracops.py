@@ -58,8 +58,10 @@ first zero at or past xi = 1 to integration between consecutive zeros
 with repeated-averaging (Euler) acceleration, accurate to ~1e-11 even at
 Re(gamma) close to 1.  Whenever any order's error estimate exceeds
 1e-7 a :class:`QuadratureError` naming that order is raised.  An order
-outside an operator's strip of real parts raises :class:`StripError`
-before any quadrature.
+outside an operator's strip of real parts raises :class:`StripError`,
+and an ``oscillation`` hint that is not finite and > 0 (or whose
+half-period pi/hint overflows) :class:`ArgumentError`, before any
+quadrature.
 """
 
 from __future__ import annotations
