@@ -10,9 +10,13 @@ by one command can be read by a later one.  The corpus:
   signs in one run), and ``verify`` on a rayleigh law of scale 1e-6
   and a uniform law of half-width 0.01, and a cauchy ``verify`` and a
   gaussian quadrature grid wide enough (m = 400 and 300) that the
-  engine takes their orders in several blocks;
+  engine takes their orders in several blocks, and a cauchy ``verify``
+  that fails at a node below the real axis, whose value the identity
+  suite takes from its conjugate;
 * ``moments`` by closed form, quadrature and Monte Carlo, a cauchy
-  grid written to stdout (no ``--out``), and three gaussian
+  grid written to stdout (no ``--out``), a gaussian quadrature grid of
+  the "plus" sign, which with the "minus" grids pins the conjugated
+  orders on both signs of an asymmetric law, and three gaussian
   closed-form grids whose nodes the double-precision paths decline:
   every node at mu/sigma = 30, most at mu/sigma = 10, and the nodes
   past |Im gamma| ~ 300 on a wide grid;
@@ -96,6 +100,9 @@ def corpus() -> list[tuple[str, list[str]]]:
             ("moments-gaussian-quad-wide",
              ["moments", "--family", "gaussian", "--method", "quad", "--delta", "0.02",
               "--m", "300", "--out", "moments-gaussian-quad-wide.csv"])]
+    # a failure named at Im gamma < 0, exit 2
+    out.append(("verify-cauchy-failing-node", ["verify", "--family", "cauchy", "--rho", "0.95",
+                                               "--delta", "0.3", "--m", "12"]))
     out += [(f"strip-{fam}", ["strip", "--family", fam]) for fam in FAMILIES]
     for fam in FAMILIES:
         for method in ("closed", "quad", "mc"):
@@ -106,6 +113,9 @@ def corpus() -> list[tuple[str, list[str]]]:
             out.append((f"moments-{fam}-{method}", argv))
     # a grid written to stdout, with no --out
     out.append(("moments-cauchy-stdout", ["moments", "--family", "cauchy", "--m", "6"]))
+    out.append(("moments-gaussian-quad-plus",
+                ["moments", "--family", "gaussian", "--param", "mu=2", "--param", "sigma=1",
+                 "--method", "quad", "--sign", "plus", "--m", "6"]))
     for label, extra in (("far-mean", ["--param", "sigma=0.0666", "--m", "20"]),
                          ("mid-mean", ["--param", "mu=10", "--delta", "0.2", "--m", "100"]),
                          ("far-out", ["--m", "400", "--delta", "0.8"])):

@@ -37,13 +37,17 @@ also gives the quadrature moments:
 * the composition check's Weyl integral is order 1 - gamma, on
   (0, inf), of the shifted function v -> f(y - s v).
 
-Where both sides are wanted (the Riesz operators, and every operator
-integral of the identity suite), one call takes both: the sides share
-one kernel u^(-order) and one engine pass.  The identity suite also
-takes J_s with the Marchaud parts: the orders 1 - gamma and 1 + gamma
-are stacked in one call on (0, 1), where J's rows integrate cf and the
+Where both sides are wanted, the Riesz operators take both in one call:
+the sides share one kernel u^(-order) and one engine pass.  The public
+operators always integrate every side they return, since a caller's
+``cf`` need not be Hermitian.  The identity suite's catalog CF is
+Hermitian, cf(-t) = conj cf(t), and its orders lie on a line symmetric
+in k, so it integrates the "minus" side alone: J_+ and K_+ at an order are J_- and
+K_- at the conjugate order, conjugated, with the same error.  It takes
+J_s with the Marchaud parts: the orders 1 - gamma and 1 + gamma are
+stacked in one call on (0, 1), where J's rows integrate cf and the
 Marchaud rows cf(0) - cf, and one on (1, inf), so its four operator
-integrals take two engine calls.
+integrals take two engine calls of one side.
 
 The integrand is formed for all requested orders at once on arrays of
 abscissae, so ``gamma`` may be a scalar (complex result) or a 1-D array
@@ -105,6 +109,18 @@ def _fractional_integral(mellin: Estimate, gamma) -> np.ndarray:
     return result.value
 
 
+def _hermitian_sides(f: ComplexFunc, orders: np.ndarray, a: float, b: float,
+                     **hint) -> Estimate:
+    # mirrored_integral of both sides ("plus", "minus") for an f with
+    # f(-t) = conj f(t) and orders whose last axis is a line symmetric in
+    # k, from the "minus" side alone: "plus" at an order is "minus" at its
+    # conjugate, conjugated, and the conjugate is the mirror image along
+    # the last axis
+    minus = mirrored_integral(f, "minus", orders, a, b, **hint)
+    return Estimate(np.stack([minus.value[..., ::-1].conj(), minus.value]),
+                    np.stack([minus.error[..., ::-1], minus.error]))
+
+
 def _marchaud(
     cf: ComplexFunc, gamma: np.ndarray, sides, oscillation: float | None,
     *, mellin: bool = False,
@@ -114,7 +130,9 @@ def _marchaud(
     # orders 1 + gamma; one side, or a row per side of a tuple of sides.
     # With ``mellin`` the same two calls also give the Mellin integral J
     # (returned first, else None): its orders 1 - gamma are stacked before
-    # the Marchaud ones, and on (0, 1) its rows integrate cf.
+    # the Marchaud ones, and on (0, 1) its rows integrate cf.  ``mellin``
+    # is the identity suite's, whose cf is Hermitian and whose line is
+    # symmetric in k: both sides, from :func:`_hermitian_sides`.
     c0 = complex(cf(0.0))
     first = 0 if mellin else 1  # J's stack of orders only with ``mellin``
     orders = np.stack([1.0 - gamma, 1.0 + gamma][first:])
@@ -123,10 +141,15 @@ def _marchaud(
         values = cf(t)
         return np.stack([values, c0 - values][first:])[:, None]
 
+    def integral(f, a: float, b: float, **hint) -> Estimate:
+        if mellin:
+            return _hermitian_sides(f, orders, a, b, **hint)
+        return mirrored_integral(f, sides, orders, a, b, **hint)
+
     # the tail first, so that a bad ``oscillation`` is refused before any
     # integrand is formed
-    tail = mirrored_integral(cf, sides, orders, 1.0, math.inf, oscillation=oscillation)
-    head = mirrored_integral(head_f, sides, orders, 0.0, 1.0)
+    tail = integral(cf, 1.0, math.inf, oscillation=oscillation)
+    head = integral(head_f, 0.0, 1.0)
     # the stacks of orders are the second-to-last axis
     j = Estimate(*(h[..., 0, :] + t[..., 0, :] for h, t in zip(head, tail))) if mellin else None
     head, tail = (Estimate(*(a[..., -1, :] for a in part)) for part in (head, tail))
@@ -265,13 +288,17 @@ def identity_suite(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     the nodes of |got - want| / (1 + |want|).  The oracle is one
     :func:`~fracmom.moments.half_line_integrals` pass of ``spec`` over
     the orders gamma and -gamma (u^(-gamma) and u^(+gamma)), which reads
-    its density and support once and refuses a density whose mass it
-    misses; each signed and absolute moment drawn from it must meet
-    1e-9, and a miss names the order integrated.  The operator
-    integrals (J_+, J_-, and the Marchaud K_+, K_-) take one engine call
-    on (0, 1) and one on (1, inf), over both sides and the stacked orders
-    1 - gamma and 1 + gamma, and each must meet the operators' 1e-7.
-    The Riesz rows combine the
+    its density and support once, integrates one order of each conjugate
+    pair, and refuses a density whose mass it misses; each signed and
+    absolute moment drawn from it must meet 1e-9, and a miss names the
+    order integrated.  The operator integrals (J_+, J_-, and the
+    Marchaud K_+, K_-) take one engine call on (0, 1) and one on
+    (1, inf), over the "minus" side and the stacked orders 1 - gamma and
+    1 + gamma; the "plus" side is the "minus" side at the conjugate
+    orders, conjugated, since the CF is Hermitian and the line symmetric
+    in k.  Each must meet the operators' 1e-7.  The values and errors
+    so filled are those of a two-sided call over every order, so every
+    row and every failure's message are too.  The Riesz rows combine the
     one-sided values, and ``mellin_two_path`` compares J_- with
     Gamma(gamma) times the fractional integral made from it.  A missed
     target raises :class:`QuadratureError`.  The oracle needs both
@@ -301,9 +328,10 @@ def _identity_rows(spec: DistributionSpec, params: GridParams) -> dict[str, floa
     g = params.nodes()
 
     # Independent oracle: quadrature of the density, one pass over the
-    # orders g and -g.  Its half-line integrals of u^(-g) and u^(+g)
-    # give all four signed moments and both absolute ones; none of
-    # their error estimates is dropped.
+    # orders g and -g, one of each conjugate pair integrated.  Its
+    # half-line integrals of u^(-g) and u^(+g) give all four signed
+    # moments and both absolute ones; none of their error estimates is
+    # dropped.
     both = np.concatenate([g, -g])
     halves = half_line_integrals(spec, both)
 
@@ -316,8 +344,8 @@ def _identity_rows(spec: DistributionSpec, params: GridParams) -> dict[str, floa
         mom[side], dmom[side] = oracle(halves.signed(both, side))
     abs_minus, abs_plus = oracle(halves.absolute())  # E|X|^(-g), E|X|^g
 
-    # the Mellin integral J and the Marchaud parts, both sides and both
-    # stacks of orders in one engine call per stretch
+    # the Mellin integral J and the Marchaud parts, both stacks of orders
+    # in one engine call of the "minus" side per stretch, both sides out
     mellin, marchaud = _marchaud(cf, g, _SIDES, osc, mellin=True)
     rl = dict(zip(_SIDES, _fractional_integral(mellin, g)))
     ma = dict(zip(_SIDES, marchaud))

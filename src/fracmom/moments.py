@@ -300,6 +300,32 @@ def _in_blocks(n: int, integral: Callable[[slice], Estimate]) -> Estimate:
     return Estimate(*(np.concatenate(part, axis=-1) for part in zip(*parts)))
 
 
+def _one_per_conjugate_pair(orders: np.ndarray,
+                            integral: Callable[[np.ndarray], Estimate]) -> Estimate:
+    """``integral(orders)`` for a real integrand times the kernel
+    u^(-order), over the 1-D ``orders``, from ``integral`` of fewer
+    orders: an order with Im < 0 whose conjugate is among ``orders``
+    takes the conjugate's value conjugated and its error.  That is exact
+    but for the sign of a part that is exactly 0, since
+    :func:`power_kernel` forms the row at conj(gamma) as the conjugate of
+    the row at gamma, and the engine's rule sums and extrapolation
+    commute with conjugation."""
+    values = orders.tolist()
+    first: dict[complex, int] = {}
+    for i, value in enumerate(values):
+        first.setdefault(value, i)
+    source = [first.get(value.conjugate(), i) if value.imag < 0 else i
+              for i, value in enumerate(values)]
+    keep = [i for i, s in enumerate(source) if s == i]
+    at = {i: j for j, i in enumerate(keep)}
+    take = [at[s] for s in source]
+    flip = np.array([s != i for i, s in enumerate(source)])
+    part = integral(orders[keep])
+    value = part.value[..., take]
+    value[..., flip] = value[..., flip].conj()
+    return Estimate(value, part.error[..., take])
+
+
 def half_line_integrals(spec: DistributionSpec, gamma) -> HalfLineIntegrals:
     """Both half-line integrals of u^(-gamma) pdf(+/-u) for the density
     of ``spec`` over its support, in one :func:`mirrored_integral` of
@@ -312,23 +338,27 @@ def half_line_integrals(spec: DistributionSpec, gamma) -> HalfLineIntegrals:
     the engine gives as exactly 0 with error 0.  A support with an end
     strictly inside either half-line would need a range per side.
 
-    This is the one place a moment quadrature reads a density
-    (:func:`~fracmom.distributions.exact_pdf`, on arrays) and its
-    support.  The density's mass rides along as one more order (0) of
-    the same engine call.  The engine's panels reach from 2^-32 to
-    2^32, and mass beyond them reads as 0, so a mass that misses 1 by
-    more than 1e-9 (the moments' error target, at order 0) raises
-    :class:`QuadratureError` rather than give moments of a density the
-    panels cannot see.  A density outside the catalog still has
-    :func:`mirrored_integral`, and a :class:`HalfLineIntegrals` of its
-    two sides gives its signed and absolute moments.
+    The density is real, so of each conjugate pair (gamma, conj gamma)
+    among the orders one is integrated (the one with Im > 0), and the
+    other takes its value conjugated and its error
+    (:func:`_one_per_conjugate_pair`): a grid line and its mirror image
+    cost half their orders.  This is the one place a moment quadrature
+    reads a density (:func:`~fracmom.distributions.exact_pdf`, on
+    arrays) and its support.  The density's mass rides along as one
+    more order (0) of the same engine call.  The engine's panels reach
+    from 2^-32 to 2^32, and mass beyond them reads as 0, so a mass that
+    misses 1 by more than 1e-9 (the moments' error target, at order 0)
+    raises :class:`QuadratureError` rather than give moments of a
+    density the panels cannot see.  A density outside the catalog still
+    has :func:`mirrored_integral`, and a :class:`HalfLineIntegrals` of
+    its two sides gives its signed and absolute moments.
     """
     g = np.asarray(gamma, dtype=complex)
     orders = np.append(g.ravel(), 0.0)  # the last order gives the mass
     lo, hi = spec.support
     # f(-s u) is pdf(+u) on the "minus" side and pdf(-u) on the "plus" side
-    both = mirrored_integral(lambda x: exact_pdf(spec, x), ("minus", "plus"), orders,
-                             0.0, max(hi, -lo))
+    both = _one_per_conjugate_pair(orders, lambda part: mirrored_integral(
+        lambda x: exact_pdf(spec, x), ("minus", "plus"), part, 0.0, max(hi, -lo)))
     miss = abs(both.value[0, -1] + both.value[1, -1] - 1.0)
     if not miss <= MOMENT_TOL:
         raise QuadratureError(f"the {spec.label()} density's mass on the quadrature panels "

@@ -55,7 +55,10 @@ evaluates ``f`` on arrays of a known size and memory stays bounded;
 an adaptive rule grows its workspace with the hardest row.  They also
 fix the reach: ``[0, inf)`` is seen from 2^-32 to 2^32, and an
 integrand whose mass lies beyond reads as 0 with a tiny estimate, so
-the quadrature moments check the density's mass as well.
+the quadrature moments check the density's mass as well.  A finite
+``[a, b]`` with ``a > 0`` whose innermost panel is wider than ``a``
+((b - a) 2^-32 > a) leaves the integrand's scale near ``a`` unseen, and
+every row's estimate is infinite.
 
 For integrands that ring without decaying fast (the sinc CF of the
 uniform law, the never-decaying CF of a point mass) an ``oscillation``
@@ -304,6 +307,11 @@ def _panel_sequence(f: Integrand, a: float, b: float) -> Estimate:
     if pending.any():
         value[pending], error[pending] = _wynn(sums[pending], value[pending], error[pending])
     error = error + gauss_err.sum(axis=1) + roundoff
+    if 0.0 < a and math.isfinite(b) and (b - a) * 2.0**-PANELS > a:
+        # the innermost panel of a finite stretch off the origin is wider
+        # than its distance a from the origin, so no abscissa sees the
+        # integrand's scale near a, and no estimate bounds what it misses
+        error[:] = np.inf
     return Estimate(value.reshape(lead), error.reshape(lead))
 
 

@@ -186,6 +186,35 @@ def test_cf_hermitian_and_bounded(spec, theta):
     assert abs(w - v.conjugate()) <= 1e-14
 
 
+# every positive double, and scales whose squares leave double range
+_SCALES = st.floats(min_value=5e-324, allow_infinity=False) | st.sampled_from(
+    [1e-6, 1e200, 9.78e-300, 1e-300, 1e-310])
+
+
+@given(family=st.sampled_from(FAMILIES), scale=_SCALES,
+       mu=st.floats(allow_nan=False, allow_infinity=False),
+       t=st.floats(allow_nan=False) | st.sampled_from([0.0, 5e-324, 1e-310, 1e308]))
+@example(family="rayleigh", scale=1e200, mu=0.0, t=1e-190)
+@example(family="rayleigh", scale=9.78e-300, mu=0.0, t=1e299)
+@example(family="gaussian", scale=1.0, mu=-7e3, t=0.37)
+@example(family="uniform", scale=1e-300, mu=0.0, t=3e300)
+@settings(max_examples=300, deadline=None)
+def test_cf_is_exactly_hermitian_and_pdf_real(family, scale, mu, t):
+    """exact_cf(-t) is conj exact_cf(t) in every bit but a zero's sign
+    (and NaN where the gaussian's phase leaves double range), and the
+    density is real: the identity suite integrates one side, and the
+    quadrature moments one order of each conjugate pair, on this."""
+    params = {"uniform": {"a": scale}, "rayleigh": {"sigma": scale},
+              "gaussian": {"mu": mu, "sigma": scale}}.get(family, {})
+    spec = make_spec(family, **params)
+    points = np.array([t, -t])
+    plus, minus = exact_cf(spec, points)
+    density = exact_pdf(spec, points)
+    np.testing.assert_array_equal(minus.real, plus.real)
+    np.testing.assert_array_equal(minus.imag, -plus.imag)
+    assert np.isrealobj(density)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @given(x=st.floats(allow_nan=False, allow_infinity=False),
        scale=st.floats(min_value=1e-3, max_value=1e3),

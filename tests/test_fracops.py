@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracmom import fracops, quadrature
+from fracmom import fracops, moments, quadrature
 from fracmom.cli import main
 from fracmom.distributions import closed_form_moment, exact_cf, make_spec
 from fracmom.errors import ArgumentError, DomainError, QuadratureError, StripError
@@ -530,10 +530,40 @@ def test_identity_suite_matches_public_operators(name):
 
 
 @pytest.mark.parametrize("name", list(_FAMILIES))
+@pytest.mark.parametrize("grid", [_GRID, GridParams(rho=0.4, delta=0.02, m=130)],
+                         ids=["m5", "m130"])
+def test_identity_suite_rows_are_those_of_both_sides_on_the_full_grid(name, grid, monkeypatch):
+    """The suite integrates one order of each conjugate pair of the
+    oracle and the "minus" side of the operators, and mirrors the rest;
+    its rows are, bit for bit, those of two-sided calls over every order
+    (at m = 130 the orders fill several engine blocks)."""
+    spec = make_spec(name, **_FAMILIES[name])
+    mirrored = identity_suite(spec, grid)
+    monkeypatch.setattr(moments, "_one_per_conjugate_pair",
+                        lambda orders, integral: integral(orders))
+    monkeypatch.setattr(fracops, "_hermitian_sides", lambda f, orders, a, b, **hint:
+                        fracops.mirrored_integral(f, ("plus", "minus"), orders, a, b, **hint))
+    full = identity_suite(spec, grid)
+    assert list(mirrored) == list(full)
+    for row in full:
+        assert np.float64(mirrored[row]).tobytes() == np.float64(full[row]).tobytes(), row
+
+
+def test_verify_names_a_failing_node_below_the_axis(capsys):
+    """A failing order at Im gamma < 0 is named: its error is that of
+    its mirror image, and the first worst row in the stacked sides wins."""
+    assert main(["verify", "--family", "cauchy", "--rho", "0.95", "--delta", "0.3",
+                 "--m", "12"]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: Marchaud derivative estimate 7.207e-06 exceeds 1.000e-07 "
+        "at gamma = (0.95-3.5999999999999996j)\n")
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
 def test_verify_integrates_each_transform_once(name, monkeypatch, capsys):
     """Oracle (one pass over the orders gamma and -gamma), then J and the
     Marchaud parts together: one pass on (0, 1) and one on (1, inf), over
-    the orders 1 - gamma and 1 + gamma; each call takes both sides.  A
+    the orders 1 - gamma and 1 + gamma, of the "minus" side.  A
     half-line is one panel sequence per finite part, two in all.  A
     ringing tail (uniform) is panels up to its first zero, then the
     zero-to-zero pieces, and its density's finite support one panel
@@ -562,10 +592,11 @@ def test_identity_suite_logs_its_engine_work_under_debug(monkeypatch, caplog):
         identity_suite(spec, _GRID)
     [line] = [r.getMessage() for r in caplog.records if r.name == "fracmom.fracops"]
     # 4 panel sequences of 2 x 32 x 21 abscissae; the oracle has 2 sides
-    # x (22 orders + the mass), J and the Marchaud parts 2 sides x 22;
-    # each pass forms 6 phases (|Im gamma| = 0, 0.4, ..., 2) per abscissa
+    # x (12 of its 22 orders, one per conjugate pair, + the mass), J and
+    # the Marchaud parts the "minus" side x 22; each pass forms 6 phases
+    # (|Im gamma| = 0, 0.4, ..., 2) per abscissa
     assert re.fullmatch(r"identity suite of gaussian\(mu=2, sigma=1\): 4 engine passes, "
-                        r"5376 abscissae, 241920 integrand values, 32256 phase exponentials, "
+                        r"5376 abscissae, 129024 integrand values, 32256 phase exponentials, "
                         r"\d+\.\d{3} s", line)
 
     # with debug logging off, nothing is counted

@@ -793,17 +793,19 @@ def test_a_half_line_law_has_an_exact_zero_negative_half(name):
 
 @pytest.mark.parametrize("name", ["cauchy", "gaussian"])
 def test_peak_does_not_grow_past_one_block_of_orders(name):
-    """The orders go to the engine in fixed blocks, so from m = 200 to
-    m = 400 (delta = 0.01) the traced peak grows by the per-order results
+    """The orders go to the engine in fixed blocks, so from m = 300 to
+    m = 600 (delta = 0.005) the traced peak grows by the per-order results
     only; one block held every order before, 90.6 MB (identity suite,
-    cauchy) and 46 MB (gaussian quadrature grid) at m = 400."""
+    cauchy) and 46 MB (gaussian quadrature grid) at m = 400, delta = 0.01.
+    One order per conjugate pair is integrated, so both sizes are chosen
+    to fill more than one block: the smaller grid has 301 such orders."""
     spec = make_spec(name)
 
     def call(m):
-        gp = GridParams(rho=0.4, delta=0.01, m=m)
+        gp = GridParams(rho=0.4, delta=0.005, m=m)
         return identity_suite(spec, gp) if name == "cauchy" else make_grid(spec, gp, "quadrature")
 
-    small, large = (_traced_peak(lambda: call(m)) for m in (200, 400))
+    small, large = (_traced_peak(lambda: call(m)) for m in (300, 600))
     assert large <= 1.1 * small
 
 

@@ -147,17 +147,37 @@ def test_fractional_integral_past_its_panels_is_refused():
         rl_integral_at_zero(cf, 0.4, "minus", oscillation=1e-300)
 
 
-@pytest.mark.parametrize("a", _FAR_ZERO)
-def test_marchaud_derivative_with_a_far_first_zero_is_right_or_refused(a):
+@pytest.mark.parametrize("a, g", [pytest.param(a, 0.4, id=str(a)) for a in _FAR_ZERO]
+                         + [(1e-300, 0.4), (1e-300, 0.4 + 1j)])
+def test_marchaud_derivative_with_a_far_first_zero_is_right_or_refused(a, g):
     # was 0.6714 for 9.2e-6 (a = 1e-12) and 3.6e-6 (a = 1e-13), with no
-    # error: the zero-to-zero pieces ran from 0, outside [1, inf)
+    # error: the zero-to-zero pieces ran from 0, outside [1, inf).  At
+    # a = 1e-300 it was 0.6715 (1.339-1.390i at 0.4+1i) for 5.8e-121,
+    # with an estimate under 1e-7: the panels of [1, pi / a] halved
+    # toward 1, and their innermost, [1, 7e290], held no abscissa near 1
     spec, cf = _uniform(a)
-    want = closed_form_moment(spec, -0.4, "minus")
+    want = closed_form_moment(spec, -g, "minus")
     try:
-        got = marchaud_derivative_at_zero(cf, 0.4, "minus", oscillation=a)
+        got = marchaud_derivative_at_zero(cf, g, "minus", oscillation=a)
     except QuadratureError:
         return
     assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_a_stretch_whose_innermost_panel_passes_its_start_has_no_bound():
+    """[a, b] with a > 0 halves toward a: once (b - a) 2^-32 > a, its
+    innermost panel is wider than a and no abscissa sees the scale near
+    a, so every row's estimate is infinite.  A stretch from 0, or with a
+    narrower innermost panel, keeps its estimate."""
+    def f(x):
+        return np.stack([np.exp(-x), 1.0 / (1.0 + x * x)])
+
+    assert np.all(np.isinf(integrate(f, 1.0, 2.0**33).error))
+    assert np.all(np.isfinite(integrate(f, 1.0, 2.0**32 + 1.0).error))
+    for a, want in ((0.0, [1.0, math.pi / 2.0]), (1.0, [math.exp(-1.0), math.pi / 4.0])):
+        got = integrate(f, a, 2.0**20)
+        assert np.all(got.error <= 1e-11)
+        assert np.allclose(got.value, want, rtol=0.0, atol=2e-6)
 
 
 @pytest.mark.parametrize("freq", [0.0, -2.0, math.nan, math.inf, 1e-320])
